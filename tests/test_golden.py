@@ -1,0 +1,114 @@
+"""Cross-version golden hashes of the metrics and summary files.
+
+Criterion 7 compares two runs of the same code. These pins compare a run
+against the bytes earlier code produced, so a refactor that silently moves
+a float fails here. A change that alters outcomes on purpose re-pins the
+hashes and says why in CHANGES.md. The DRL pin assumes the numpy and BLAS
+build that produced it (numpy 2.4, OpenBLAS 0.3.31); matrix products may
+round differently elsewhere.
+"""
+
+import hashlib
+
+import pytest
+
+from edgeloop.config import config_from_dict
+from edgeloop.experiment import run_experiment
+
+CONFIGS = {
+    # acceptance criterion 7's config: no load report falls inside 30 steps
+    "drl-edge-jitter": {
+        "seeds": [9],
+        "episodes": 3,
+        "eval_episodes": 2,
+        "max_steps": 30,
+        "agent": {"hidden_layers": [16], "warmup": 16},
+        "latency": {"jitter": 0.1},
+    },
+    "pid-cloud-jitter": {
+        "scenario": "cloud-only",
+        "controller": "pid",
+        "seeds": [1, 2],
+        "episodes": 0,
+        "eval_episodes": 2,
+        "max_steps": 40,
+        "latency": {"jitter": 0.1},
+    },
+    # tight edges and fast drift: the control module moves between edges
+    "pid-edge-rebalance": {
+        "scenario": "edge-collab",
+        "controller": "pid",
+        "seeds": [3],
+        "episodes": 0,
+        "eval_episodes": 2,
+        "max_steps": 40,
+        "allocator": {
+            "edges": [
+                {"id": "edge-0", "capacity": 3.0, "current_load": 1.0,
+                 "bandwidth_mbps": 50.0, "compute_rating": 0.5},
+                {"id": "edge-1", "capacity": 3.0, "current_load": 1.0,
+                 "bandwidth_mbps": 90.0, "compute_rating": 0.9},
+            ],
+            "rebalance_interval_steps": 5,
+            "load_drift": 0.6,
+            "load_max": 2.5,
+        },
+    },
+}
+
+GOLDEN = {
+    "drl-edge-jitter": {
+        "metrics_edge-collab_drl_seed9.jsonl": (
+            "79f00f2b12f3750640bac04db5265e34"
+            "9a3c6cd2521964b044163bce77a3f21e"
+        ),
+        "summary.csv": (
+            "59b8c8c197e9db6b012ece2479e0e4bb"
+            "0a45adf1469a1bc92b1c0b97a2dc95d3"
+        ),
+    },
+    "pid-cloud-jitter": {
+        "metrics_cloud-only_pid_seed1.jsonl": (
+            "aff5ca8cd3e4c5c00b4d3bc12619946e"
+            "127f5eda840c34e402bbb6d1203c72b1"
+        ),
+        "metrics_cloud-only_pid_seed2.jsonl": (
+            "fc23d6ce576b09e62db31fd8e2d28af8"
+            "051cf996ca915e658db44b562acb4415"
+        ),
+        "summary.csv": (
+            "0f17e7887f8bf2bade6d45326defe656"
+            "d5cf1a4b8e1995d2d2b85db5f6a4167f"
+        ),
+    },
+    "pid-edge-rebalance": {
+        "metrics_edge-collab_pid_seed3.jsonl": (
+            "a1dbf63c1b68c48218e2692ff160b01b"
+            "a462f00d2262f153cdec195e525387f7"
+        ),
+        "summary.csv": (
+            "5d0156f9e4acab2762d156405f8fcfec"
+            "e34046bacbcc1383537eb70ae5845536"
+        ),
+    },
+}
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_golden_hashes(name, tmp_path):
+    result = run_experiment(config_from_dict(CONFIGS[name]), str(tmp_path))
+    got = {path.name: _sha256(path) for path in sorted(tmp_path.iterdir())}
+    assert got == GOLDEN[name]
+
+
+def test_rebalance_config_moves_the_control_module():
+    # one edge hop serves in 300 ms and two hops in 500 ms; a mean strictly
+    # between them means the serving edge changed inside the episode
+    result = run_experiment(config_from_dict(CONFIGS["pid-edge-rebalance"]))
+    latencies = [r.mean_latency_ms for r in result.results[3].records]
+    assert any(300.0 < lat < 500.0 for lat in latencies), latencies
