@@ -13,7 +13,6 @@ from .allocator import (
     ControlModule,
     EdgeResource,
     affinity,
-    rebalance,
     solve,
     solve_exact,
     solve_greedy,
@@ -72,7 +71,6 @@ __all__ = [
     "pid_to_command",
     "read_metrics",
     "read_trace",
-    "rebalance",
     "render_table",
     "resample",
     "run_experiment",

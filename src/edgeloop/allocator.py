@@ -134,16 +134,6 @@ class AssignmentPlan:
             if all(row[j] == 0 for row in self.x)
         ]
 
-    def loads(self, modules: list[ControlModule]) -> dict[str, float]:
-        """Resulting total load per resource id, including pre-existing load."""
-        by_id = {m.id: m for m in modules}
-        totals = {}
-        for i, rid in enumerate(self.resource_ids):
-            totals[rid] = sum(
-                by_id[self.module_ids[j]].load for j, v in enumerate(self.x[i]) if v
-            )
-        return totals
-
 
 def validate(
     plan: AssignmentPlan,
@@ -306,24 +296,6 @@ def solve(
         return solve_exact(modules, resources, weights)
     except InstanceTooLargeError:
         return solve_greedy(modules, resources, weights)
-
-
-def rebalance(
-    plan: AssignmentPlan,
-    modules: list[ControlModule],
-    updated_resources: list[EdgeResource],
-    weights: AffinityWeights = AffinityWeights(),
-) -> AssignmentPlan:
-    """Re-solve against updated loads and capacities.
-
-    A withdrawn server shows up as capacity 0, which forces its modules
-    elsewhere or leaves them unassigned.
-    """
-    if not set(plan.resource_ids) <= {r.id for r in updated_resources}:
-        raise AllocationError("updated resources do not cover the plan's resource ids")
-    if set(plan.module_ids) != {m.id for m in modules}:
-        raise AllocationError("module list does not match the plan's module ids")
-    return solve(modules, updated_resources, weights)
 
 
 def instance_to_dict(

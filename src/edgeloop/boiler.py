@@ -176,6 +176,15 @@ def reset(config: BoilerConfig, rng: np.random.Generator) -> BoilerState:
     )
 
 
+def setpoint_deviations(config: BoilerConfig, state: BoilerState) -> tuple[float, float, float]:
+    """Level, pressure and outlet-temperature deviations, each relative to its setpoint."""
+    return (
+        (state.water_level - config.level_setpoint) / config.level_setpoint,
+        (state.pressure - config.pressure_setpoint_kpa) / config.pressure_setpoint_kpa,
+        (state.outlet_temp - config.outlet_setpoint_c) / config.outlet_setpoint_c,
+    )
+
+
 def reward(config: BoilerConfig, state: BoilerState, cmd: ActuatorCommand) -> float:
     """Dense control cost: 0 at the setpoint with no actuator motion, else negative.
 
@@ -183,9 +192,7 @@ def reward(config: BoilerConfig, state: BoilerState, cmd: ActuatorCommand) -> fl
     for any in-domain state. The failure penalty is added by step(), not here.
     """
     clamp = config.deviation_clamp
-    dl = (state.water_level - config.level_setpoint) / config.level_setpoint
-    dp = (state.pressure - config.pressure_setpoint_kpa) / config.pressure_setpoint_kpa
-    dt_ = (state.outlet_temp - config.outlet_setpoint_c) / config.outlet_setpoint_c
+    dl, dp, dt_ = setpoint_deviations(config, state)
     move = (cmd.pump_level - state.pump_pos) ** 2 + (cmd.valve_level - state.valve_pos) ** 2
     return -(
         config.w_level * min(dl * dl, clamp)

@@ -16,7 +16,7 @@ import sys
 
 from . import allocator, reporting
 from .config import CONTROLLERS, SCENARIOS, load_config, resolve_out_dir
-from .experiment import run_experiment
+from .experiment import mean, phase_records, run_experiment
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -74,11 +74,10 @@ def _cmd_run(args) -> int:
     for seed in sorted(result.results):
         res = result.results[seed]
         note = " DIVERGED" if res.diverged else ""
-        evals = [r for r in res.records if r.phase == "eval"]
+        evals = phase_records(res.records, "eval")
         tail = ""
         if evals:
-            mean_eval = sum(r.cumulative_reward for r in evals) / len(evals)
-            tail = f" eval_reward={mean_eval:.2f}"
+            tail = f" eval_reward={mean([r.cumulative_reward for r in evals]):.2f}"
         print(
             f"seed {seed}: {len(res.records)} episodes"
             f" -> {result.metrics_paths[seed]}{tail}{note}"
@@ -87,15 +86,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _filter_phase(records, phase):
-    if phase is None:
-        return records
-    return [r for r in records if r.phase == phase]
-
-
 def _cmd_compare(args) -> int:
-    a = _filter_phase(reporting.read_metrics(args.metrics_a), args.phase)
-    b = _filter_phase(reporting.read_metrics(args.metrics_b), args.phase)
+    a = phase_records(reporting.read_metrics(args.metrics_a), args.phase)
+    b = phase_records(reporting.read_metrics(args.metrics_b), args.phase)
     comparisons = reporting.compare(a, b)
     print(reporting.render_table(comparisons, label_a="run_a", label_b="run_b"))
     if args.json_out:
@@ -119,7 +112,7 @@ def _cmd_alloc(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    records = _filter_phase(reporting.read_metrics(args.metrics), args.phase)
+    records = phase_records(reporting.read_metrics(args.metrics), args.phase)
     if not records:
         print("no records matched", file=sys.stderr)
         return 1

@@ -18,9 +18,11 @@ import yaml
 
 from .allocator import AffinityWeights, ControlModule, EdgeResource
 from .boiler import BoilerConfig
+from .dqn import Hyperparams
 from .pid import DEFAULT_LEVEL_GAINS, DEFAULT_PRESSURE_GAINS, PidGains
 
 ENV_OUT_VAR = "EDGELOOP_OUT"
+CONTROL_MODULE_ID = "boiler-control"
 DESK_PRESET_STEPS = 500
 DAY_PRESET_STEPS = 17280  # one simulated day of 5 s periods
 
@@ -75,26 +77,20 @@ class AgentConfig:
     def __post_init__(self):
         if not all(isinstance(h, int) and h >= 1 for h in self.hidden_layers):
             raise ConfigError("hidden_layers entries must be positive integers")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError(f"gamma must be in (0,1), got {self.gamma}")
-        if self.target_update_freq < 1:
-            raise ConfigError("target_update_freq must be >= 1")
-        if self.batch_size < 1 or self.batch_size > self.buffer_capacity:
-            raise ConfigError("batch_size must be >= 1 and <= buffer_capacity")
-        for name in ("epsilon_start", "epsilon_end"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must be in [0,1], got {v}")
         if not (0.0 < self.epsilon_decay_fraction <= 1.0):
             raise ConfigError(
                 f"epsilon_decay_fraction must be in (0,1], got {self.epsilon_decay_fraction}"
             )
-        if self.warmup < self.batch_size:
-            raise ConfigError("warmup must be >= batch_size")
-        if self.td_error_clip is not None and self.td_error_clip <= 0:
-            raise ConfigError("td_error_clip must be positive when set")
+        self.hyperparams(decay_steps=1)  # Hyperparams checks the learner settings
+
+    def hyperparams(self, decay_steps: int) -> Hyperparams:
+        """Learner settings for a run whose epsilon decays over decay_steps actions."""
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(Hyperparams)
+            if f.name != "epsilon_decay_steps"
+        }
+        return Hyperparams(**shared, epsilon_decay_steps=decay_steps)
 
 
 @dataclass(frozen=True)
@@ -191,16 +187,21 @@ class AllocatorRunConfig:
             raise ConfigError(f"mode must be 'exact' or 'greedy', got {self.mode!r}")
         if not self.edges:
             raise ConfigError("at least one edge resource is required")
-        if self.control_module_load <= 0:
-            raise ConfigError("control_module_load must be positive")
-        if not (0.0 < self.control_module_intensity <= 1.0):
-            raise ConfigError("control_module_intensity must be in (0,1]")
+        self.control_module()  # ControlModule checks the load and intensity
         if self.rebalance_interval_steps < 1:
             raise ConfigError("rebalance_interval_steps must be >= 1")
         if self.load_drift < 0:
             raise ConfigError("load_drift must be >= 0")
         if self.load_max < 0:
             raise ConfigError("load_max must be >= 0")
+
+    def control_module(self) -> ControlModule:
+        """The module the allocator places for the boiler's control loop."""
+        return ControlModule(
+            CONTROL_MODULE_ID,
+            load=self.control_module_load,
+            intensity=self.control_module_intensity,
+        )
 
 
 @dataclass(frozen=True)

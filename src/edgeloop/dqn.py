@@ -51,6 +51,10 @@ class Hyperparams:
             raise ValueError("target_update_freq must be >= 1")
         if self.epsilon_decay_steps < 1:
             raise ValueError("epsilon_decay_steps must be >= 1")
+        for name in ("epsilon_start", "epsilon_end"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must be in [0,1], got {v}")
         if self.warmup < self.batch_size:
             raise ValueError("warmup must be >= batch_size")
         if self.td_error_clip is not None and self.td_error_clip <= 0:
@@ -111,30 +115,24 @@ class MlpPolicy:
     def param_count(self) -> int:
         return param_count(self.layer_sizes)
 
-    def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Action values for a single observation."""
+    def activations(self, obs: np.ndarray) -> list[np.ndarray]:
+        """Input and every layer's output, for one observation or a batch of rows."""
         x = np.asarray(obs, dtype=np.float64)
-        if x.shape != (self.layer_sizes[0],):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
             raise DimensionError(
                 f"observation shape {x.shape} does not match input size {self.layer_sizes[0]}"
             )
+        out = [x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = x @ w + b
             if i < len(self.weights) - 1:
                 x = np.maximum(x, 0.0)
-        return x
+            out.append(x)
+        return out
 
-    def forward_batch(self, obs: np.ndarray) -> np.ndarray:
-        x = np.asarray(obs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise DimensionError(
-                f"batch shape {x.shape} does not match input size {self.layer_sizes[0]}"
-            )
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < len(self.weights) - 1:
-                x = np.maximum(x, 0.0)
-        return x
+    def forward(self, obs: np.ndarray) -> np.ndarray:
+        """Action values for one observation, or one row of values per batch row."""
+        return self.activations(obs)[-1]
 
 
 def param_count(layer_sizes: Sequence[int]) -> int:
@@ -258,18 +256,10 @@ def train_step(
     rewards = np.array([t.reward for t in batch], dtype=np.float64)
     dones = np.array([t.done for t in batch], dtype=np.float64)
 
-    next_q = target.forward_batch(next_obs)
+    next_q = target.forward(next_obs)
     targets = rewards + hp.gamma * next_q.max(axis=1) * (1.0 - dones)
 
-    # forward with cached pre/post activations for backprop
-    activations = [obs]
-    x = obs
-    for i, (w, b) in enumerate(zip(policy.weights, policy.biases)):
-        x = x @ w + b
-        if i < len(policy.weights) - 1:
-            x = np.maximum(x, 0.0)
-        activations.append(x)
-
+    activations = policy.activations(obs)  # kept for backprop
     q = activations[-1]
     batch_idx = np.arange(len(batch))
     err = q[batch_idx, actions] - targets

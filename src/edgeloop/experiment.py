@@ -24,11 +24,10 @@ import numpy as np
 
 from . import allocator, boiler, dqn, traces
 from .boiler import ActuatorCommand, BoilerState
-from .config import RunConfig
+from .config import CONTROL_MODULE_ID, RunConfig
 from .pid import BoilerPid
 from .simcore import CONTROL_PERIOD_MS, Kernel, Node, NodeKind, Outgoing, Topology
 
-CONTROL_MODULE_ID = "boiler-control"
 CLOUD_NODE = 0
 
 # stream labels for per-run generator derivation
@@ -81,13 +80,14 @@ class RunResult:
     metrics_paths: dict[int, str]
     summary_path: str | None
 
-    def records(self, phase: str | None = None) -> list[MetricsRecord]:
-        out = []
-        for seed in sorted(self.results):
-            for rec in self.results[seed].records:
-                if phase is None or rec.phase == phase:
-                    out.append(rec)
-        return out
+
+def phase_records(records: list[MetricsRecord], phase: str | None) -> list[MetricsRecord]:
+    """The records of one phase, or all of them when phase is None."""
+    return [r for r in records if phase is None or r.phase == phase]
+
+
+def mean(values) -> float:
+    return sum(values) / len(values)
 
 
 def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) -> int:
@@ -134,13 +134,6 @@ def _percentile(sorted_values: list[int], fraction: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def _setpoint_loss(cfg: boiler.BoilerConfig, state: BoilerState) -> float:
-    dl = (state.water_level - cfg.level_setpoint) / cfg.level_setpoint
-    dp = (state.pressure - cfg.pressure_setpoint_kpa) / cfg.pressure_setpoint_kpa
-    dt = (state.outlet_temp - cfg.outlet_setpoint_c) / cfg.outlet_setpoint_c
-    return dl * dl + dp * dp + dt * dt
-
-
 def load_disturbance(config: RunConfig) -> list[float]:
     """Inlet-temperature offsets replayed from the configured sensor trace.
 
@@ -175,8 +168,7 @@ class _Episode:
 
         self.plant_rng = np.random.default_rng([run.seed, phase_code, index])
         jitter_rng = np.random.default_rng([run.seed, _STREAM_JITTER + phase_code, index])
-        self.topology = run.build_topology()
-        self.kernel = Kernel(self.topology, rng=jitter_rng)
+        self.kernel = Kernel(run.topology, rng=jitter_rng)
 
         if run.pid is not None:
             run.pid.reset()
@@ -220,12 +212,13 @@ class _Episode:
             )
             self.steps = step
             self.cumulative_reward += reward
-            self.loss_sum += _setpoint_loss(self.plant_cfg, self.state)
+            dl, dp, dt = boiler.setpoint_deviations(self.plant_cfg, self.state)
+            self.loss_sum += dl * dl + dp * dp + dt * dt
             self.done = self.failed or step == self.run.max_steps
         route, reply = self.run.reading_route()
         body = {
             "step": step,
-            "state": dataclasses.astuple(self.state),
+            "state": self.state,
             "reward": reward,
             "done": self.done,
             "emit_ms": self.kernel.clock,
@@ -250,18 +243,12 @@ class _Episode:
             return [Outgoing(nxt, event.kind, {**body, "route": body["route"][1:]})]
         if event.kind == "sensor-reading":
             return self._serve(body)
-        if event.kind == "state-report":
-            return self.run.emit_report(event.target)
-        if event.kind == "allocation-update":
-            return None
-        return None
+        return self.run.emit_report(event.target)  # the edge's own report tick
 
     def handle_cloud(self, event):
-        body = event.body
         if event.kind == "sensor-reading":
-            return self._serve(body)
-        if event.kind == "state-report":
-            return self.run.receive_report(body)
+            return self._serve(event.body)
+        self.run.receive_report(event.body)
         return None
 
     def _serve(self, body):
@@ -269,9 +256,8 @@ class _Episode:
         if step <= self.ctl_last_step:
             return None  # stale reading overtaken en route
         self.ctl_last_step = step
-        state = BoilerState(*body["state"])
-        reward = body["reward"]
-        action = self._decide(state, reward, body["done"], step)
+        state = body["state"]
+        action = self._decide(state, body["reward"], body["done"], step)
         if action is None:
             return None
         if step % self.cfg.accuracy_sample_every == 0:
@@ -364,21 +350,12 @@ class _SeedRun:
             e.id: self.edge_nodes[i] for i, e in enumerate(cfg.allocator.edges)
         }
 
+        self.topology = self._build_topology()
+
         if cfg.controller == "drl":
             total_actions = cfg.episodes * self.max_steps
             decay = max(1, round(cfg.agent.epsilon_decay_fraction * total_actions))
-            hp = dqn.Hyperparams(
-                learning_rate=cfg.agent.learning_rate,
-                gamma=cfg.agent.gamma,
-                target_update_freq=cfg.agent.target_update_freq,
-                batch_size=cfg.agent.batch_size,
-                buffer_capacity=cfg.agent.buffer_capacity,
-                epsilon_start=cfg.agent.epsilon_start,
-                epsilon_end=cfg.agent.epsilon_end,
-                epsilon_decay_steps=decay,
-                warmup=cfg.agent.warmup,
-                td_error_clip=cfg.agent.td_error_clip,
-            )
+            hp = cfg.agent.hyperparams(decay)
             layers = [boiler.OBSERVATION_LENGTH, *cfg.agent.hidden_layers, boiler.N_ACTIONS]
             self.agent = dqn.DqnAgent(
                 layers,
@@ -406,12 +383,7 @@ class _SeedRun:
         ]
 
     def _modules(self) -> list[allocator.ControlModule]:
-        control = allocator.ControlModule(
-            CONTROL_MODULE_ID,
-            load=self.cfg.allocator.control_module_load,
-            intensity=self.cfg.allocator.control_module_intensity,
-        )
-        return [control, *self.cfg.allocator.background_modules]
+        return [self.cfg.allocator.control_module(), *self.cfg.allocator.background_modules]
 
     def _solve(self) -> allocator.AssignmentPlan:
         solver = (
@@ -420,7 +392,7 @@ class _SeedRun:
         return solver(self._modules(), self._resources(), self.cfg.allocator.weights)
 
     def _serving_node(self) -> int:
-        if self.cfg.scenario == "cloud-only" or self.plan is None:
+        if self.plan is None:  # cloud-only
             return CLOUD_NODE
         resource = self.plan.assignment().get(CONTROL_MODULE_ID)
         if resource is None:
@@ -442,6 +414,7 @@ class _SeedRun:
             t += interval_ms
 
     def emit_report(self, edge_node: int):
+        """Drift this edge's background load and report it to the cloud."""
         resource = self.cfg.allocator.edges[edge_node - 1]
         drifted = self.edge_loads[resource.id] + self.drift_rng.normal(
             0.0, self.cfg.allocator.load_drift
@@ -449,19 +422,14 @@ class _SeedRun:
         self.edge_loads[resource.id] = float(
             np.clip(drifted, 0.0, self.cfg.allocator.load_max)
         )
-        body = {"edge": resource.id, "load": self.edge_loads[resource.id], "route": []}
+        body = {"edge": resource.id, "load": self.edge_loads[resource.id]}
         return [Outgoing(CLOUD_NODE, "state-report", body)]
 
-    def receive_report(self, body):
+    def receive_report(self, body) -> None:
+        """Re-solve the placement; the next reading routes to the new serving node."""
         self.edge_loads[body["edge"]] = body["load"]
-        new_plan = self._solve()
-        changed = self.plan is None or new_plan.x != self.plan.x
-        self.plan = new_plan
+        self.plan = self._solve()
         self.serving_node = self._serving_node()
-        if not changed:
-            return None
-        update = {"assignment": new_plan.assignment(), "route": []}
-        return [Outgoing(node, "allocation-update", update) for node in self.edge_nodes]
 
     # -- routing -------------------------------------------------------------
 
@@ -476,7 +444,7 @@ class _SeedRun:
         reply = list(reversed(forward[:-1])) + [self.sensor_node]
         return forward, reply
 
-    def build_topology(self) -> Topology:
+    def _build_topology(self) -> Topology:
         cfg = self.cfg
         lat = self.latency
         jitter = cfg.latency.jitter
@@ -485,8 +453,6 @@ class _SeedRun:
         for node in self.edge_nodes:
             topo.add_node(Node(node, NodeKind.EDGE_SERVER))
         topo.add_node(Node(self.sensor_node, NodeKind.SENSOR, attached_to=self.attached_edge))
-        topo.validate()
-
         topo.add_link(self.sensor_node, CLOUD_NODE, lat["cloud_uplink_ms"], jitter)
         topo.add_link(CLOUD_NODE, self.sensor_node, lat["cloud_downlink_ms"], jitter)
         topo.add_link(self.sensor_node, self.attached_edge, lat["edge_uplink_ms"], jitter)
@@ -541,10 +507,6 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
             f.write(json.dumps(rec.to_dict()) + "\n")
 
 
-def _phase_records(result: SeedResult, phase: str) -> list[MetricsRecord]:
-    return [r for r in result.records if r.phase == phase]
-
-
 def write_summary(results: dict[int, SeedResult], cfg: RunConfig, path) -> None:
     """Run-level CSV: one row per seed."""
     import csv
@@ -567,8 +529,8 @@ def write_summary(results: dict[int, SeedResult], cfg: RunConfig, path) -> None:
         )
         for seed in sorted(results):
             res = results[seed]
-            train = _phase_records(res, "train")
-            evals = _phase_records(res, "eval")
+            train = phase_records(res.records, "train")
+            evals = phase_records(res.records, "eval")
             all_recs = res.records
             writer.writerow(
                 [
@@ -578,16 +540,12 @@ def write_summary(results: dict[int, SeedResult], cfg: RunConfig, path) -> None:
                     int(res.diverged),
                     len(train),
                     len(evals),
-                    repr(_mean([r.cumulative_reward for r in train])) if train else "",
-                    repr(_mean([r.cumulative_reward for r in evals])) if evals else "",
+                    repr(mean([r.cumulative_reward for r in train])) if train else "",
+                    repr(mean([r.cumulative_reward for r in evals])) if evals else "",
                     sum(r.failure_count for r in all_recs),
-                    repr(_mean([r.mean_latency_ms for r in all_recs])) if all_recs else "",
+                    repr(mean([r.mean_latency_ms for r in all_recs])) if all_recs else "",
                 ]
             )
-
-
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunResult:

@@ -6,7 +6,7 @@ import csv
 import json
 from dataclasses import dataclass
 
-from .experiment import MetricsRecord, metrics_from_dict
+from .experiment import MetricsRecord, mean, metrics_from_dict
 
 # metric name and which direction counts as an improvement
 COMPARED_METRICS = [
@@ -57,18 +57,14 @@ class MetricComparison:
         }
 
 
-def _mean(values) -> float:
-    return sum(values) / len(values)
-
-
 def compare(records_a: list[MetricsRecord], records_b: list[MetricsRecord]) -> list[MetricComparison]:
     """Mean metric deltas of run A relative to baseline run B, as percentages."""
     if not records_a or not records_b:
         raise ValueError("compare needs at least one record on each side")
     out = []
     for metric, better in COMPARED_METRICS:
-        mean_a = _mean([getattr(r, metric) for r in records_a])
-        mean_b = _mean([getattr(r, metric) for r in records_b])
+        mean_a = mean([getattr(r, metric) for r in records_a])
+        mean_b = mean([getattr(r, metric) for r in records_b])
         if mean_b == 0.0:
             delta = None
         else:
@@ -115,7 +111,7 @@ def plot_series(records: list[MetricsRecord]) -> list[dict]:
             {
                 "episode": rec.episode,
                 "reward": rec.cumulative_reward,
-                "reward_ma": _mean(window),
+                "reward_ma": mean(window),
                 "failures_cum": failures,
             }
         )

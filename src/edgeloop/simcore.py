@@ -19,9 +19,7 @@ import numpy as np
 MS_PER_SECOND = 1000
 CONTROL_PERIOD_MS = 5 * MS_PER_SECOND  # control cadence: one command every 5 s
 
-PAYLOAD_KINDS = frozenset(
-    {"sensor-reading", "control-command", "state-report", "allocation-update"}
-)
+PAYLOAD_KINDS = frozenset({"sensor-reading", "control-command", "state-report"})
 
 
 class SimulationError(Exception):
@@ -181,9 +179,6 @@ class Kernel:
             raise TopologyError(f"unknown node {node_id}")
         self._handlers[node_id] = handler
 
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def schedule(self, time: int, target: int, kind: str, body: Any = None) -> Event:
         if time < self.clock:
             raise StaleEventError(f"cannot schedule at t={time} before clock {self.clock}")
@@ -236,18 +231,6 @@ class Kernel:
                         depart_delay_ms=msg.depart_delay_ms,
                     )
         return event
-
-    def run_until(self, t: int) -> int:
-        """Process every event with time <= t; returns the processed count.
-
-        The clock only advances through event processing, so it ends at the
-        last processed event's time (or stays put when nothing is due).
-        """
-        count = 0
-        while self._queue and self._queue[0][0] <= t:
-            self.step()
-            count += 1
-        return count
 
     def run(self) -> int:
         """Drain the queue completely; returns the processed count."""

@@ -57,6 +57,12 @@ def test_out_of_range_value_names_the_key_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"plant": {"dt_s": -1.0}})
     assert "plant" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"agent": {"epsilon_end": -0.1}})
+    assert "agent" in str(exc.value) and "epsilon_end" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"allocator": {"control_module_intensity": 1.5}})
+    assert "allocator" in str(exc.value) and "intensity" in str(exc.value)
 
 
 def test_unknown_key_names_the_dotted_path():

@@ -78,7 +78,7 @@ def test_forward_matches_hand_rolled_network():
 def test_forward_batch_matches_per_row_forward():
     policy = random_policy([4, 8, 9], 3)
     obs = np.random.default_rng(5).normal(size=(7, 4))
-    batch = policy.forward_batch(obs)
+    batch = policy.forward(obs)
     assert batch.shape == (7, 9)
     for row in range(7):
         np.testing.assert_allclose(batch[row], policy.forward(obs[row]), atol=1e-12)
@@ -89,7 +89,9 @@ def test_forward_shape_errors():
     with pytest.raises(DimensionError):
         policy.forward(np.zeros(5))
     with pytest.raises(DimensionError):
-        policy.forward_batch(np.zeros((3, 5)))
+        policy.forward(np.zeros((3, 5)))
+    with pytest.raises(DimensionError):
+        policy.forward(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError):
         MlpPolicy([4])
     with pytest.raises(DimensionError):
@@ -330,7 +332,7 @@ def test_clip_bounds_the_gradient_not_the_loss():
 
     # moving each target to within the clip of the prediction reproduces the
     # clipped update exactly on an all-terminal batch
-    q0 = base.forward_batch(np.stack([t.obs for t in batch]))
+    q0 = base.forward(np.stack([t.obs for t in batch]))
     adjusted = []
     for row, t in enumerate(batch):
         err = q0[row, t.action] - t.reward
@@ -446,6 +448,15 @@ def test_hyperparams_validation():
         small_hp(td_error_clip=0.0)
     with pytest.raises(ValueError):
         small_hp(target_update_freq=0)
+
+
+def test_hyperparams_rejects_out_of_range_epsilons():
+    # caught at construction, not at the first exploring act()
+    with pytest.raises(ValueError, match="epsilon_start"):
+        small_hp(epsilon_start=1.5)
+    with pytest.raises(ValueError, match="epsilon_end"):
+        small_hp(epsilon_end=-0.2)
+    small_hp(epsilon_start=0.0, epsilon_end=1.0)
 
 
 def test_epsilon_schedule_is_linear():

@@ -275,7 +275,7 @@ def test_run_experiment_writes_files_per_seed(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("seed,scenario,controller,diverged")
     assert len(summary) == 3
-    assert result.records(phase="eval") == result.records()
+    assert all(r.phase == "eval" for r in result.results[1].records + result.results[2].records)
 
 
 def test_run_experiment_without_out_dir_writes_nothing(tmp_path):

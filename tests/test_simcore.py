@@ -172,17 +172,17 @@ def test_send_timing_is_departure_plus_link_delay():
     assert arrivals == [1000 + 100 + 700]
 
 
-def test_run_until_processes_only_due_events():
+def test_step_dispatches_one_event_at_a_time():
     topo, sensor = star_topology()
     kernel = Kernel(topo)
     seen = []
     kernel.register_handler(sensor, lambda ev: seen.append(ev.time))
-    for t in (10, 20, 30, 40):
+    for t in (40, 10, 30, 20):
         kernel.schedule(t, sensor, "sensor-reading")
-    assert kernel.run_until(25) == 2
+    assert kernel.step().time == 10
+    assert kernel.step().time == 20
     assert seen == [10, 20]
     assert kernel.clock == 20
-    assert kernel.queue_length() == 2
     assert kernel.run() == 2
     assert seen == [10, 20, 30, 40]
 
@@ -211,7 +211,6 @@ def test_event_conservation_under_random_traffic():
     for t in (0, 100, 200, 300, 400):
         kernel.schedule(t, sensor, "sensor-reading")
     processed = kernel.run()
-    assert kernel.queue_length() == 0
     assert kernel.delivered_count == processed
     assert kernel.delivered_count == kernel.sent_count + scheduled
     assert kernel.sent_count > 0
