@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -292,19 +291,21 @@ OBSERVATION_LENGTH = N_STATE_FEATURES + HISTORY_LENGTH * (N_STATE_FEATURES + 1)
 def observe(
     config: BoilerConfig,
     current: BoilerState,
-    history: Sequence[tuple[BoilerState, float]],
+    prev_obs: np.ndarray | None = None,
+    reward: float = 0.0,
 ) -> np.ndarray:
     """Fixed-length observation: current features plus the last 10 (state, reward) pairs.
 
-    History is given oldest-first; the window is laid out most recent first
-    and zero-padded when fewer than 10 entries exist.
+    The window is laid out most recent first. The previous observation
+    already holds the previous state's features and its window, so the new
+    window is that shifted by one slot, headed by the previous state and the
+    reward earned since. Without a previous observation the window is zeros.
     """
     obs = np.zeros(OBSERVATION_LENGTH, dtype=np.float64)
     obs[:N_STATE_FEATURES] = state_features(config, current)
-    span = N_STATE_FEATURES + 1
-    recent = history[-HISTORY_LENGTH:]
-    for slot, (past_state, past_reward) in enumerate(reversed(recent)):
-        base = N_STATE_FEATURES + slot * span
-        obs[base : base + N_STATE_FEATURES] = state_features(config, past_state)
-        obs[base + N_STATE_FEATURES] = past_reward
+    if prev_obs is not None:
+        head = 2 * N_STATE_FEATURES  # where the newest reward goes
+        obs[N_STATE_FEATURES:head] = prev_obs[:N_STATE_FEATURES]
+        obs[head] = reward
+        obs[head + 1 :] = prev_obs[N_STATE_FEATURES : -N_STATE_FEATURES - 1]
     return obs

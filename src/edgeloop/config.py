@@ -130,23 +130,23 @@ class LatencyConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be >= 1 ms, got {v}")
+        values = self.resolved()
+        for leg in ("uplink", "downlink"):
+            if values[f"cloud_{leg}_ms"] <= values[f"edge_{leg}_ms"]:
+                raise ConfigError(f"cloud_{leg}_ms must exceed edge_{leg}_ms")
 
     def resolved(self) -> dict[str, int]:
         """Concrete delays with preset defaults filled in.
 
         The edge-to-cloud leg is derived so that a reading forwarded from
         an edge reaches the cloud in exactly the direct sensor-to-cloud
-        time; the split requires the cloud legs to exceed the edge legs.
+        time; __post_init__ checks that the cloud legs exceed the edge legs.
         """
         values = dict(LATENCY_PRESETS[self.preset])
         for name in values:
             override = getattr(self, name)
             if override is not None:
                 values[name] = override
-        if values["cloud_uplink_ms"] <= values["edge_uplink_ms"]:
-            raise ConfigError("cloud_uplink_ms must exceed edge_uplink_ms")
-        if values["cloud_downlink_ms"] <= values["edge_downlink_ms"]:
-            raise ConfigError("cloud_downlink_ms must exceed edge_downlink_ms")
         values["edge_cloud_up_ms"] = values["cloud_uplink_ms"] - values["edge_uplink_ms"]
         values["edge_cloud_down_ms"] = (
             values["cloud_downlink_ms"] - values["edge_downlink_ms"]
@@ -304,10 +304,9 @@ def _build(cls, data, path: str):
         kwargs[key] = _convert(hints[key], raw, child)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path or 'config'}: {exc}") from exc
+    except ValueError as exc:  # ConfigError included
+        prefix, message = f"{path or 'config'}: ", str(exc)
+        raise ConfigError(message if message.startswith(prefix) else prefix + message) from exc
 
 
 def config_from_dict(data: dict | None) -> RunConfig:
@@ -335,8 +334,6 @@ def load_config(path) -> RunConfig:
     config = config_from_dict(data)
     if config.trace_file is not None and not os.path.exists(config.trace_file):
         raise ConfigError(f"trace_file does not exist: {config.trace_file}")
-    # surface preset/override inconsistencies at load time
-    config.latency.resolved()
     return config
 
 

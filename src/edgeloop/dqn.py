@@ -9,8 +9,9 @@ Everything is numpy; there is no framework dependency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+import math
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,47 +199,65 @@ def bellman_target(
     return float(reward + gamma * np.max(next_values))
 
 
+class Batch(NamedTuple):
+    """Sampled transitions, one row per sample in each field array."""
+
+    obs: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_obs: np.ndarray
+    dones: np.ndarray
+
+
 class ReplayBuffer:
-    """Bounded FIFO transition store with uniform seeded sampling."""
+    """Bounded FIFO transition store with uniform seeded sampling; a Batch row per slot."""
 
     def __init__(self, capacity: int = 5000):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._ring: list[Transition] = []
+        self._store: Batch | None = None
+        self._size = 0
         self._next = 0
         self.inserted = 0
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._size
 
     def add(self, transition: Transition) -> None:
-        if len(self._ring) < self.capacity:
-            self._ring.append(transition)
-        else:
-            self._ring[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
+        if self._store is None:  # the first add fixes the observation width
+            n, width = self.capacity, len(transition.obs)
+            obs, next_obs = np.empty((n, width)), np.empty((n, width))
+            self._store = Batch(obs, np.empty(n, np.intp), np.empty(n), next_obs, np.empty(n))
+        if {len(transition.obs), len(transition.next_obs)} != {self._store.obs.shape[1]}:
+            raise DimensionError("observation width differs from the buffer's")
+        i = self._next
+        self._store.obs[i] = transition.obs
+        self._store.actions[i] = transition.action
+        self._store.rewards[i] = transition.reward
+        self._store.next_obs[i] = transition.next_obs
+        self._store.dones[i] = transition.done
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
         self.inserted += 1
+
+    def _rows(self, idx: np.ndarray) -> Batch:
+        return Batch(*(column.take(idx, axis=0) for column in self._store))
 
     def items(self) -> list[Transition]:
         """Stored transitions in insertion order, oldest first."""
-        return self._ring[self._next :] + self._ring[: self._next]
+        if self._store is None:
+            return []
+        rows = self._rows(np.arange(self._next - self._size, self._next) % self.capacity)
+        return [Transition(o, int(a), float(r), n, bool(d)) for o, a, r, n, d in zip(*rows)]
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if batch_size > len(self._ring):
-            raise ValueError(
-                f"cannot sample {batch_size} from buffer of {len(self._ring)}"
-            )
-        idx = rng.choice(len(self._ring), size=batch_size, replace=False)
-        return [self._ring[i] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        if batch_size > self._size:
+            raise ValueError(f"cannot sample {batch_size} from buffer of {self._size}")
+        return self._rows(rng.choice(self._size, size=batch_size, replace=False))
 
 
-def train_step(
-    policy: MlpPolicy,
-    target: MlpPolicy,
-    batch: Sequence[Transition],
-    hp: Hyperparams,
-) -> float:
+def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> float:
     """One SGD update on the mean squared TD error over the batch.
 
     Only the taken action's value contributes per sample. Returns the
@@ -247,32 +266,27 @@ def train_step(
     (the returned loss is still computed from the raw errors), which keeps
     rare large-penalty targets from destabilizing the update.
     """
-    if len(batch) != hp.batch_size:
-        raise ValueError(f"batch size {len(batch)} != configured {hp.batch_size}")
+    if len(batch.actions) != hp.batch_size:
+        raise ValueError(f"batch size {len(batch.actions)} != configured {hp.batch_size}")
 
-    obs = np.stack([t.obs for t in batch])
-    next_obs = np.stack([t.next_obs for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.intp)
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    dones = np.array([t.done for t in batch], dtype=np.float64)
+    next_q = target.forward(batch.next_obs)
+    targets = batch.rewards + hp.gamma * next_q.max(axis=1) * (1.0 - batch.dones)
 
-    next_q = target.forward(next_obs)
-    targets = rewards + hp.gamma * next_q.max(axis=1) * (1.0 - dones)
-
-    activations = policy.activations(obs)  # kept for backprop
+    activations = policy.activations(batch.obs)  # kept for backprop
     q = activations[-1]
-    batch_idx = np.arange(len(batch))
-    err = q[batch_idx, actions] - targets
-    loss = float(np.mean(err**2))
-    if not np.isfinite(loss):
+    batch_idx = np.arange(hp.batch_size)
+    err = q[batch_idx, batch.actions] - targets
+    loss = float((err * err).sum() / hp.batch_size)  # np.mean's arithmetic, less overhead
+    if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss: {loss}")
 
     # d(loss)/d(q) is nonzero only at the taken actions
     grad_err = err
     if hp.td_error_clip is not None:
-        grad_err = np.clip(err, -hp.td_error_clip, hp.td_error_clip)
-    grad_out = np.zeros_like(q)
-    grad_out[batch_idx, actions] = 2.0 * grad_err / len(batch)
+        # two bare ufuncs cost less than a clip call and give its bits on finite errors
+        grad_err = np.minimum(np.maximum(err, -hp.td_error_clip), hp.td_error_clip)
+    grad_out = np.zeros(q.shape)
+    grad_out[batch_idx, batch.actions] = 2.0 * grad_err / hp.batch_size
 
     grads_w = [None] * len(policy.weights)
     grads_b = [None] * len(policy.biases)

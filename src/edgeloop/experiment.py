@@ -90,6 +90,9 @@ def mean(values) -> float:
     return sum(values) / len(values)
 
 
+_COMMANDS = tuple(ActuatorCommand.from_index(a) for a in range(boiler.N_ACTIONS))
+
+
 def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) -> int:
     """Reference action: best immediate reward plus discounted greedy value.
 
@@ -99,16 +102,11 @@ def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) ->
     """
     best_action = 0
     best_value = -math.inf
-    for a in range(boiler.N_ACTIONS):
-        cmd = ActuatorCommand.from_index(a)
+    for a, cmd in enumerate(_COMMANDS):
         nxt, r, failed = boiler.step(cfg, state, cmd)
-        if failed:
-            follow = -cfg.failure_penalty
-        else:
-            follow = max(
-                boiler.reward(cfg, nxt, ActuatorCommand.from_index(b))
-                for b in range(boiler.N_ACTIONS)
-            )
+        # the best follow-up holds cmd: the landed actuators already sit at
+        # cmd, so its motion term is 0.0 and every other command's is >= 0
+        follow = -cfg.failure_penalty if failed else boiler.reward(cfg, nxt, cmd)
         value = r + gamma * follow
         if value > best_value:
             best_value = value
@@ -174,8 +172,6 @@ class _Episode:
             run.pid.reset()
         self.state = boiler.reset(self.plant_cfg, self.plant_rng)
         self.pending_cmd = ActuatorCommand(self.state.pump_pos, self.state.valve_pos)
-        self.history: list[tuple[BoilerState, float]] = []
-        self.ctl_prev_state: BoilerState | None = None
         self.ctl_pending: tuple[np.ndarray, int] | None = None
         self.ctl_last_step = -1
 
@@ -282,12 +278,12 @@ class _Episode:
             if done:
                 return None
             return self.run.pid.act(state)
-        if self.ctl_prev_state is not None and reward is not None:
-            self.history.append((self.ctl_prev_state, reward))
-        self.ctl_prev_state = state
-        obs = boiler.observe(self.plant_cfg, state, self.history)
-        if self.ctl_pending is not None and reward is not None:
+        # only the first served reading has no pending decision; later ones carry a reward
+        if self.ctl_pending is None:
+            obs = boiler.observe(self.plant_cfg, state)
+        else:
             prev_obs, prev_action = self.ctl_pending
+            obs = boiler.observe(self.plant_cfg, state, prev_obs, reward)
             if self.phase_code == PHASE_TRAIN:
                 agent.record(dqn.Transition(prev_obs, prev_action, reward, obs, done))
                 if self.training:

@@ -198,3 +198,89 @@ def trailing_mean(values, window):
         chunk = values[lo : i + 1]
         out.append(sum(chunk) / len(chunk))
     return out
+
+
+# -- observations --------------------------------------------------------------
+
+
+def observation_layout(cfg, current, history, window=10):
+    """From-scratch observation: current features, then (features, reward) per
+    past state, most recent first, for at most `window` entries, zero-padded.
+
+    history is a list of (state, reward) pairs, oldest first.
+    """
+
+    def features(s):
+        return [
+            s.water_level - cfg.level_setpoint,
+            (s.pressure - cfg.pressure_setpoint_kpa) / cfg.pressure_setpoint_kpa,
+            (s.outlet_temp - cfg.outlet_setpoint_c) / cfg.outlet_setpoint_c,
+            (s.inlet_temp - cfg.inlet_nominal_c) / cfg.inlet_nominal_c,
+            s.pump_pos - 0.5,
+            s.valve_pos - 0.5,
+        ]
+
+    out = features(current)
+    recent = list(reversed(history))[:window]
+    for past_state, past_reward in recent:
+        out.extend(features(past_state))
+        out.append(past_reward)
+    out.extend([0.0] * (window - len(recent)) * 7)
+    return np.array(out, dtype=np.float64)
+
+
+# -- reference action ------------------------------------------------------------
+
+
+def brute_force_oracle_action(cfg, state, gamma):
+    """Reference action by full two-step enumeration: 9 actions x 9 follow-ups.
+
+    The value of action a is its reward plus gamma times the best reward any
+    of the 9 follow-up actions earns from the landed state, or minus the
+    failure penalty when a fails; ties go to the lowest index. It checks the
+    search, so it uses the package's plant and reward functions.
+    """
+    from edgeloop import boiler
+
+    levels = boiler.ACTUATOR_LEVELS
+    grid = [boiler.ActuatorCommand(p, v) for p in levels for v in levels]
+    values = []
+    for cmd in grid:
+        nxt, r, failed = boiler.step(cfg, state, cmd)
+        if failed:
+            follow = -cfg.failure_penalty
+        else:
+            follow = max(boiler.reward(cfg, nxt, b) for b in grid)
+        values.append(r + gamma * follow)
+    return values.index(max(values))
+
+
+# -- experience replay -----------------------------------------------------------
+
+
+class FifoReplay:
+    """Bounded FIFO of transitions in a plain list, addressed as a ring.
+
+    Slot k holds the k-th insertion until the list is full; after that each
+    insertion overwrites the oldest slot. Sampling draws slot indices with
+    one rng.choice call without replacement.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.slots = []
+        self.oldest = 0
+
+    def add(self, transition):
+        if len(self.slots) < self.capacity:
+            self.slots.append(transition)
+        else:
+            self.slots[self.oldest] = transition
+            self.oldest = (self.oldest + 1) % self.capacity
+
+    def items(self):
+        return self.slots[self.oldest :] + self.slots[: self.oldest]
+
+    def sample(self, batch_size, rng):
+        idx = rng.choice(len(self.slots), size=batch_size, replace=False)
+        return [self.slots[i] for i in idx]

@@ -271,7 +271,7 @@ def test_state_features_are_normalized_deviations():
 
 def test_observe_pads_empty_history_with_zeros():
     cfg = BoilerConfig()
-    obs = boiler.observe(cfg, boiler.nominal_state(cfg), [])
+    obs = boiler.observe(cfg, boiler.nominal_state(cfg))
     assert obs.shape == (OBSERVATION_LENGTH,)
     np.testing.assert_array_equal(obs, np.zeros(OBSERVATION_LENGTH))
 
@@ -280,7 +280,9 @@ def test_observe_orders_history_most_recent_first():
     cfg = BoilerConfig()
     older = make_state(water_level=0.40)
     newer = make_state(water_level=0.60)
-    obs = boiler.observe(cfg, boiler.nominal_state(cfg), [(older, -1.0), (newer, -2.0)])
+    obs = boiler.observe(cfg, older)
+    obs = boiler.observe(cfg, newer, obs, -1.0)
+    obs = boiler.observe(cfg, boiler.nominal_state(cfg), obs, -2.0)
     span = N_STATE_FEATURES + 1
     slot0 = obs[N_STATE_FEATURES : N_STATE_FEATURES + span]
     slot1 = obs[N_STATE_FEATURES + span : N_STATE_FEATURES + 2 * span]
@@ -293,11 +295,41 @@ def test_observe_orders_history_most_recent_first():
 
 def test_observe_keeps_only_the_latest_window():
     cfg = BoilerConfig()
-    history = [(make_state(water_level=0.30 + 0.02 * k), float(k)) for k in range(15)]
-    obs = boiler.observe(cfg, boiler.nominal_state(cfg), history)
+    states = [make_state(water_level=0.30 + 0.02 * k) for k in range(15)]
+    obs = boiler.observe(cfg, states[0])
+    for k, state in enumerate(states[1:] + [boiler.nominal_state(cfg)]):
+        obs = boiler.observe(cfg, state, obs, float(k))
     span = N_STATE_FEATURES + 1
     rewards = [obs[N_STATE_FEATURES + slot * span + N_STATE_FEATURES] for slot in range(HISTORY_LENGTH)]
     assert rewards == [14.0, 13.0, 12.0, 11.0, 10.0, 9.0, 8.0, 7.0, 6.0, 5.0]
+    np.testing.assert_array_equal(
+        obs[N_STATE_FEATURES : 2 * N_STATE_FEATURES], boiler.state_features(cfg, states[14])
+    )
+
+
+def test_chained_observe_matches_from_scratch_layout():
+    # each observation is the previous one shifted by a slot; over 30 random
+    # steps that must equal the window laid out afresh from the whole history
+    cfg = BoilerConfig()
+    rng = np.random.default_rng(30)
+    history = []
+    obs = None
+    for k in range(30):
+        current = BoilerState(
+            inlet_temp=float(rng.uniform(60.0, 140.0)),
+            outlet_temp=float(rng.uniform(200.0, 440.0)),
+            water_level=float(rng.uniform(0.0, 1.0)),
+            pressure=float(rng.uniform(500.0, 1700.0)),
+            pump_pos=float(rng.choice(ACTUATOR_LEVELS)),
+            valve_pos=float(rng.choice(ACTUATOR_LEVELS)),
+        )
+        if obs is None:
+            obs = boiler.observe(cfg, current)
+        else:
+            obs = boiler.observe(cfg, current, obs, history[-1][1])
+        want = oracles.observation_layout(cfg, current, history, HISTORY_LENGTH)
+        assert obs.tobytes() == want.tobytes(), k
+        history.append((current, float(rng.normal(-1.0, 2.0))))
 
 
 def test_observation_length_constant():

@@ -63,6 +63,13 @@ def test_out_of_range_value_names_the_key_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"allocator": {"control_module_intensity": 1.5}})
     assert "allocator" in str(exc.value) and "intensity" in str(exc.value)
+    # a section's own ConfigError carries the section prefix too, once
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"allocator": {"load_drift": -1}})
+    assert str(exc.value) == "allocator: load_drift must be >= 0"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"latency": {"jitter": 1.0}})
+    assert str(exc.value).startswith("latency: jitter")
 
 
 def test_unknown_key_names_the_dotted_path():
@@ -160,6 +167,14 @@ def test_latency_overrides_and_consistency():
         LatencyConfig(preset="warp")
     with pytest.raises(ConfigError):
         LatencyConfig(jitter=1.0)
+
+
+def test_cloud_leg_not_longer_than_edge_leg_fails_when_built():
+    # caught while building the config, not when a seed starts running
+    with pytest.raises(ConfigError, match="latency: cloud_uplink_ms must exceed"):
+        config_from_dict({"latency": {"cloud_uplink_ms": 50}})
+    with pytest.raises(ConfigError, match="latency: cloud_downlink_ms must exceed"):
+        config_from_dict({"latency": {"edge_downlink_ms": 700}})
 
 
 def test_scenario_and_controller_validation():

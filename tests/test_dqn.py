@@ -1,9 +1,11 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
 
 from edgeloop.dqn import (
+    Batch,
     DimensionError,
     DivergenceError,
     DqnAgent,
@@ -49,6 +51,17 @@ def random_batch(layer_sizes, hp, seed, reward_scale=1.0, all_done=False):
             )
         )
     return batch
+
+
+def as_batch(transitions):
+    """The sampled-batch arrays train_step takes, stacked from transitions."""
+    return Batch(
+        obs=np.stack([t.obs for t in transitions]),
+        actions=np.array([t.action for t in transitions], dtype=np.intp),
+        rewards=np.array([t.reward for t in transitions], dtype=np.float64),
+        next_obs=np.stack([t.next_obs for t in transitions]),
+        dones=np.array([t.done for t in transitions], dtype=np.float64),
+    )
 
 
 # -- forward pass ---------------------------------------------------------------------
@@ -201,8 +214,44 @@ def test_buffer_sampling_is_seeded_and_without_replacement():
         ReplayBuffer(capacity=5).sample(1, np.random.default_rng(0))
     a = buf.sample(10, np.random.default_rng(77))
     b = buf.sample(10, np.random.default_rng(77))
-    assert [t.reward for t in a] == [t.reward for t in b]
-    assert len({t.reward for t in a}) == 10
+    assert a.rewards.tolist() == b.rewards.tolist()
+    assert len(set(a.rewards.tolist())) == 10
+
+
+def transition_key(t):
+    return (t.obs.tobytes(), t.action, t.reward, t.next_obs.tobytes(), t.done)
+
+
+def test_buffer_matches_list_fifo_reference_after_wraparound():
+    buf = ReplayBuffer(capacity=7)
+    ref = oracles.FifoReplay(7)
+    feed = np.random.default_rng(41)
+    for k in range(40):
+        t = Transition(feed.normal(size=3), int(feed.integers(0, 9)), float(feed.normal()),
+                       feed.normal(size=3), bool(feed.random() < 0.3))
+        buf.add(t)
+        ref.add(t)
+        assert len(buf) == len(ref.slots)
+        assert [transition_key(x) for x in buf.items()] == [transition_key(x) for x in ref.items()]
+        if len(buf) < 4:
+            continue
+        got = buf.sample(4, np.random.default_rng(k))
+        want = as_batch(ref.sample(4, np.random.default_rng(k)))
+        for field in Batch._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, field)
+
+
+def test_buffer_rejects_an_observation_of_another_width():
+    # a width-1 row would otherwise be broadcast across the stored row
+    buf = ReplayBuffer(capacity=4)
+    buf.add(make_transition(1.0, dim=3))
+    for width, next_width in ((1, 3), (3, 1), (5, 5)):
+        with pytest.raises(DimensionError):
+            buf.add(Transition(np.ones(width), 0, 0.0, np.ones(next_width), False))
+    assert len(buf) == 1 and buf.items()[0].obs.tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(DimensionError):
+        ReplayBuffer(capacity=4).add(Transition(np.ones(3), 0, 0.0, np.ones(1), False))
 
 
 def test_buffer_capacity_validation():
@@ -237,7 +286,7 @@ def test_train_step_zero_error_leaves_parameters_unchanged():
         for k in range(hp.batch_size)
     ]
     before = policy_bytes(policy)
-    loss = train_step(policy, target, batch, hp)
+    loss = train_step(policy, target, as_batch(batch), hp)
     assert loss == 0.0
     assert policy_bytes(policy) == before
 
@@ -246,14 +295,14 @@ def test_train_step_rejects_wrong_batch_size():
     hp = small_hp()
     policy = random_policy([4, 8, 9], 0)
     with pytest.raises(ValueError):
-        train_step(policy, policy.copy(), [make_transition(0.0)] * 3, hp)
+        train_step(policy, policy.copy(), as_batch([make_transition(0.0)] * 3), hp)
 
 
 def recovered_gradient(policy, target, batch, hp):
     """Analytic gradient extracted from one update: (before - after) / lr."""
     probe = policy.copy()
     before = oracles.pack_params(probe.weights, probe.biases)
-    train_step(probe, target, batch, hp)
+    train_step(probe, target, as_batch(batch), hp)
     after = oracles.pack_params(probe.weights, probe.biases)
     return (before - after) / hp.learning_rate
 
@@ -293,7 +342,7 @@ def test_repeated_steps_on_fixed_batch_reduce_loss():
     hp = small_hp(learning_rate=1e-3)
     policy = random_policy(layer_sizes, 5)
     target = random_policy(layer_sizes, 6)
-    batch = random_batch(layer_sizes, hp, 7)
+    batch = as_batch(random_batch(layer_sizes, hp, 7))
     first = train_step(policy, target, batch, hp)
     last = first
     for _ in range(99):
@@ -307,7 +356,7 @@ def test_unclipped_training_surfaces_divergence():
     hp = small_hp(learning_rate=1e3, td_error_clip=None)
     policy = random_policy(layer_sizes, 11)
     target = policy.copy()
-    batch = random_batch(layer_sizes, hp, 12, reward_scale=1e6, all_done=True)
+    batch = as_batch(random_batch(layer_sizes, hp, 12, reward_scale=1e6, all_done=True))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             for _ in range(200):
@@ -324,9 +373,9 @@ def test_clip_bounds_the_gradient_not_the_loss():
     batch = random_batch(layer_sizes, hp_clip, 23, reward_scale=100.0, all_done=True)
 
     clipped = base.copy()
-    loss_clipped = train_step(clipped, target, batch, hp_clip)
+    loss_clipped = train_step(clipped, target, as_batch(batch), hp_clip)
     raw = base.copy()
-    loss_raw = train_step(raw, target, batch, hp_raw)
+    loss_raw = train_step(raw, target, as_batch(batch), hp_raw)
     # reported loss is identical: clipping only touches the gradient
     assert loss_clipped == loss_raw
 
@@ -341,7 +390,7 @@ def test_clip_bounds_the_gradient_not_the_loss():
             Transition(t.obs, t.action, q0[row, t.action] - err, t.next_obs, True)
         )
     equivalent = base.copy()
-    train_step(equivalent, target, adjusted, hp_raw)
+    train_step(equivalent, target, as_batch(adjusted), hp_raw)
     # target reconstruction costs an ulp per sample, so compare tightly, not bitwise
     got = oracles.pack_params(clipped.weights, clipped.biases)
     want = oracles.pack_params(equivalent.weights, equivalent.biases)
@@ -352,12 +401,44 @@ def test_small_errors_make_clip_a_no_op():
     layer_sizes = [3, 6, 4]
     base = random_policy(layer_sizes, 31)
     target = base.copy()
-    batch = random_batch(layer_sizes, small_hp(), 32, reward_scale=0.01)
+    batch = as_batch(random_batch(layer_sizes, small_hp(), 32, reward_scale=0.01))
     a = base.copy()
     train_step(a, target, batch, small_hp(td_error_clip=50.0))
     b = base.copy()
     train_step(b, target, batch, small_hp(td_error_clip=None))
     assert policy_bytes(a) == policy_bytes(b)
+
+
+def test_default_network_weights_after_2000_updates_on_a_wrapped_buffer_are_pinned():
+    # the stock 76-64-64-9 network, clip on, and a 5000-slot buffer that keeps
+    # wrapping while it trains: the golden runs cover neither, so this pins
+    # the learner's bytes across a refactor of replay or train_step
+    hp = Hyperparams(td_error_clip=10.0)
+    agent = DqnAgent(
+        [76, 64, 64, 9],
+        hp,
+        init_rng=np.random.default_rng(71),
+        explore_rng=np.random.default_rng(72),
+        replay_rng=np.random.default_rng(73),
+    )
+    feed = np.random.default_rng(74)
+
+    def record():
+        failed = bool(feed.random() < 0.02)
+        reward = -500.0 if failed else -float(feed.exponential(0.5))
+        agent.record(
+            Transition(feed.normal(size=76), int(feed.integers(0, 9)), reward,
+                       feed.normal(size=76), failed)
+        )
+
+    for _ in range(hp.buffer_capacity):
+        record()
+    for _ in range(2000):
+        record()
+        assert agent.train() is not None
+    assert agent.buffer.inserted == 7000 and len(agent.buffer) == 5000
+    digest = hashlib.sha256(policy_bytes(agent.policy) + policy_bytes(agent.target)).hexdigest()
+    assert digest == "1d725effff7009138c5540a1262f9198373b13cac43a72797a12ea7288991707"
 
 
 # -- target synchronization --------------------------------------------------------------

@@ -20,6 +20,8 @@ from edgeloop.experiment import (
 )
 from edgeloop.reporting import read_metrics
 
+import oracles
+
 
 def pid_config(**overrides):
     base = {
@@ -68,6 +70,33 @@ def test_oracle_action_keeps_correcting_once_in_position():
     cmd = ActuatorCommand.from_index(oracle_action(cfg, high, 0.95))
     assert cmd.pump_level == 0.0
     assert cmd.valve_level == 1.0
+
+
+def test_oracle_action_matches_two_step_brute_force():
+    # random states over the whole envelope, a third of them hugging or past
+    # one of its bounds, where failing follow-ups decide the action
+    cfg = load_config(None).plant
+    env = cfg.envelope
+    rng = np.random.default_rng(515)
+    edges = [
+        ("water_level", env.level_min), ("water_level", env.level_max),
+        ("pressure", env.pressure_max_kpa), ("outlet_temp", env.outlet_temp_max_c),
+    ]
+    for k in range(600):
+        state = boiler.BoilerState(
+            inlet_temp=float(rng.uniform(60.0, 140.0)),
+            outlet_temp=float(rng.uniform(200.0, 440.0)),
+            water_level=float(rng.uniform(0.1, 1.0)),
+            pressure=float(rng.uniform(500.0, 1700.0)),
+            pump_pos=float(rng.choice(boiler.ACTUATOR_LEVELS)),
+            valve_pos=float(rng.choice(boiler.ACTUATOR_LEVELS)),
+        )
+        if k % 3 == 0:
+            field, bound = edges[int(rng.integers(0, len(edges)))]
+            state = dataclasses.replace(state, **{field: bound * float(rng.uniform(0.97, 1.03))})
+        gamma = float(rng.uniform(0.5, 0.99))
+        want = oracles.brute_force_oracle_action(cfg, state, gamma)
+        assert oracle_action(cfg, state, gamma) == want, (k, state)
 
 
 def test_oracle_action_avoids_certain_failure():
