@@ -19,12 +19,11 @@ from .allocator import (
     validate,
 )
 from .boiler import ActuatorCommand, BoilerConfig, BoilerState, SafetyEnvelope
-from .config import ConfigError, RunConfig, load_config, save_config
-from .dqn import DqnAgent, Hyperparams, MlpPolicy, ReplayBuffer, Transition
+from .config import ConfigError, RunConfig, load_config
+from .dqn import Batch, DqnAgent, Hyperparams, MlpPolicy, ReplayBuffer, Transition
 from .experiment import (
     MetricsRecord,
     RunResult,
-    action_accuracy,
     oracle_action,
     run_experiment,
     run_seed,
@@ -38,6 +37,7 @@ __all__ = [
     "ActuatorCommand",
     "AffinityWeights",
     "AssignmentPlan",
+    "Batch",
     "BoilerConfig",
     "BoilerPid",
     "BoilerState",
@@ -60,7 +60,6 @@ __all__ = [
     "SafetyEnvelope",
     "Topology",
     "Transition",
-    "action_accuracy",
     "affinity",
     "compare",
     "emit_plot_data",
@@ -75,7 +74,6 @@ __all__ = [
     "resample",
     "run_experiment",
     "run_seed",
-    "save_config",
     "solve",
     "solve_exact",
     "solve_greedy",

@@ -8,7 +8,7 @@ pruning is affordable; a greedy heuristic covers anything larger.
 
 A plan is the binary placement matrix itself (rows are resources, columns
 are modules, both in instance order) so that constraint checks and JSON
-round-trips are direct.
+output are direct.
 """
 
 from __future__ import annotations
@@ -298,29 +298,6 @@ def solve(
         return solve_greedy(modules, resources, weights)
 
 
-def instance_to_dict(
-    modules: list[ControlModule],
-    resources: list[EdgeResource],
-    weights: AffinityWeights = AffinityWeights(),
-) -> dict:
-    return {
-        "resources": [
-            {
-                "id": r.id,
-                "capacity": r.capacity,
-                "current_load": r.current_load,
-                "bandwidth_mbps": r.bandwidth_mbps,
-                "compute_rating": r.compute_rating,
-            }
-            for r in resources
-        ],
-        "modules": [
-            {"id": m.id, "load": m.load, "intensity": m.intensity} for m in modules
-        ],
-        "weights": {"bandwidth": weights.bandwidth, "cpu": weights.cpu},
-    }
-
-
 def instance_from_dict(data: dict) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:
     try:
         resources = [EdgeResource(**r) for r in data["resources"]]
@@ -340,15 +317,6 @@ def plan_to_dict(plan: AssignmentPlan) -> dict:
         "assignment": plan.assignment(),
         "unassigned": plan.unassigned(),
     }
-
-
-def plan_from_dict(data: dict) -> AssignmentPlan:
-    return AssignmentPlan(
-        tuple(data["resource_ids"]),
-        tuple(data["module_ids"]),
-        tuple(tuple(int(v) for v in row) for row in data["x"]),
-        float(data["objective"]),
-    )
 
 
 def load_instance(path) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:

@@ -3,7 +3,7 @@
     edgeloop run --config run.yaml [--scenario S] [--controller C]
                  [--seeds 1,2,3] [--out DIR]
     edgeloop compare a.jsonl b.jsonl [--phase eval] [--json out.json]
-    edgeloop alloc --instance instance.json [--mode exact|greedy]
+    edgeloop alloc --instance instance.json
     edgeloop plot-data metrics.jsonl --out series.csv [--phase train]
 """
 
@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     alloc_p = sub.add_parser("alloc", help="solve one allocation instance")
     alloc_p.add_argument("--instance", required=True, help="instance JSON file")
-    alloc_p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
 
     plot_p = sub.add_parser("plot-data", help="emit per-episode plot series as CSV")
     plot_p.add_argument("metrics")
@@ -93,17 +92,14 @@ def _cmd_compare(args) -> int:
     print(reporting.render_table(comparisons, label_a="run_a", label_b="run_b"))
     if args.json_out:
         with open(args.json_out, "w") as f:
-            json.dump(reporting.comparison_to_dict(comparisons), f, indent=2)
+            json.dump([dataclasses.asdict(c) for c in comparisons], f, indent=2)
         print(f"json -> {args.json_out}")
     return 0
 
 
 def _cmd_alloc(args) -> int:
     modules, resources, weights = allocator.load_instance(args.instance)
-    if args.mode == "exact":
-        plan = allocator.solve(modules, resources, weights)
-    else:
-        plan = allocator.solve_greedy(modules, resources, weights)
+    plan = allocator.solve(modules, resources, weights)
     violations = allocator.validate(plan, modules, resources)
     out = allocator.plan_to_dict(plan)
     out["violations"] = violations

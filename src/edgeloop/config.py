@@ -2,8 +2,7 @@
 
 An empty file yields the full default configuration (stock agent
 hyperparameters, edge-collab scenario, desk-scale episodes). Unknown keys
-and out-of-range values are load errors naming the offending key path, and
-a dumped config reloads to an equal value.
+and out-of-range values are load errors naming the offending key path.
 """
 
 from __future__ import annotations
@@ -172,7 +171,6 @@ def _default_background_modules() -> list[ControlModule]:
 class AllocatorRunConfig:
     """Resource pool, module set, and rebalancing cadence for a run."""
 
-    mode: str = "exact"  # exact (greedy fallback past the guard) or greedy
     weights: AffinityWeights = field(default_factory=AffinityWeights)
     edges: list[EdgeResource] = field(default_factory=_default_edges)
     background_modules: list[ControlModule] = field(default_factory=_default_background_modules)
@@ -183,8 +181,6 @@ class AllocatorRunConfig:
     load_max: float = 2.0  # background load stays in [0, load_max]
 
     def __post_init__(self):
-        if self.mode not in ("exact", "greedy"):
-            raise ConfigError(f"mode must be 'exact' or 'greedy', got {self.mode!r}")
         if not self.edges:
             raise ConfigError("at least one edge resource is required")
         self.control_module()  # ControlModule checks the load and intensity
@@ -313,10 +309,6 @@ def config_from_dict(data: dict | None) -> RunConfig:
     return _build(RunConfig, data or {}, "")
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def load_config(path) -> RunConfig:
     """Load and validate a YAML config; an empty file or no path means defaults."""
     if path is None:
@@ -335,11 +327,6 @@ def load_config(path) -> RunConfig:
     if config.trace_file is not None and not os.path.exists(config.trace_file):
         raise ConfigError(f"trace_file does not exist: {config.trace_file}")
     return config
-
-
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w") as f:
-        yaml.safe_dump(config_to_dict(config), f, sort_keys=False)
 
 
 def resolve_out_dir(cli_value: str | None, config: RunConfig) -> str:

@@ -8,7 +8,6 @@ Everything is numpy; there is no framework dependency.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -56,8 +55,9 @@ class Hyperparams:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0,1], got {v}")
-        if self.warmup < self.batch_size:
-            raise ValueError("warmup must be >= batch_size")
+        if not (self.batch_size <= self.warmup <= self.buffer_capacity):
+            # a warmup the buffer cannot hold would never start training
+            raise ValueError("warmup must be >= batch_size and <= buffer_capacity")
         if self.td_error_clip is not None and self.td_error_clip <= 0:
             raise ValueError("td_error_clip must be positive when set")
 
@@ -142,45 +142,6 @@ def param_count(layer_sizes: Sequence[int]) -> int:
     return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
 
 
-def policy_to_dict(policy: MlpPolicy) -> dict:
-    """Flat serialization: layer sizes header plus row-major parameter list.
-
-    Parameters are ordered W0 (row-major), b0, W1, b1, ... so the layout is
-    reconstructible from the header alone.
-    """
-    flat: list[float] = []
-    for w, b in zip(policy.weights, policy.biases):
-        flat.extend(w.reshape(-1).tolist())
-        flat.extend(b.tolist())
-    return {"layer_sizes": list(policy.layer_sizes), "params": flat}
-
-
-def policy_from_dict(data: dict) -> MlpPolicy:
-    sizes = [int(s) for s in data["layer_sizes"]]
-    params = np.asarray(data["params"], dtype=np.float64)
-    if params.size != param_count(sizes):
-        raise ValueError(
-            f"expected {param_count(sizes)} params for layers {sizes}, got {params.size}"
-        )
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(params[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        biases.append(params[pos : pos + fan_out].copy())
-        pos += fan_out
-    return MlpPolicy(sizes, weights, biases)
-
-
-def save_policy(policy: MlpPolicy, path) -> None:
-    with open(path, "w") as f:
-        json.dump(policy_to_dict(policy), f)
-
-
-def load_policy(path) -> MlpPolicy:
-    with open(path) as f:
-        return policy_from_dict(json.load(f))
-
-
 def select_action(values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over action values; greedy ties go to the lowest index."""
     if not (0.0 <= epsilon <= 1.0):
@@ -188,15 +149,6 @@ def select_action(values: np.ndarray, epsilon: float, rng: np.random.Generator) 
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, len(values)))
     return int(np.argmax(values))
-
-
-def bellman_target(
-    reward: float, done: bool, gamma: float, next_values: np.ndarray
-) -> float:
-    """One-step target: the reward, bootstrapped by gamma * max next value unless terminal."""
-    if done:
-        return float(reward)
-    return float(reward + gamma * np.max(next_values))
 
 
 class Batch(NamedTuple):

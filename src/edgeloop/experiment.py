@@ -114,18 +114,6 @@ def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) ->
     return best_action
 
 
-def action_accuracy(agent_actions, oracle_actions) -> float:
-    """Fraction of positions where the two action sequences agree."""
-    if len(agent_actions) != len(oracle_actions):
-        raise ValueError(
-            f"sequence lengths differ: {len(agent_actions)} vs {len(oracle_actions)}"
-        )
-    if not agent_actions:
-        raise ValueError("empty action sequences")
-    hits = sum(1 for a, b in zip(agent_actions, oracle_actions) if a == b)
-    return hits / len(agent_actions)
-
-
 def _percentile(sorted_values: list[int], fraction: float) -> float:
     # nearest-rank percentile on a pre-sorted list
     rank = max(1, math.ceil(fraction * len(sorted_values)))
@@ -172,6 +160,7 @@ class _Episode:
             run.pid.reset()
         self.state = boiler.reset(self.plant_cfg, self.plant_rng)
         self.pending_cmd = ActuatorCommand(self.state.pump_pos, self.state.valve_pos)
+        self.cmd_step = -1  # step of the newest command the plant has taken
         self.ctl_pending: tuple[np.ndarray, int] | None = None
         self.ctl_last_step = -1
 
@@ -191,7 +180,9 @@ class _Episode:
         if event.kind == "control-command":
             body = event.body
             self.latencies.append(self.kernel.clock - body["emit_ms"])
-            self.pending_cmd = ActuatorCommand.from_index(body["action"])
+            if body["step"] > self.cmd_step:  # a command overtaken en route stays unapplied
+                self.cmd_step = body["step"]
+                self.pending_cmd = ActuatorCommand.from_index(body["action"])
             return None
         return self._tick(event.body["step"])
 
@@ -382,10 +373,7 @@ class _SeedRun:
         return [self.cfg.allocator.control_module(), *self.cfg.allocator.background_modules]
 
     def _solve(self) -> allocator.AssignmentPlan:
-        solver = (
-            allocator.solve if self.cfg.allocator.mode == "exact" else allocator.solve_greedy
-        )
-        return solver(self._modules(), self._resources(), self.cfg.allocator.weights)
+        return allocator.solve(self._modules(), self._resources(), self.cfg.allocator.weights)
 
     def _serving_node(self) -> int:
         if self.plan is None:  # cloud-only

@@ -46,16 +46,6 @@ class MetricComparison:
     better: str
     improved: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "delta_pct": self.delta_pct,
-            "better": self.better,
-            "improved": self.improved,
-        }
-
 
 def compare(records_a: list[MetricsRecord], records_b: list[MetricsRecord]) -> list[MetricComparison]:
     """Mean metric deltas of run A relative to baseline run B, as percentages."""
@@ -92,10 +82,6 @@ def render_table(comparisons: list[MetricComparison], label_a: str = "a", label_
             f"{c.metric:<22} {c.mean_a:>14.4f} {c.mean_b:>14.4f} {delta:>9}  {note}"
         )
     return "\n".join(lines)
-
-
-def comparison_to_dict(comparisons: list[MetricComparison]) -> list[dict]:
-    return [c.to_dict() for c in comparisons]
 
 
 def plot_series(records: list[MetricsRecord]) -> list[dict]:

@@ -157,12 +157,7 @@ Handler = Callable[[Event], Iterable[Outgoing] | None]
 class Kernel:
     """Single-stream event kernel. One instance per simulation run."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        rng: np.random.Generator | None = None,
-        record_trace: bool = False,
-    ):
+    def __init__(self, topology: Topology, rng: np.random.Generator | None = None):
         topology.validate()
         self.topology = topology
         self.rng = rng
@@ -172,7 +167,6 @@ class Kernel:
         self._handlers: dict[int, Handler] = {}
         self.sent_count = 0
         self.delivered_count = 0
-        self.trace: list[tuple[int, int, int, str]] | None = [] if record_trace else None
 
     def register_handler(self, node_id: int, handler: Handler) -> None:
         if node_id not in self.topology.nodes:
@@ -216,8 +210,6 @@ class Kernel:
         _, _, event = heapq.heappop(self._queue)
         self.clock = event.time
         self.delivered_count += 1
-        if self.trace is not None:
-            self.trace.append((event.time, event.seq, event.target, event.kind))
         handler = self._handlers.get(event.target)
         if handler is not None:
             outgoing = handler(event)

@@ -119,14 +119,6 @@ def ingest_trace(path, target_period_s: int = 5) -> SensorTrace:
     return resample(read_trace(path), target_period_s)
 
 
-def write_trace(rows: SensorTrace, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(EXPECTED_HEADER)
-        for row in rows:
-            writer.writerow([row.timestamp, row.sensor_id, repr(row.value), row.unit])
-
-
 def sensor_values(rows: SensorTrace, sensor_id: str) -> list[float]:
     """Readings of one sensor in timestamp order."""
     return [r.value for r in rows if r.sensor_id == sensor_id]

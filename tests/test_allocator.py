@@ -12,9 +12,7 @@ from edgeloop.allocator import (
     InstanceTooLargeError,
     affinity,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
-    plan_from_dict,
     plan_to_dict,
     solve,
     solve_exact,
@@ -172,6 +170,7 @@ def test_exact_guard_rejects_oversized_instances():
     with pytest.raises(InstanceTooLargeError):
         solve_exact(modules, resources)
     fallback = solve(modules, resources)
+    assert fallback == solve_greedy(modules, resources)
     assert validate(fallback, modules, resources) == []
     assert fallback.unassigned() == []
 
@@ -270,21 +269,58 @@ def test_capacity_zero_server_never_receives_load():
 # -- serialization -----------------------------------------------------------------------
 
 
-def test_instance_and_plan_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    modules, resources, weights = random_instance(rng)
-    data = instance_to_dict(modules, resources, weights)
-    m2, r2, w2 = instance_from_dict(data)
-    assert m2 == modules and r2 == resources and w2 == weights
+INSTANCE_JSON = """
+{
+  "resources": [
+    {"id": "r0", "capacity": 2.0, "current_load": 0.5, "bandwidth_mbps": 100.0,
+     "compute_rating": 1.0},
+    {"id": "r1", "capacity": 1.0, "bandwidth_mbps": 50.0}
+  ],
+  "modules": [
+    {"id": "m0", "load": 1.0},
+    {"id": "m1", "load": 1.0, "intensity": 1.0},
+    {"id": "m2", "load": 5.0, "intensity": 0.2}
+  ],
+  "weights": {"bandwidth": 0.7, "cpu": 0.3}
+}
+"""
 
+EXPECTED_MODULES = [
+    ControlModule("m0", load=1.0, intensity=0.5),
+    ControlModule("m1", load=1.0, intensity=1.0),
+    ControlModule("m2", load=5.0, intensity=0.2),
+]
+EXPECTED_RESOURCES = [
+    EdgeResource("r0", capacity=2.0, current_load=0.5, bandwidth_mbps=100.0, compute_rating=1.0),
+    EdgeResource("r1", capacity=1.0, current_load=0.0, bandwidth_mbps=50.0, compute_rating=1.0),
+]
+
+
+def test_instance_and_plan_round_trip(tmp_path):
+    # an instance written by hand loads to the expected objects, and its plan
+    # comes back out of JSON unchanged
+    data = json.loads(INSTANCE_JSON)
+    modules, resources, weights = instance_from_dict(data)
+    assert modules == EXPECTED_MODULES
+    assert resources == EXPECTED_RESOURCES
+    assert weights == AffinityWeights(bandwidth=0.7, cpu=0.3)
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(data))
-    m3, r3, w3 = load_instance(path)
-    assert m3 == modules and r3 == resources and w3 == weights
+    path.write_text(INSTANCE_JSON)
+    assert load_instance(path) == (modules, resources, weights)
+    del data["weights"]
+    assert instance_from_dict(data)[2] == AffinityWeights()
 
     plan = solve_exact(modules, resources, weights)
-    clone = plan_from_dict(plan_to_dict(plan))
-    assert clone == plan
+    # m1 (more intense) takes the better server, m0 the other, m2 fits nowhere
+    assert json.loads(json.dumps(plan_to_dict(plan))) == {
+        "resource_ids": ["r0", "r1"],
+        "module_ids": ["m0", "m1", "m2"],
+        "x": [[0, 1, 0], [1, 0, 0]],
+        "objective": plan.objective,
+        "assignment": {"m1": "r0", "m0": "r1"},
+        "unassigned": ["m2"],
+    }
+    assert plan.objective == pytest.approx(2.0 + 0.65 * 1.5)
 
 
 def test_malformed_instance_rejected():

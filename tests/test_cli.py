@@ -2,10 +2,12 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from edgeloop.allocator import ControlModule, EdgeResource, plan_to_dict, solve_greedy
 from edgeloop.cli import _parse_seeds, main
 from edgeloop.reporting import COMPARED_METRICS
 
@@ -78,6 +80,7 @@ def test_compare_prints_table_and_writes_json(run_outputs, tmp_path, capsys):
     assert "mean_latency_ms" in captured
     rows = json.loads(json_out.read_text())
     assert [row["metric"] for row in rows] == [m for m, _ in COMPARED_METRICS]
+    assert list(rows[0]) == ["metric", "mean_a", "mean_b", "delta_pct", "better", "improved"]
 
 
 def test_alloc_solves_instance(tmp_path, capsys):
@@ -106,14 +109,30 @@ def test_alloc_solves_instance(tmp_path, capsys):
     }
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
-    for mode in ("exact", "greedy"):
-        rc = main(["alloc", "--instance", str(path), "--mode", mode])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["violations"] == []
-        assert set(out["assignment"]) == {"ctl-a", "ctl-b"}
-        assert out["unassigned"] == []
-        assert out["objective"] > 0.0
+    rc = main(["alloc", "--instance", str(path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["violations"] == []
+    assert set(out["assignment"]) == {"ctl-a", "ctl-b"}
+    assert out["unassigned"] == []
+    assert out["objective"] > 0.0
+
+
+def test_alloc_prints_the_greedy_plan_past_the_size_guard(tmp_path, capsys):
+    # 9 servers and 8 modules: (9+1)^8 placements exceed the exact search guard
+    resources = [EdgeResource(f"r{i}", capacity=1.0, bandwidth_mbps=10.0 + i) for i in range(9)]
+    modules = [ControlModule(f"m{j}", load=0.4 + 0.05 * j) for j in range(8)]
+    instance = {
+        "resources": [dataclasses.asdict(r) for r in resources],
+        "modules": [dataclasses.asdict(m) for m in modules],
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    rc = main(["alloc", "--instance", str(path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("violations") == []
+    assert out == plan_to_dict(solve_greedy(modules, resources))
 
 
 def test_alloc_flags_overloaded_instance(tmp_path, capsys):

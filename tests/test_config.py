@@ -1,16 +1,15 @@
 import dataclasses
 
 import pytest
+import yaml
 
 from edgeloop.config import (
     ConfigError,
     LatencyConfig,
     RunConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
     resolve_out_dir,
-    save_config,
 )
 
 
@@ -70,6 +69,10 @@ def test_out_of_range_value_names_the_key_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"latency": {"jitter": 1.0}})
     assert str(exc.value).startswith("latency: jitter")
+    # the default warmup (1000) is more than a 500-slot buffer holds
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"agent": {"buffer_capacity": 500}})
+    assert str(exc.value).startswith("agent: warmup")
 
 
 def test_unknown_key_names_the_dotted_path():
@@ -79,6 +82,10 @@ def test_unknown_key_names_the_dotted_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"bogus": 1})
     assert "bogus" in str(exc.value)
+    # allocator.solve falls back to greedy past its size guard; there is no mode key
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"allocator": {"mode": "exact"}})
+    assert "allocator.mode" in str(exc.value)
 
 
 def test_wrong_type_names_the_key():
@@ -119,13 +126,10 @@ def test_nested_overrides_apply(tmp_path):
 
 
 def test_round_trip_through_yaml(tmp_path):
-    cfg = config_from_dict(
-        {"scenario": "cloud-only", "episodes": 12, "agent": {"batch_size": 8}}
-    )
+    data = {"scenario": "cloud-only", "episodes": 12, "agent": {"batch_size": 8}}
     path = tmp_path / "dump.yaml"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    path.write_text(yaml.safe_dump(data))
+    assert load_config(path) == config_from_dict(data)
 
 
 def test_invalid_yaml_and_shapes(tmp_path):

@@ -13,12 +13,7 @@ from edgeloop.dqn import (
     MlpPolicy,
     ReplayBuffer,
     Transition,
-    bellman_target,
-    load_policy,
     param_count,
-    policy_from_dict,
-    policy_to_dict,
-    save_policy,
     select_action,
     sync_target,
     train_step,
@@ -173,15 +168,6 @@ def test_full_exploration_is_uniform():
     chi2 = sum((counts[a] - expected) ** 2 / expected for a in range(n))
     # df = 8; mean 8, sd 4 -> 3 sigma ceiling
     assert chi2 < 8 + 3 * 4
-
-
-# -- bellman target ---------------------------------------------------------------------
-
-
-def test_bellman_target_examples():
-    assert bellman_target(1.0, True, 0.95, np.array([5.0, 9.0])) == 1.0
-    assert bellman_target(0.5, False, 0.95, np.array([1.0, 2.0])) == pytest.approx(2.4)
-    assert bellman_target(0.7, False, 0.0, np.array([3.0, 4.0])) == pytest.approx(0.7)
 
 
 # -- replay buffer -----------------------------------------------------------------------
@@ -479,38 +465,6 @@ def test_agent_syncs_on_schedule_and_target_is_bit_stable_between():
             assert policy_bytes(agent.target) == snapshot
 
 
-# -- serialization -----------------------------------------------------------------------
-
-
-def test_policy_dict_round_trip_is_exact():
-    policy = random_policy([5, 7, 3], 55)
-    data = policy_to_dict(policy)
-    assert data["layer_sizes"] == [5, 7, 3]
-    assert len(data["params"]) == param_count([5, 7, 3])
-    clone = policy_from_dict(data)
-    assert policy_bytes(clone) == policy_bytes(policy)
-    # round trip through the documented row-major layout independently
-    weights, biases = oracles.unpack_params([5, 7, 3], np.array(data["params"]))
-    for w, cw in zip(weights, policy.weights):
-        np.testing.assert_array_equal(w, cw)
-    for b, cb in zip(biases, policy.biases):
-        np.testing.assert_array_equal(b, cb)
-
-
-def test_policy_file_round_trip(tmp_path):
-    policy = random_policy([4, 6, 2], 8)
-    path = tmp_path / "policy.json"
-    save_policy(policy, path)
-    loaded = load_policy(path)
-    assert loaded.layer_sizes == policy.layer_sizes
-    assert policy_bytes(loaded) == policy_bytes(policy)
-
-
-def test_policy_from_dict_rejects_wrong_param_count():
-    with pytest.raises(ValueError):
-        policy_from_dict({"layer_sizes": [2, 3], "params": [0.0] * 8})
-
-
 # -- hyperparameters and agent -------------------------------------------------------------
 
 
@@ -525,6 +479,8 @@ def test_hyperparams_validation():
         small_hp(batch_size=32, buffer_capacity=16)
     with pytest.raises(ValueError):
         small_hp(warmup=4)  # below batch size
+    with pytest.raises(ValueError, match="warmup"):
+        small_hp(buffer_capacity=500, warmup=1000)  # the buffer never fills that far
     with pytest.raises(ValueError):
         small_hp(td_error_clip=0.0)
     with pytest.raises(ValueError):

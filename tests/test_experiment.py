@@ -3,13 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgeloop import boiler
+from edgeloop import boiler, experiment
 from edgeloop.boiler import ActuatorCommand
 from edgeloop.config import config_from_dict, load_config
 from edgeloop.experiment import (
     MetricsRecord,
     _percentile,
-    action_accuracy,
     load_disturbance,
     metrics_filename,
     metrics_from_dict,
@@ -107,15 +106,6 @@ def test_oracle_action_avoids_certain_failure():
     assert not failed
 
 
-def test_action_accuracy_counts_agreement():
-    assert action_accuracy([1, 2, 3, 4], [1, 2, 0, 4]) == 0.75
-    assert action_accuracy([5], [5]) == 1.0
-    with pytest.raises(ValueError):
-        action_accuracy([1], [1, 2])
-    with pytest.raises(ValueError):
-        action_accuracy([], [])
-
-
 def test_percentile_is_nearest_rank():
     values = list(range(1, 101))
     assert _percentile(values, 0.95) == 95.0
@@ -150,6 +140,38 @@ def test_jittered_latency_stays_within_link_bounds():
     for rec in result.records:
         assert 1350.0 <= rec.mean_latency_ms <= 1650.0
         assert rec.p95_latency_ms <= 1640.0  # 700*1.1 up + down + 100 compute
+
+
+def test_plant_keeps_the_newest_command_when_commands_arrive_out_of_order(monkeypatch):
+    # a ~60 s cloud round trip with 10% jitter lets a command overtake an
+    # older one en route; the older one must not replace the newer at the plant
+    newest: dict = {}
+    counts = {"commands": 0, "overtaken": 0}
+    handle_sensor = experiment._Episode.handle_sensor
+
+    def checked(self, event):
+        out = handle_sensor(self, event)
+        if event.kind == "control-command":
+            counts["commands"] += 1
+            step, action = event.body["step"], event.body["action"]
+            if step > newest.get(self, (-1, None))[0]:
+                newest[self] = (step, action)
+            else:
+                counts["overtaken"] += 1
+            assert self.pending_cmd == ActuatorCommand.from_index(newest[self][1])
+        return out
+
+    monkeypatch.setattr(experiment._Episode, "handle_sensor", checked)
+    cfg = pid_config(
+        scenario="cloud-only",
+        eval_episodes=3,
+        max_steps=300,
+        latency={"preset": "slow-cloud", "jitter": 0.1},
+    )
+    records = run_seed(cfg, 1).records
+    assert counts["overtaken"] > 0
+    # every command's latency is still recorded, applied or not
+    assert sum(r.latency_samples for r in records) == counts["commands"]
 
 
 def test_utilization_is_compute_share_of_the_period():

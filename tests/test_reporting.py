@@ -1,6 +1,7 @@
 """Metrics comparison and plot-series tests."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from edgeloop.reporting import (
     COMPARED_METRICS,
     MOVING_AVERAGE_WINDOW,
     compare,
-    comparison_to_dict,
     emit_plot_data,
     plot_series,
     read_metrics,
@@ -131,12 +131,15 @@ def test_render_table_rounds_to_one_decimal():
 
 
 def test_comparison_dict_round_trip():
+    # the rows `compare --json` writes: plain values only, in field order
     a = [make_record(cumulative_reward=890.0)]
-    b = [make_record(cumulative_reward=750.0)]
-    rows = comparison_to_dict(compare(a, b))
+    b = [make_record(cumulative_reward=750.0, utilization=0.0)]
+    rows = [dataclasses.asdict(c) for c in compare(a, b)]
+    assert json.loads(json.dumps(rows)) == rows
     assert rows[0]["metric"] == "cumulative_reward"
     assert rows[0]["improved"] is True
-    json.dumps(rows)  # must be serializable as-is
+    assert rows[-1]["metric"] == "utilization"
+    assert rows[-1]["delta_pct"] is None and rows[-1]["improved"] is None
 
 
 def test_plot_series_matches_trailing_mean_oracle():

@@ -7,7 +7,6 @@ from edgeloop.traces import (
     read_trace,
     resample,
     sensor_values,
-    write_trace,
 )
 
 import oracles
@@ -178,18 +177,6 @@ def test_ingest_reads_and_resamples(tmp_path):
     out = ingest_trace(path)
     assert len(out) == 24
     assert sensor_values(out, "t")[:12] == [1.0] * 12
-
-
-# -- writing -----------------------------------------------------------------------
-
-
-def test_write_read_round_trip(tmp_path):
-    rows = [TraceRow(0, "a", 1.25, "kPa"), TraceRow(60, "a", 2.5, "kPa")]
-    path = tmp_path / "out.csv"
-    write_trace(rows, path)
-    assert read_trace(path) == rows
-    header = path.read_text().splitlines()[0]
-    assert header == "timestamp,sensor_id,value,unit"
 
 
 def test_sensor_values_filters_by_id():
