@@ -127,11 +127,21 @@ def test_cloud_only_loop_latency_is_exact_without_jitter():
         assert rec.failure_count == 0
 
 
-def test_edge_collab_loop_latency_is_exact_without_jitter():
-    result = run_seed(pid_config(scenario="edge-collab"), seed=1)
+@pytest.mark.parametrize(
+    "overrides, expected_ms",
+    [
+        ({}, 300.0),  # the entry edge serves: sensor -> edge -> sensor
+        # the module fits on no edge, so the cloud serves through the entry
+        # edge: sensor -> edge -> cloud -> edge -> sensor
+        ({"allocator": {"control_module_load": 7.0}}, 1500.0),
+    ],
+    ids=["edge-served", "cloud-served"],
+)
+def test_edge_collab_loop_latency_is_exact_without_jitter(overrides, expected_ms):
+    result = run_seed(pid_config(scenario="edge-collab", **overrides), seed=1)
     for rec in result.records:
-        assert rec.mean_latency_ms == 300.0
-        assert rec.p95_latency_ms == 300.0
+        assert rec.mean_latency_ms == expected_ms
+        assert rec.p95_latency_ms == expected_ms
 
 
 def test_jittered_latency_stays_within_link_bounds():

@@ -54,6 +54,24 @@ CONFIGS = {
             "load_max": 2.5,
         },
     },
+    # slow cloud, jitter and drifting loads: readings are served by the
+    # entry edge, relayed to the other edge, or relayed to the cloud, and a
+    # command is overtaken en route
+    "pid-edge-mixed-slow": {
+        "scenario": "edge-collab",
+        "controller": "pid",
+        "seeds": [5],
+        "episodes": 0,
+        "eval_episodes": 2,
+        "max_steps": 60,
+        "latency": {"preset": "slow-cloud", "jitter": 0.3},
+        "allocator": {
+            "control_module_load": 4.0,
+            "rebalance_interval_steps": 3,
+            "load_drift": 0.8,
+            "load_max": 3.0,
+        },
+    },
 }
 
 GOLDEN = {
@@ -89,6 +107,16 @@ GOLDEN = {
         "summary.csv": (
             "5d0156f9e4acab2762d156405f8fcfec"
             "e34046bacbcc1383537eb70ae5845536"
+        ),
+    },
+    "pid-edge-mixed-slow": {
+        "metrics_edge-collab_pid_seed5.jsonl": (
+            "47566d7e0858aa65578e005b2b41c2a5"
+            "ab60e9b190e395b585db4c5150b86d42"
+        ),
+        "summary.csv": (
+            "0c69deaa71839ad060df0a145dabf50e"
+            "9110a8da9fd2e5d94efb023febfeb331"
         ),
     },
 }
