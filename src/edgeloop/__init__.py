@@ -30,7 +30,7 @@ from .experiment import (
 )
 from .pid import BoilerPid, PidGains, PidState, pid_step, pid_to_command
 from .reporting import compare, emit_plot_data, read_metrics, render_table
-from .simcore import Kernel, Link, Node, NodeKind, Topology
+from .simcore import Kernel, Link
 from .traces import ingest_trace, read_trace, resample
 
 __all__ = [
@@ -50,15 +50,12 @@ __all__ = [
     "Link",
     "MetricsRecord",
     "MlpPolicy",
-    "Node",
-    "NodeKind",
     "PidGains",
     "PidState",
     "ReplayBuffer",
     "RunConfig",
     "RunResult",
     "SafetyEnvelope",
-    "Topology",
     "Transition",
     "affinity",
     "compare",

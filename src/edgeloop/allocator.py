@@ -171,7 +171,8 @@ def _affinity_matrix(
     return [[affinity(m, r, weights, max_bw) for m in modules] for r in resources]
 
 
-def _check_instance(modules: list[ControlModule], resources: list[EdgeResource]) -> None:
+def check_instance(modules: list[ControlModule], resources: list[EdgeResource]) -> None:
+    """Reject an instance with no resources or with duplicate ids."""
     if not resources:
         raise AllocationError("instance has no resources")
     if len({r.id for r in resources}) != len(resources):
@@ -205,7 +206,7 @@ def solve_exact(
     Ties on the objective resolve to the lexicographically smallest
     row-major placement matrix, which keeps the result unique.
     """
-    _check_instance(modules, resources)
+    check_instance(modules, resources)
     n, m = len(resources), len(modules)
     if (n + 1) ** m > EXACT_SEARCH_LIMIT:
         raise InstanceTooLargeError(
@@ -262,7 +263,7 @@ def solve_greedy(
     Load ties fall back to module id; among feasible servers the highest
     affinity wins, earliest in instance order on ties.
     """
-    _check_instance(modules, resources)
+    check_instance(modules, resources)
     if not modules:
         return _plan_from_choice([], modules, resources, 0.0)
     score = _affinity_matrix(modules, resources, weights)

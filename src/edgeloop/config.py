@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .allocator import AffinityWeights, ControlModule, EdgeResource
+from .allocator import AffinityWeights, ControlModule, EdgeResource, check_instance
 from .boiler import BoilerConfig
 from .dqn import Hyperparams
 from .pid import DEFAULT_LEVEL_GAINS, DEFAULT_PRESSURE_GAINS, PidGains
@@ -181,9 +181,9 @@ class AllocatorRunConfig:
     load_max: float = 2.0  # background load stays in [0, load_max]
 
     def __post_init__(self):
-        if not self.edges:
-            raise ConfigError("at least one edge resource is required")
-        self.control_module()  # ControlModule checks the load and intensity
+        # the allocator's own instance check: at least one edge, unique edge
+        # ids and unique module ids (ControlModule checks load and intensity)
+        check_instance([self.control_module(), *self.background_modules], self.edges)
         if self.rebalance_interval_steps < 1:
             raise ConfigError("rebalance_interval_steps must be >= 1")
         if self.load_drift < 0:

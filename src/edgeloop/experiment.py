@@ -1,10 +1,11 @@
 """Scenario orchestration: seeded sweeps of networked control episodes.
 
 Each episode drives the boiler through the event kernel. The plant node
-emits a reading every control period; the serving node (an edge server in
-edge-collab, the cloud in cloud-only) computes a command; the command is
-applied at the next period boundary. Control-loop latency is the simulated
-time from a reading's emission to its command's delivery at the plant.
+emits a reading every control period; the serving node (an edge server
+or the cloud, chosen by the allocator in edge-collab, always the cloud in
+cloud-only) computes a command; the command is applied at the next period
+boundary. Control-loop latency is the simulated time from a reading's
+emission to its command's delivery at the plant.
 
 Everything is seeded and integer-timed: per-episode generator streams are
 derived from (seed, phase, episode), so a PID arm replays the exact reset
@@ -26,7 +27,7 @@ from . import allocator, boiler, dqn, traces
 from .boiler import ActuatorCommand, BoilerState
 from .config import CONTROL_MODULE_ID, RunConfig
 from .pid import BoilerPid
-from .simcore import CONTROL_PERIOD_MS, Kernel, Node, NodeKind, Outgoing, Topology
+from .simcore import CONTROL_PERIOD_MS, Kernel, Link
 
 CLOUD_NODE = 0
 
@@ -154,7 +155,7 @@ class _Episode:
 
         self.plant_rng = np.random.default_rng([run.seed, phase_code, index])
         jitter_rng = np.random.default_rng([run.seed, _STREAM_JITTER + phase_code, index])
-        self.kernel = Kernel(run.topology, rng=jitter_rng)
+        self.kernel = Kernel(run.links, rng=jitter_rng)
 
         if run.pid is not None:
             run.pid.reset()
@@ -183,8 +184,8 @@ class _Episode:
             if body["step"] > self.cmd_step:  # a command overtaken en route stays unapplied
                 self.cmd_step = body["step"]
                 self.pending_cmd = ActuatorCommand.from_index(body["action"])
-            return None
-        return self._tick(event.body["step"])
+        else:
+            self._tick(event.body["step"])
 
     def _tick(self, step: int):
         reward = None
@@ -202,66 +203,68 @@ class _Episode:
             dl, dp, dt = boiler.setpoint_deviations(self.plant_cfg, self.state)
             self.loss_sum += dl * dl + dp * dp + dt * dt
             self.done = self.failed or step == self.run.max_steps
-        route, reply = self.run.reading_route()
+        run = self.run
         body = {
             "step": step,
             "state": self.state,
             "reward": reward,
             "done": self.done,
             "emit_ms": self.kernel.clock,
-            "route": route[1:],
-            "reply": reply,
+            "server": run.serving_node,
         }
+        # the next tick is scheduled before the reading is sent: event seq
+        # numbers break ties in the queue
         if not self.done:
             self.kernel.schedule(
                 self.kernel.clock + CONTROL_PERIOD_MS,
-                self.run.sensor_node,
+                run.sensor_node,
                 "sensor-reading",
                 {"step": step + 1},
             )
-        return [Outgoing(route[0], "sensor-reading", body)]
+        self.kernel.send(run.sensor_node, run.entry_node, "sensor-reading", body)
 
     # -- edge and cloud nodes ------------------------------------------------
+    # The sensor sends each reading to the entry node, which serves it or
+    # relays it to the reading's server; the command returns through the
+    # entry node.
 
     def handle_edge(self, event):
-        body = event.body
-        if body.get("route"):
-            nxt = body["route"][0]
-            return [Outgoing(nxt, event.kind, {**body, "route": body["route"][1:]})]
-        if event.kind == "sensor-reading":
-            return self._serve(body)
-        return self.run.emit_report(event.target)  # the edge's own report tick
+        node, kind, body = event.target, event.kind, event.body
+        if kind == "state-report":  # the edge's own report tick
+            self.kernel.send(node, CLOUD_NODE, kind, self.run.emit_report(node))
+        elif kind == "control-command":  # only the entry edge gets commands
+            self.kernel.send(node, self.run.sensor_node, kind, body)
+        elif body["server"] != node:
+            self.kernel.send(node, body["server"], kind, body)
+        else:
+            self._serve(event)
 
     def handle_cloud(self, event):
         if event.kind == "sensor-reading":
-            return self._serve(event.body)
-        self.run.receive_report(event.body)
-        return None
+            self._serve(event)
+        else:
+            self.run.receive_report(event.body)
 
-    def _serve(self, body):
+    def _serve(self, event):
+        body = event.body
         step = body["step"]
         if step <= self.ctl_last_step:
-            return None  # stale reading overtaken en route
+            return  # stale reading overtaken en route
         self.ctl_last_step = step
         state = body["state"]
         action = self._decide(state, body["reward"], body["done"], step)
         if action is None:
-            return None
+            return
         if step % self.cfg.accuracy_sample_every == 0:
             reference = oracle_action(self.plant_cfg, state, self.cfg.agent.gamma)
             self.acc_n += 1
             self.acc_hits += 1 if action == reference else 0
-        self.busy_ms += self.run.compute_ms
-        reply = body["reply"]
-        command = {
-            "step": step,
-            "action": action,
-            "emit_ms": body["emit_ms"],
-            "route": reply[1:],
-        }
-        return [
-            Outgoing(reply[0], "control-command", command, depart_delay_ms=self.run.compute_ms)
-        ]
+        run = self.run
+        self.busy_ms += run.compute_ms
+        command = {"step": step, "action": action, "emit_ms": body["emit_ms"]}
+        node = event.target
+        dst = run.sensor_node if node == run.entry_node else run.entry_node
+        self.kernel.send(node, dst, "control-command", command, depart_delay_ms=run.compute_ms)
 
     def _decide(self, state: BoilerState, reward, done: bool, step: int):
         agent = self.run.agent
@@ -333,11 +336,13 @@ class _SeedRun:
         self.edge_nodes = list(range(1, len(cfg.allocator.edges) + 1))
         self.sensor_node = len(cfg.allocator.edges) + 1
         self.attached_edge = 1
+        # the node the sensor sends every reading to
+        self.entry_node = CLOUD_NODE if cfg.scenario == "cloud-only" else self.attached_edge
         self.node_for_resource = {
             e.id: self.edge_nodes[i] for i, e in enumerate(cfg.allocator.edges)
         }
 
-        self.topology = self._build_topology()
+        self.links = self._build_links()
 
         if cfg.controller == "drl":
             total_actions = cfg.episodes * self.max_steps
@@ -397,8 +402,8 @@ class _SeedRun:
                 kernel.schedule(t + CONTROL_PERIOD_MS // 2, node, "state-report", {})
             t += interval_ms
 
-    def emit_report(self, edge_node: int):
-        """Drift this edge's background load and report it to the cloud."""
+    def emit_report(self, edge_node: int) -> dict:
+        """Drift this edge's background load; returns the report for the cloud."""
         resource = self.cfg.allocator.edges[edge_node - 1]
         drifted = self.edge_loads[resource.id] + self.drift_rng.normal(
             0.0, self.cfg.allocator.load_drift
@@ -406,8 +411,7 @@ class _SeedRun:
         self.edge_loads[resource.id] = float(
             np.clip(drifted, 0.0, self.cfg.allocator.load_max)
         )
-        body = {"edge": resource.id, "load": self.edge_loads[resource.id]}
-        return [Outgoing(CLOUD_NODE, "state-report", body)]
+        return {"edge": resource.id, "load": self.edge_loads[resource.id]}
 
     def receive_report(self, body) -> None:
         """Re-solve the placement; the next reading routes to the new serving node."""
@@ -415,39 +419,23 @@ class _SeedRun:
         self.plan = self._solve()
         self.serving_node = self._serving_node()
 
-    # -- routing -------------------------------------------------------------
-
-    def reading_route(self) -> tuple[list[int], list[int]]:
-        """Forward hops for a reading and the reply hops for its command."""
-        if self.cfg.scenario == "cloud-only":
-            forward = [CLOUD_NODE]
-        elif self.serving_node == self.attached_edge:
-            forward = [self.attached_edge]
-        else:
-            forward = [self.attached_edge, self.serving_node]
-        reply = list(reversed(forward[:-1])) + [self.sensor_node]
-        return forward, reply
-
-    def _build_topology(self) -> Topology:
-        cfg = self.cfg
+    def _build_links(self) -> dict[tuple[int, int], Link]:
         lat = self.latency
-        jitter = cfg.latency.jitter
-        topo = Topology()
-        topo.add_node(Node(CLOUD_NODE, NodeKind.CLOUD_CENTER))
+        jitter = self.cfg.latency.jitter
+        sensor, edge = self.sensor_node, self.attached_edge
+        delays = {
+            (sensor, CLOUD_NODE): lat["cloud_uplink_ms"],
+            (CLOUD_NODE, sensor): lat["cloud_downlink_ms"],
+            (sensor, edge): lat["edge_uplink_ms"],
+            (edge, sensor): lat["edge_downlink_ms"],
+        }
         for node in self.edge_nodes:
-            topo.add_node(Node(node, NodeKind.EDGE_SERVER))
-        topo.add_node(Node(self.sensor_node, NodeKind.SENSOR, attached_to=self.attached_edge))
-        topo.add_link(self.sensor_node, CLOUD_NODE, lat["cloud_uplink_ms"], jitter)
-        topo.add_link(CLOUD_NODE, self.sensor_node, lat["cloud_downlink_ms"], jitter)
-        topo.add_link(self.sensor_node, self.attached_edge, lat["edge_uplink_ms"], jitter)
-        topo.add_link(self.attached_edge, self.sensor_node, lat["edge_downlink_ms"], jitter)
-        for node in self.edge_nodes:
-            topo.add_link(node, CLOUD_NODE, lat["edge_cloud_up_ms"], jitter)
-            topo.add_link(CLOUD_NODE, node, lat["edge_cloud_down_ms"], jitter)
+            delays[node, CLOUD_NODE] = lat["edge_cloud_up_ms"]
+            delays[CLOUD_NODE, node] = lat["edge_cloud_down_ms"]
             for other in self.edge_nodes:
                 if other != node:
-                    topo.add_link(node, other, lat["inter_edge_ms"], jitter)
-        return topo
+                    delays[node, other] = lat["inter_edge_ms"]
+        return {pair: Link(base_ms, jitter) for pair, base_ms in delays.items()}
 
     def disturbance_at(self, step_index: int) -> float:
         if not self.disturbance:

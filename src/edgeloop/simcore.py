@@ -1,18 +1,18 @@
-"""Deterministic discrete-event kernel for cloud-edge control topologies.
+"""Deterministic discrete-event kernel over a table of directed links.
 
 Time is integer milliseconds. Events are totally ordered by (time, seq),
 where seq is a monotone counter issued at scheduling time, so simultaneous
 events replay in scheduling order and runs are bit-reproducible for a
-fixed topology, seed, and initial schedule.
+fixed link table, seed, and initial schedule. The nodes are the ends of
+the links.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,20 +36,6 @@ class TopologyError(SimulationError):
 
 class SimulationDrained(SimulationError):
     """Raised by step() when the event queue is empty."""
-
-
-class NodeKind(str, Enum):
-    SENSOR = "sensor"
-    EDGE_SERVER = "edge-server"
-    CLOUD_CENTER = "cloud-center"
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    kind: NodeKind
-    # sensors must name their home edge server; other kinds leave this unset
-    attached_to: int | None = None
 
 
 @dataclass(frozen=True)
@@ -95,71 +81,18 @@ class Event:
     body: Any = None
 
 
-@dataclass
-class Topology:
-    """Node and link registry with layer invariants enforced on build."""
-
-    nodes: dict[int, Node] = field(default_factory=dict)
-    links: dict[tuple[int, int], Link] = field(default_factory=dict)
-
-    def add_node(self, node: Node) -> Node:
-        if node.id in self.nodes:
-            raise TopologyError(f"duplicate node id {node.id}")
-        self.nodes[node.id] = node
-        return node
-
-    def add_link(self, src: int, dst: int, base_ms: int, jitter: float = 0.0) -> Link:
-        if src not in self.nodes or dst not in self.nodes:
-            raise TopologyError(f"link endpoints must exist: {src} -> {dst}")
-        if src == dst:
-            raise TopologyError("self links are not allowed; use schedule() instead")
-        link = Link(base_ms=base_ms, jitter=jitter)
-        self.links[(src, dst)] = link
-        return link
-
-    def validate(self) -> None:
-        clouds = [n for n in self.nodes.values() if n.kind is NodeKind.CLOUD_CENTER]
-        if len(clouds) != 1:
-            raise TopologyError(f"expected exactly one cloud-center, found {len(clouds)}")
-        for node in self.nodes.values():
-            if node.kind is NodeKind.SENSOR:
-                home = self.nodes.get(node.attached_to) if node.attached_to is not None else None
-                if home is None or home.kind is not NodeKind.EDGE_SERVER:
-                    raise TopologyError(
-                        f"sensor {node.id} must be attached to exactly one edge-server"
-                    )
-
-    def link(self, src: int, dst: int) -> Link:
-        if src not in self.nodes:
-            raise TopologyError(f"unknown node {src}")
-        if dst not in self.nodes:
-            raise TopologyError(f"unknown node {dst}")
-        link = self.links.get((src, dst))
-        if link is None:
-            raise TopologyError(f"no link from {src} to {dst}")
-        return link
-
-
-# A handler maps a delivered event to outgoing messages. Handlers own their
-# node state; the kernel owns time, ordering, and delivery.
-@dataclass(frozen=True)
-class Outgoing:
-    dst: int
-    kind: str
-    body: Any = None
-    # extra departure delay before the link delay applies, e.g. compute time
-    depart_delay_ms: int = 0
-
-
-Handler = Callable[[Event], Iterable[Outgoing] | None]
+# A handler reacts to a delivered event and sends its messages itself with
+# Kernel.send. Handlers own their node state; the kernel owns time,
+# ordering, and delivery.
+Handler = Callable[[Event], None]
 
 
 class Kernel:
     """Single-stream event kernel. One instance per simulation run."""
 
-    def __init__(self, topology: Topology, rng: np.random.Generator | None = None):
-        topology.validate()
-        self.topology = topology
+    def __init__(self, links: dict[tuple[int, int], Link], rng: np.random.Generator | None = None):
+        self.links = links
+        self.nodes = frozenset(node for pair in links for node in pair)
         self.rng = rng
         self.clock = 0
         self._seq = 0
@@ -169,14 +102,14 @@ class Kernel:
         self.delivered_count = 0
 
     def register_handler(self, node_id: int, handler: Handler) -> None:
-        if node_id not in self.topology.nodes:
+        if node_id not in self.nodes:
             raise TopologyError(f"unknown node {node_id}")
         self._handlers[node_id] = handler
 
     def schedule(self, time: int, target: int, kind: str, body: Any = None) -> Event:
         if time < self.clock:
             raise StaleEventError(f"cannot schedule at t={time} before clock {self.clock}")
-        if target not in self.topology.nodes:
+        if target not in self.nodes:
             raise TopologyError(f"unknown node {target}")
         if kind not in PAYLOAD_KINDS:
             raise SimulationError(f"unknown payload kind {kind!r}")
@@ -197,7 +130,9 @@ class Kernel:
 
         The delivery time is now + depart_delay_ms + sampled link delay.
         """
-        link = self.topology.link(src, dst)
+        link = self.links.get((src, dst))
+        if link is None:
+            raise TopologyError(f"no link from {src} to {dst}")
         delay = link.sample_delay_ms(self.rng)
         event = self.schedule(self.clock + depart_delay_ms + delay, dst, kind, body)
         self.sent_count += 1
@@ -212,16 +147,7 @@ class Kernel:
         self.delivered_count += 1
         handler = self._handlers.get(event.target)
         if handler is not None:
-            outgoing = handler(event)
-            if outgoing:
-                for msg in outgoing:
-                    self.send(
-                        event.target,
-                        msg.dst,
-                        msg.kind,
-                        msg.body,
-                        depart_delay_ms=msg.depart_delay_ms,
-                    )
+            handler(event)
         return event
 
     def run(self) -> int:

@@ -73,6 +73,19 @@ def test_out_of_range_value_names_the_key_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"agent": {"buffer_capacity": 500}})
     assert str(exc.value).startswith("agent: warmup")
+    # duplicate ids fail when the config is built, in either scenario
+    edge = {"id": "a", "capacity": 4.0, "current_load": 0.5,
+            "bandwidth_mbps": 100.0, "compute_rating": 1.0}
+    module = {"id": "bg", "load": 1.0, "intensity": 0.5}
+    for scenario in ("edge-collab", "cloud-only"):
+        for allocator in (
+            {"edges": [edge, edge]},
+            {"background_modules": [module, module]},
+            {"background_modules": [{**module, "id": "boiler-control"}]},
+        ):
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict({"scenario": scenario, "allocator": allocator})
+            assert str(exc.value).startswith("allocator: duplicate")
 
 
 def test_unknown_key_names_the_dotted_path():

@@ -7,7 +7,6 @@ from edgeloop import boiler, experiment
 from edgeloop.boiler import ActuatorCommand
 from edgeloop.config import config_from_dict, load_config
 from edgeloop.experiment import (
-    MetricsRecord,
     _percentile,
     load_disturbance,
     metrics_filename,

@@ -2,38 +2,26 @@ import numpy as np
 import pytest
 
 from edgeloop.simcore import (
-    CONTROL_PERIOD_MS,
     Kernel,
     Link,
-    Node,
-    NodeKind,
-    Outgoing,
     SimulationDrained,
     SimulationError,
     StaleEventError,
-    Topology,
     TopologyError,
 )
 
 
 def star_topology(n_edges=2, jitter=0.0):
-    topo = Topology()
-    topo.add_node(Node(0, NodeKind.CLOUD_CENTER))
-    for i in range(1, n_edges + 1):
-        topo.add_node(Node(i, NodeKind.EDGE_SERVER))
+    """Links of a cloud (0), edges 1..n and a sensor attached to edge 1."""
     sensor = n_edges + 1
-    topo.add_node(Node(sensor, NodeKind.SENSOR, attached_to=1))
-    topo.add_link(sensor, 0, 700, jitter)
-    topo.add_link(0, sensor, 700, jitter)
-    topo.add_link(sensor, 1, 100, jitter)
-    topo.add_link(1, sensor, 100, jitter)
+    delays = {(sensor, 0): 700, (0, sensor): 700, (sensor, 1): 100, (1, sensor): 100}
     for i in range(1, n_edges + 1):
-        topo.add_link(i, 0, 600, jitter)
-        topo.add_link(0, i, 600, jitter)
+        delays[i, 0] = 600
+        delays[0, i] = 600
         for j in range(1, n_edges + 1):
             if i != j:
-                topo.add_link(i, j, 100, jitter)
-    return topo, sensor
+                delays[i, j] = 100
+    return {pair: Link(base_ms, jitter) for pair, base_ms in delays.items()}, sensor
 
 
 # -- links ------------------------------------------------------------------------
@@ -77,58 +65,32 @@ def test_link_validation():
         Link(base_ms=10, jitter=-0.1)
 
 
-# -- topology ----------------------------------------------------------------------
-
-
-def test_topology_requires_exactly_one_cloud():
-    topo = Topology()
-    topo.add_node(Node(1, NodeKind.EDGE_SERVER))
-    with pytest.raises(TopologyError):
-        topo.validate()
-    topo.add_node(Node(0, NodeKind.CLOUD_CENTER))
-    topo.add_node(Node(2, NodeKind.CLOUD_CENTER))
-    with pytest.raises(TopologyError):
-        topo.validate()
-
-
-def test_topology_sensor_must_attach_to_edge():
-    topo = Topology()
-    topo.add_node(Node(0, NodeKind.CLOUD_CENTER))
-    topo.add_node(Node(1, NodeKind.EDGE_SERVER))
-    topo.add_node(Node(2, NodeKind.SENSOR, attached_to=0))
-    with pytest.raises(TopologyError):
-        topo.validate()
-
-
-def test_topology_rejects_duplicates_and_self_links():
-    topo = Topology()
-    topo.add_node(Node(0, NodeKind.CLOUD_CENTER))
-    with pytest.raises(TopologyError):
-        topo.add_node(Node(0, NodeKind.EDGE_SERVER))
-    with pytest.raises(TopologyError):
-        topo.add_link(0, 0, 10)
-    with pytest.raises(TopologyError):
-        topo.add_link(0, 9, 10)
+# -- link table ----------------------------------------------------------------------
 
 
 def test_topology_link_lookup_errors():
-    topo, sensor = star_topology()
+    links, sensor = star_topology()
+    kernel = Kernel(links)
+    assert kernel.nodes == {0, 1, 2, sensor}
     with pytest.raises(TopologyError):
-        topo.link(99, 0)
+        kernel.register_handler(99, lambda ev: None)
     with pytest.raises(TopologyError):
-        topo.link(1, 2 + 99)
+        kernel.schedule(0, 99, "sensor-reading")
     # only the home edge has a direct link to the sensor
     with pytest.raises(TopologyError):
-        topo.link(2, sensor)
-    assert topo.link(1, sensor).base_ms == 100
+        kernel.send(2, sensor, "control-command")
+    with pytest.raises(TopologyError):
+        kernel.send(99, 0, "state-report")
+    assert kernel.sent_count == 0
+    assert kernel.send(1, sensor, "control-command").time == 100
 
 
 # -- scheduling and ordering ----------------------------------------------------------
 
 
 def test_schedule_validates_time_target_and_kind():
-    topo, sensor = star_topology()
-    kernel = Kernel(topo)
+    links, sensor = star_topology()
+    kernel = Kernel(links)
     kernel.schedule(10, sensor, "sensor-reading")
     with pytest.raises(TopologyError):
         kernel.schedule(10, 99, "sensor-reading")
@@ -141,8 +103,8 @@ def test_schedule_validates_time_target_and_kind():
 
 
 def test_simultaneous_events_dispatch_in_scheduling_order():
-    topo, sensor = star_topology()
-    kernel = Kernel(topo)
+    links, sensor = star_topology()
+    kernel = Kernel(links)
     seen = []
     kernel.register_handler(sensor, lambda ev: seen.append(ev.body))
     kernel.schedule(50, sensor, "sensor-reading", "first")
@@ -153,19 +115,19 @@ def test_simultaneous_events_dispatch_in_scheduling_order():
 
 
 def test_step_on_empty_queue_raises():
-    topo, _ = star_topology()
+    links, _ = star_topology()
     with pytest.raises(SimulationDrained):
-        Kernel(topo).step()
+        Kernel(links).step()
 
 
 def test_send_timing_is_departure_plus_link_delay():
-    topo, sensor = star_topology()
-    kernel = Kernel(topo)
+    links, sensor = star_topology()
+    kernel = Kernel(links)
     arrivals = []
     kernel.register_handler(0, lambda ev: arrivals.append(kernel.clock))
     kernel.register_handler(
         sensor,
-        lambda ev: [Outgoing(0, "sensor-reading", None, depart_delay_ms=100)],
+        lambda ev: kernel.send(sensor, 0, "sensor-reading", None, depart_delay_ms=100),
     )
     kernel.schedule(1000, sensor, "sensor-reading")
     kernel.run()
@@ -173,8 +135,8 @@ def test_send_timing_is_departure_plus_link_delay():
 
 
 def test_step_dispatches_one_event_at_a_time():
-    topo, sensor = star_topology()
-    kernel = Kernel(topo)
+    links, sensor = star_topology()
+    kernel = Kernel(links)
     seen = []
     kernel.register_handler(sensor, lambda ev: seen.append(ev.time))
     for t in (40, 10, 30, 20):
@@ -189,21 +151,19 @@ def test_step_dispatches_one_event_at_a_time():
 
 def test_event_conservation_under_random_traffic():
     # every sent message is eventually delivered; scheduled ticks deliver too
-    topo, sensor = star_topology(n_edges=3, jitter=0.2)
+    links, sensor = star_topology(n_edges=3, jitter=0.2)
     rng = np.random.default_rng(123)
-    kernel = Kernel(topo, rng=rng)
+    kernel = Kernel(links, rng=rng)
     traffic_rng = np.random.default_rng(99)
     nodes = [0, 1, 2, 3, sensor]
 
     def chatter(ev):
         if ev.time > 50_000:
-            return None
-        out = []
+            return
         for _ in range(int(traffic_rng.integers(0, 3))):
             dst = int(traffic_rng.choice([n for n in nodes if n != ev.target]))
-            if (ev.target, dst) in topo.links:
-                out.append(Outgoing(dst, "state-report"))
-        return out
+            if (ev.target, dst) in links:
+                kernel.send(ev.target, dst, "state-report")
 
     for node in nodes:
         kernel.register_handler(node, chatter)
@@ -218,17 +178,15 @@ def test_event_conservation_under_random_traffic():
 
 def test_identical_seeds_replay_identical_traces():
     def run_once():
-        topo, sensor = star_topology(jitter=0.3)
-        kernel = Kernel(topo, rng=np.random.default_rng(42))
+        links, sensor = star_topology(jitter=0.3)
+        kernel = Kernel(links, rng=np.random.default_rng(42))
         hops = iter(range(200))
         trace = []
 
         def bounce(ev):
             trace.append((ev.time, ev.seq, ev.target, ev.kind))
             if next(hops) < 150:
-                dst = 0 if ev.target != 0 else 1
-                return [Outgoing(dst, "state-report")]
-            return None
+                kernel.send(ev.target, 0 if ev.target != 0 else 1, "state-report")
 
         for node in (0, 1, 2, sensor):
             kernel.register_handler(node, bounce)
