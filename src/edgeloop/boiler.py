@@ -33,6 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .simcore import CONTROL_PERIOD_S
+
 ACTUATOR_LEVELS = (0.0, 0.5, 1.0)
 N_ACTIONS = len(ACTUATOR_LEVELS) ** 2  # joint pump x valve grid
 HISTORY_LENGTH = 10
@@ -63,7 +65,6 @@ class SafetyEnvelope:
 
 @dataclass(frozen=True)
 class BoilerConfig:
-    dt_s: float = 5.0
     # setpoints, doubling as the nominal operating point
     level_setpoint: float = 0.5
     pressure_setpoint_kpa: float = 1000.0
@@ -92,8 +93,6 @@ class BoilerConfig:
     envelope: SafetyEnvelope = SafetyEnvelope()
 
     def __post_init__(self):
-        if self.dt_s <= 0:
-            raise ValueError("dt_s must be positive")
         for name in ("w_level", "w_pressure", "w_temp", "w_action"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -225,7 +224,7 @@ def step(
     if config.envelope.violates(state):
         return state, -config.failure_penalty, True
 
-    dt = config.dt_s
+    dt = CONTROL_PERIOD_S
     out = outflow_rate(config, cmd.valve_level, state.pressure)
     level = state.water_level + (config.pump_gain * cmd.pump_level - out) * dt
     level = min(max(level, 0.0), 1.0)

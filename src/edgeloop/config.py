@@ -19,6 +19,7 @@ from .allocator import AffinityWeights, ControlModule, EdgeResource, check_insta
 from .boiler import BoilerConfig
 from .dqn import Hyperparams
 from .pid import DEFAULT_LEVEL_GAINS, DEFAULT_PRESSURE_GAINS, PidGains
+from .simcore import CONTROL_PERIOD_MS
 
 ENV_OUT_VAR = "EDGELOOP_OUT"
 CONTROL_MODULE_ID = "boiler-control"
@@ -52,44 +53,6 @@ LATENCY_PRESETS = {
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    """Q-learner settings; stock defaults, sized for desk-scale runs."""
-
-    hidden_layers: list[int] = field(default_factory=lambda: [64, 64])
-    learning_rate: float = 0.01
-    gamma: float = 0.95
-    target_update_freq: int = 100
-    batch_size: int = 16
-    buffer_capacity: int = 5000
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.3  # of total training action steps
-    warmup: int = 1000  # buffered transitions required before updates begin
-    # harness default bounds per-sample TD errors in the gradient: the plant's
-    # fixed failure penalty (-500) dwarfs dense rewards and unbounded errors
-    # blow up plain SGD at the stock learning rate; None turns it off
-    td_error_clip: float | None = 10.0
-
-    def __post_init__(self):
-        if not all(isinstance(h, int) and h >= 1 for h in self.hidden_layers):
-            raise ConfigError("hidden_layers entries must be positive integers")
-        if not (0.0 < self.epsilon_decay_fraction <= 1.0):
-            raise ConfigError(
-                f"epsilon_decay_fraction must be in (0,1], got {self.epsilon_decay_fraction}"
-            )
-        self.hyperparams(decay_steps=1)  # Hyperparams checks the learner settings
-
-    def hyperparams(self, decay_steps: int) -> Hyperparams:
-        """Learner settings for a run whose epsilon decays over decay_steps actions."""
-        shared = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(Hyperparams)
-            if f.name != "epsilon_decay_steps"
-        }
-        return Hyperparams(**shared, epsilon_decay_steps=decay_steps)
 
 
 @dataclass(frozen=True)
@@ -130,6 +93,12 @@ class LatencyConfig:
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be >= 1 ms, got {v}")
         values = self.resolved()
+        if values["compute_ms"] >= CONTROL_PERIOD_MS:
+            # a serving node has no queue: each reading must be served before the next is due
+            raise ConfigError(
+                f"compute_ms must be < {CONTROL_PERIOD_MS} (the control period), "
+                f"got {values['compute_ms']}"
+            )
         for leg in ("uplink", "downlink"):
             if values[f"cloud_{leg}_ms"] <= values[f"edge_{leg}_ms"]:
                 raise ConfigError(f"cloud_{leg}_ms must exceed edge_{leg}_ms")
@@ -215,7 +184,7 @@ class RunConfig:
     trace_sensor: str | None = None
     trace_disturbance_scale: float = 0.0  # degrees C per unit trace deviation
     plant: BoilerConfig = field(default_factory=BoilerConfig)
-    agent: AgentConfig = field(default_factory=AgentConfig)
+    agent: Hyperparams = field(default_factory=Hyperparams)
     pid: PidConfig = field(default_factory=PidConfig)
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     allocator: AllocatorRunConfig = field(default_factory=AllocatorRunConfig)
@@ -266,10 +235,6 @@ def _convert(hint, raw, path: str):
         return [_convert(item_type, item, f"{path}[{i}]") for i, item in enumerate(raw)]
     if dataclasses.is_dataclass(hint):
         return _build(hint, raw, path)
-    if hint is bool:
-        if not isinstance(raw, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {raw!r}")
-        return raw
     if hint is int:
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"{path}: expected an integer, got {raw!r}")

@@ -9,7 +9,7 @@ Everything is numpy; there is no framework dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,8 +23,11 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
+    """Q-learner settings, read from the config's `agent:` keys; runs use these defaults."""
+
+    hidden_layers: list[int] = field(default_factory=lambda: [64, 64])
     learning_rate: float = 0.01
     gamma: float = 0.95
     target_update_freq: int = 100
@@ -32,15 +35,19 @@ class Hyperparams:
     buffer_capacity: int = 5000
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
-    epsilon_decay_steps: int = 45000
+    epsilon_decay_fraction: float = 0.3  # of total training action steps
     # transitions required in the buffer before updates begin; dilutes the
     # rare terminal-penalty samples that otherwise dominate tiny early batches
     warmup: int = 1000
     # per-sample TD-error bound applied to the gradient only (the reported
-    # loss stays unclipped); None disables clipping so divergence surfaces
-    td_error_clip: float | None = None
+    # loss stays unclipped): the plant's fixed failure penalty (-500) dwarfs
+    # dense rewards and unbounded errors blow up plain SGD at the stock
+    # learning rate; None disables clipping so divergence surfaces
+    td_error_clip: float | None = 10.0
 
     def __post_init__(self):
+        if not all(isinstance(h, int) and h >= 1 for h in self.hidden_layers):
+            raise ValueError("hidden_layers entries must be positive integers")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
         if self.learning_rate <= 0:
@@ -49,22 +56,19 @@ class Hyperparams:
             raise ValueError("batch_size must be >= 1 and <= buffer_capacity")
         if self.target_update_freq < 1:
             raise ValueError("target_update_freq must be >= 1")
-        if self.epsilon_decay_steps < 1:
-            raise ValueError("epsilon_decay_steps must be >= 1")
         for name in ("epsilon_start", "epsilon_end"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0,1], got {v}")
+        if not (0.0 < self.epsilon_decay_fraction <= 1.0):
+            raise ValueError(
+                f"epsilon_decay_fraction must be in (0,1], got {self.epsilon_decay_fraction}"
+            )
         if not (self.batch_size <= self.warmup <= self.buffer_capacity):
             # a warmup the buffer cannot hold would never start training
             raise ValueError("warmup must be >= batch_size and <= buffer_capacity")
         if self.td_error_clip is not None and self.td_error_clip <= 0:
             raise ValueError("td_error_clip must be positive when set")
-
-    def epsilon_at(self, step: int) -> float:
-        """Linear schedule from epsilon_start to epsilon_end over decay_steps."""
-        frac = min(max(step, 0) / self.epsilon_decay_steps, 1.0)
-        return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,6 @@ class MlpPolicy:
             [b.copy() for b in self.biases],
         )
 
-    def param_count(self) -> int:
-        return param_count(self.layer_sizes)
-
     def activations(self, obs: np.ndarray) -> list[np.ndarray]:
         """Input and every layer's output, for one observation or a batch of rows."""
         x = np.asarray(obs, dtype=np.float64)
@@ -134,12 +135,6 @@ class MlpPolicy:
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Action values for one observation, or one row of values per batch row."""
         return self.activations(obs)[-1]
-
-
-def param_count(layer_sizes: Sequence[int]) -> int:
-    """Total parameters: sum over layers of fan_in*fan_out + fan_out."""
-    sizes = list(layer_sizes)
-    return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
 
 
 def select_action(values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -273,11 +268,15 @@ class DqnAgent:
         self,
         layer_sizes: Sequence[int],
         hp: Hyperparams,
+        epsilon_decay_steps: int,
         init_rng: np.random.Generator,
         explore_rng: np.random.Generator,
         replay_rng: np.random.Generator,
     ):
+        if epsilon_decay_steps < 1:
+            raise ValueError("epsilon_decay_steps must be >= 1")
         self.hp = hp
+        self.epsilon_decay_steps = epsilon_decay_steps
         self.policy = MlpPolicy.initialize(layer_sizes, init_rng)
         self.target = self.policy.copy()
         self.buffer = ReplayBuffer(hp.buffer_capacity)
@@ -288,10 +287,15 @@ class DqnAgent:
 
     def act(self, obs: np.ndarray, greedy: bool = False) -> int:
         values = self.policy.forward(obs)
-        epsilon = 0.0 if greedy else self.hp.epsilon_at(self.action_steps)
+        epsilon = 0.0 if greedy else self.epsilon_at(self.action_steps)
         if not greedy:
             self.action_steps += 1
         return select_action(values, epsilon, self.explore_rng)
+
+    def epsilon_at(self, step: int) -> float:
+        """Linear schedule from epsilon_start to epsilon_end over epsilon_decay_steps."""
+        frac = min(max(step, 0) / self.epsilon_decay_steps, 1.0)
+        return self.hp.epsilon_start + (self.hp.epsilon_end - self.hp.epsilon_start) * frac
 
     def record(self, transition: Transition) -> None:
         self.buffer.add(transition)

@@ -60,13 +60,6 @@ class MetricsRecord:
     action_accuracy: float
     utilization: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def metrics_from_dict(data: dict) -> MetricsRecord:
-    return MetricsRecord(**data)
-
 
 @dataclass
 class SeedResult:
@@ -347,11 +340,11 @@ class _SeedRun:
         if cfg.controller == "drl":
             total_actions = cfg.episodes * self.max_steps
             decay = max(1, round(cfg.agent.epsilon_decay_fraction * total_actions))
-            hp = cfg.agent.hyperparams(decay)
             layers = [boiler.OBSERVATION_LENGTH, *cfg.agent.hidden_layers, boiler.N_ACTIONS]
             self.agent = dqn.DqnAgent(
                 layers,
-                hp,
+                cfg.agent,
+                epsilon_decay_steps=decay,
                 init_rng=np.random.default_rng([seed, _STREAM_INIT]),
                 explore_rng=np.random.default_rng([seed, _STREAM_EXPLORE]),
                 replay_rng=np.random.default_rng([seed, _STREAM_REPLAY]),
@@ -476,7 +469,7 @@ def metrics_filename(cfg: RunConfig, seed: int) -> str:
 def write_metrics(records: list[MetricsRecord], path) -> None:
     with open(path, "w") as f:
         for rec in records:
-            f.write(json.dumps(rec.to_dict()) + "\n")
+            f.write(json.dumps(dataclasses.asdict(rec)) + "\n")
 
 
 def write_summary(results: dict[int, SeedResult], cfg: RunConfig, path) -> None:

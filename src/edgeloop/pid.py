@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boiler import ActuatorCommand, BoilerConfig, BoilerState
+from .simcore import CONTROL_PERIOD_S
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def pid_step(
     state: PidState,
     setpoint: float,
     measurement: float,
-    dt: float = 5.0,
+    dt: float = CONTROL_PERIOD_S,
 ) -> tuple[float, PidState]:
     """One controller update; returns (output, new state).
 
@@ -114,14 +115,13 @@ class BoilerPid:
     def command(self, state: BoilerState) -> ActuatorCommand:
         cfg = self.config
         level_out, self.level_state = pid_step(
-            self.level_gains, self.level_state, cfg.level_setpoint, state.water_level, cfg.dt_s
+            self.level_gains, self.level_state, cfg.level_setpoint, state.water_level
         )
         pressure_out, self.pressure_state = pid_step(
             self.pressure_gains,
             self.pressure_state,
             1.0,
             state.pressure / cfg.pressure_setpoint_kpa,
-            cfg.dt_s,
         )
         # above-setpoint pressure yields a negative loop output, opening the valve
         pump_u = min(max(0.5 + level_out, 0.0), 1.0)

@@ -6,7 +6,7 @@ import csv
 import json
 from dataclasses import dataclass
 
-from .experiment import MetricsRecord, mean, metrics_from_dict
+from .experiment import MetricsRecord, mean
 
 # metric name and which direction counts as an improvement
 COMPARED_METRICS = [
@@ -31,7 +31,7 @@ def read_metrics(path) -> list[MetricsRecord]:
             if not line:
                 continue
             try:
-                records.append(metrics_from_dict(json.loads(line)))
+                records.append(MetricsRecord(**json.loads(line)))
             except (json.JSONDecodeError, TypeError) as exc:
                 raise ValueError(f"{path} line {line_no}: bad metrics row: {exc}") from exc
     return records

@@ -18,6 +18,7 @@ import numpy as np
 
 MS_PER_SECOND = 1000
 CONTROL_PERIOD_MS = 5 * MS_PER_SECOND  # control cadence: one command every 5 s
+CONTROL_PERIOD_S = CONTROL_PERIOD_MS / MS_PER_SECOND  # the plant and PID step
 
 PAYLOAD_KINDS = frozenset({"sensor-reading", "control-command", "state-report"})
 

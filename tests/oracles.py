@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from edgeloop.simcore import CONTROL_PERIOD_S
+
 
 # -- feedforward network -------------------------------------------------------
 
@@ -93,7 +95,7 @@ def boiler_step(cfg, state, cmd, noise=0.0, disturbance=0.0):
     Returns the next (inlet, outlet, level, pressure) tuple; pure math on
     the documented update equations, no shared code with the package.
     """
-    dt = cfg.dt_s
+    dt = CONTROL_PERIOD_S
     outflow = cfg.valve_gain * cmd.valve_level * math.sqrt(
         max(state.pressure, 0.0) / cfg.pressure_setpoint_kpa
     )

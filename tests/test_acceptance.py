@@ -265,6 +265,7 @@ def test_criterion_6_replay_bound_and_target_sync():
     agent = DqnAgent(
         [3, 8, 4],
         hp,
+        epsilon_decay_steps=45000,
         init_rng=np.random.default_rng(1),
         explore_rng=np.random.default_rng(2),
         replay_rng=np.random.default_rng(3),

@@ -17,6 +17,8 @@ from edgeloop.boiler import (
     SafetyEnvelope,
 )
 
+from edgeloop.simcore import CONTROL_PERIOD_S
+
 import oracles
 
 
@@ -171,7 +173,7 @@ def test_step_mass_balance_is_exact():
         outflow = cfg.valve_gain * cmd.valve_level * math.sqrt(
             state.pressure / cfg.pressure_setpoint_kpa
         )
-        want = state.water_level + (cfg.pump_gain * cmd.pump_level - outflow) * cfg.dt_s
+        want = state.water_level + (cfg.pump_gain * cmd.pump_level - outflow) * CONTROL_PERIOD_S
         assert nxt.water_level == pytest.approx(want, abs=1e-12)
 
 

@@ -11,6 +11,7 @@ from edgeloop.config import (
     load_config,
     resolve_out_dir,
 )
+from edgeloop.dqn import Hyperparams
 
 
 def test_empty_file_yields_full_defaults(tmp_path):
@@ -30,6 +31,16 @@ def test_stock_agent_defaults():
     assert agent.buffer_capacity == 5000
     assert agent.epsilon_start == 1.0
     assert agent.epsilon_end == 0.05
+    assert agent.hidden_layers == [64, 64]
+    assert agent.epsilon_decay_fraction == 0.3
+    assert agent.warmup == 1000
+    assert agent.td_error_clip == 10.0
+
+
+def test_run_agent_settings_are_the_learner_defaults():
+    # one declaration: a bare Hyperparams is what an empty config runs with
+    assert config_from_dict({}).agent == Hyperparams()
+    assert Hyperparams().td_error_clip == 10.0
 
 
 def test_run_defaults():
@@ -54,7 +65,7 @@ def test_out_of_range_value_names_the_key_path():
         config_from_dict({"agent": {"gamma": 1.5}})
     assert "gamma" in str(exc.value)
     with pytest.raises(ConfigError) as exc:
-        config_from_dict({"plant": {"dt_s": -1.0}})
+        config_from_dict({"plant": {"w_level": -1.0}})
     assert "plant" in str(exc.value)
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"agent": {"epsilon_end": -0.1}})
@@ -69,6 +80,11 @@ def test_out_of_range_value_names_the_key_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"latency": {"jitter": 1.0}})
     assert str(exc.value).startswith("latency: jitter")
+    # a serving node has no queue, so compute must fit inside the control period
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"controller": "pid", "scenario": "cloud-only",
+                          "latency": {"compute_ms": 6000}})
+    assert str(exc.value).startswith("latency: compute_ms must be < 5000")
     # the default warmup (1000) is more than a 500-slot buffer holds
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"agent": {"buffer_capacity": 500}})

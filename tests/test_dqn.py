@@ -13,7 +13,6 @@ from edgeloop.dqn import (
     MlpPolicy,
     ReplayBuffer,
     Transition,
-    param_count,
     select_action,
     sync_target,
     train_step,
@@ -116,21 +115,6 @@ def test_initialize_respects_bound_and_seed():
         assert np.abs(wa).max() <= bound
     for ba in a.biases:
         np.testing.assert_array_equal(ba, 0.0)
-
-
-# -- parameter count --------------------------------------------------------------------
-
-
-def test_param_count_small_examples():
-    assert param_count([2, 3]) == 9
-    assert param_count([4, 8, 9]) == 121
-
-
-def test_param_count_has_a_config_near_one_million():
-    sizes = [76, 950, 950, 9]
-    count = param_count(sizes)
-    assert abs(count - 1_000_000) / 1_000_000 < 0.05
-    assert MlpPolicy(sizes).param_count() == count
 
 
 # -- action selection ---------------------------------------------------------------------
@@ -403,6 +387,7 @@ def test_default_network_weights_after_2000_updates_on_a_wrapped_buffer_are_pinn
     agent = DqnAgent(
         [76, 64, 64, 9],
         hp,
+        epsilon_decay_steps=45000,
         init_rng=np.random.default_rng(71),
         explore_rng=np.random.default_rng(72),
         replay_rng=np.random.default_rng(73),
@@ -444,6 +429,7 @@ def test_agent_syncs_on_schedule_and_target_is_bit_stable_between():
     agent = DqnAgent(
         [3, 8, 4],
         hp,
+        epsilon_decay_steps=45000,
         init_rng=np.random.default_rng(1),
         explore_rng=np.random.default_rng(2),
         replay_rng=np.random.default_rng(3),
@@ -497,11 +483,20 @@ def test_hyperparams_rejects_out_of_range_epsilons():
 
 
 def test_epsilon_schedule_is_linear():
-    hp = small_hp(epsilon_start=1.0, epsilon_end=0.05, epsilon_decay_steps=1000)
-    assert hp.epsilon_at(0) == 1.0
-    assert hp.epsilon_at(500) == pytest.approx(0.525)
-    assert hp.epsilon_at(1000) == pytest.approx(0.05)
-    assert hp.epsilon_at(5000) == pytest.approx(0.05)
+    agent = DqnAgent(
+        [2, 4, 3],
+        small_hp(epsilon_start=1.0, epsilon_end=0.05),
+        epsilon_decay_steps=1000,
+        init_rng=np.random.default_rng(1),
+        explore_rng=np.random.default_rng(2),
+        replay_rng=np.random.default_rng(3),
+    )
+    assert agent.epsilon_at(0) == 1.0
+    assert agent.epsilon_at(500) == pytest.approx(0.525)
+    assert agent.epsilon_at(1000) == pytest.approx(0.05)
+    assert agent.epsilon_at(5000) == pytest.approx(0.05)
+    with pytest.raises(ValueError, match="epsilon_decay_steps"):
+        DqnAgent([2, 4, 3], small_hp(), 0, None, None, None)
 
 
 def test_agent_waits_for_warmup_before_training():
@@ -509,6 +504,7 @@ def test_agent_waits_for_warmup_before_training():
     agent = DqnAgent(
         [2, 4, 3],
         hp,
+        epsilon_decay_steps=45000,
         init_rng=np.random.default_rng(1),
         explore_rng=np.random.default_rng(2),
         replay_rng=np.random.default_rng(3),
@@ -522,10 +518,10 @@ def test_agent_waits_for_warmup_before_training():
 
 
 def test_agent_greedy_act_does_not_advance_the_schedule():
-    hp = small_hp(epsilon_decay_steps=10)
     agent = DqnAgent(
         [2, 4, 3],
-        hp,
+        small_hp(),
+        epsilon_decay_steps=10,
         init_rng=np.random.default_rng(1),
         explore_rng=np.random.default_rng(2),
         replay_rng=np.random.default_rng(3),

@@ -10,7 +10,6 @@ from edgeloop.experiment import (
     _percentile,
     load_disturbance,
     metrics_filename,
-    metrics_from_dict,
     oracle_action,
     run_experiment,
     run_seed,
@@ -323,7 +322,7 @@ def test_metrics_round_trip_and_filenames(tmp_path):
     write_metrics(result.records, path)
     loaded = read_metrics(path)
     assert loaded == result.records
-    assert metrics_from_dict(result.records[0].to_dict()) == result.records[0]
+    assert experiment.MetricsRecord(**dataclasses.asdict(result.records[0])) == result.records[0]
 
 
 def test_run_experiment_writes_files_per_seed(tmp_path):

@@ -201,7 +201,7 @@ def test_read_metrics_round_trip(tmp_path):
 def test_read_metrics_reports_bad_line(tmp_path):
     path = tmp_path / "metrics.jsonl"
     with open(path, "w") as f:
-        f.write(json.dumps(make_record().to_dict()) + "\n")
+        f.write(json.dumps(dataclasses.asdict(make_record())) + "\n")
         f.write("{not json\n")
     with pytest.raises(ValueError, match="line 2"):
         read_metrics(path)
