@@ -220,23 +220,21 @@ def solve_exact(
 
     # choice[j] = resource index for module j, or -1 for unassigned
     best_score = float("-inf")
-    best_choice: list[int] | None = None
-    best_key: tuple[int, ...] | None = None
+    best_choice: list[int] = []
     choice = [-1] * m
 
     def flat_key(ch: list[int]) -> tuple[int, ...]:
         return tuple(1 if ch[j] == i else 0 for i in range(n) for j in range(m))
 
     def descend(j: int, used: list[float], total: float) -> None:
-        nonlocal best_score, best_choice, best_key
+        nonlocal best_score, best_choice
         if j == m:
-            key = flat_key(choice)
+            # the first leaf always beats -inf; the matrix key only breaks ties
             if total > best_score or (
-                total == best_score and (best_key is None or key < best_key)
+                total == best_score and flat_key(choice) < flat_key(best_choice)
             ):
                 best_score = total
                 best_choice = choice.copy()
-                best_key = key
             return
         choice[j] = -1
         descend(j + 1, used, total)
@@ -249,7 +247,6 @@ def solve_exact(
         choice[j] = -1
 
     descend(0, [0.0] * n, 0.0)
-    assert best_choice is not None
     return _plan_from_choice(best_choice, modules, resources, best_score)
 
 

@@ -203,7 +203,7 @@ class _Episode:
             "reward": reward,
             "done": self.done,
             "emit_ms": self.kernel.clock,
-            "server": run.serving_node,
+            "server": run.serving_node(),
         }
         # the next tick is scheduled before the reading is sent: event seq
         # numbers break ties in the queue
@@ -355,31 +355,35 @@ class _SeedRun:
             self.pid = BoilerPid(cfg.plant, cfg.pid.level, cfg.pid.pressure)
 
         self.drift_rng = np.random.default_rng([seed, _STREAM_DRIFT])
+        # each edge's own drifting load, and the last load the cloud has received from it
         self.edge_loads = {e.id: e.current_load for e in cfg.allocator.edges}
-        self.plan = self._solve() if cfg.scenario == "edge-collab" else None
-        self.serving_node = self._serving_node()
+        self.reported_loads = dict(self.edge_loads)
+        self.plan_stale = cfg.scenario == "edge-collab"
+        self.serving = CLOUD_NODE
 
     # -- allocation ----------------------------------------------------------
 
     def _resources(self) -> list[allocator.EdgeResource]:
         return [
-            dataclasses.replace(e, current_load=self.edge_loads[e.id])
+            dataclasses.replace(e, current_load=self.reported_loads[e.id])
             for e in self.cfg.allocator.edges
         ]
 
     def _modules(self) -> list[allocator.ControlModule]:
         return [self.cfg.allocator.control_module(), *self.cfg.allocator.background_modules]
 
-    def _solve(self) -> allocator.AssignmentPlan:
-        return allocator.solve(self._modules(), self._resources(), self.cfg.allocator.weights)
+    def serving_node(self) -> int:
+        """The node that serves the next reading; a stale plan is re-solved first.
 
-    def _serving_node(self) -> int:
-        if self.plan is None:  # cloud-only
-            return CLOUD_NODE
-        resource = self.plan.assignment().get(CONTROL_MODULE_ID)
-        if resource is None:
-            return CLOUD_NODE
-        return self.node_for_resource[resource]
+        Readings are the plan's only reader, so solving here gives the same
+        routes as solving on every report.
+        """
+        if self.plan_stale:
+            self.plan_stale = False
+            plan = allocator.solve(self._modules(), self._resources(), self.cfg.allocator.weights)
+            resource = plan.assignment().get(CONTROL_MODULE_ID)
+            self.serving = CLOUD_NODE if resource is None else self.node_for_resource[resource]
+        return self.serving
 
     def schedule_reports(self, kernel: Kernel) -> None:
         """Queue the per-edge load-report ticks for one episode."""
@@ -407,10 +411,9 @@ class _SeedRun:
         return {"edge": resource.id, "load": self.edge_loads[resource.id]}
 
     def receive_report(self, body) -> None:
-        """Re-solve the placement; the next reading routes to the new serving node."""
-        self.edge_loads[body["edge"]] = body["load"]
-        self.plan = self._solve()
-        self.serving_node = self._serving_node()
+        """Record the load the cloud received; the next reading re-solves the placement."""
+        self.reported_loads[body["edge"]] = body["load"]
+        self.plan_stale = True
 
     def _build_links(self) -> dict[tuple[int, int], Link]:
         lat = self.latency

@@ -48,23 +48,17 @@ class PidState:
 
 
 def pid_step(
-    gains: PidGains,
-    state: PidState,
-    setpoint: float,
-    measurement: float,
-    dt: float = CONTROL_PERIOD_S,
+    gains: PidGains, state: PidState, setpoint: float, measurement: float
 ) -> tuple[float, PidState]:
-    """One controller update; returns (output, new state).
+    """One controller update over one control period; returns (output, new state).
 
     The derivative term is zero on the first call, and the integral is
     clamped so saturation cannot wind it up.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     error = setpoint - measurement
-    integral = state.integral + error * dt
+    integral = state.integral + error * CONTROL_PERIOD_S
     integral = min(max(integral, -gains.integral_limit), gains.integral_limit)
-    derivative = 0.0 if not state.initialized else (error - state.prev_error) / dt
+    derivative = 0.0 if not state.initialized else (error - state.prev_error) / CONTROL_PERIOD_S
     output = gains.kp * error + gains.ki * integral + gains.kd * derivative
     output = min(max(output, gains.out_lo), gains.out_hi)
     return output, PidState(integral=integral, prev_error=error, initialized=True)

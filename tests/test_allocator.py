@@ -150,6 +150,29 @@ def test_exact_tie_break_is_lexicographic_on_the_matrix():
     assert plan.x == ((0,), (1,))
 
 
+def test_exact_tie_break_matches_brute_force_when_many_leaves_tie():
+    # identical resources and identical modules: every placement with the
+    # same number of modules on edges scores the same
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for capacity in (1.0, 2.0, 3.0, 10.0):
+                resources = [
+                    EdgeResource(f"r{i}", capacity=capacity, current_load=0.5,
+                                 bandwidth_mbps=80.0, compute_rating=0.7)
+                    for i in range(n)
+                ]
+                modules = [ControlModule(f"m{j}", load=1.0, intensity=0.4) for j in range(m)]
+                weights = AffinityWeights(0.5, 0.5)
+                plan = solve_exact(modules, resources, weights)
+                score = score_matrix(modules, resources, weights)
+                choice, objective = oracles.brute_force_assignment(modules, resources, score)
+                want_x = tuple(
+                    tuple(1 if choice[j] == i else 0 for j in range(m)) for i in range(n)
+                )
+                assert plan.x == want_x, (n, m, capacity)
+                assert plan.objective == objective
+
+
 def test_exact_leaves_unplaceable_modules_unassigned():
     modules = [ControlModule("m0", load=10.0)]
     resources = [EdgeResource("r0", capacity=2.0)]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgeloop import boiler, experiment
+from edgeloop import allocator, boiler, experiment
 from edgeloop.boiler import ActuatorCommand
 from edgeloop.config import config_from_dict, load_config
 from edgeloop.experiment import (
@@ -180,6 +180,35 @@ def test_plant_keeps_the_newest_command_when_commands_arrive_out_of_order(monkey
     assert counts["overtaken"] > 0
     # every command's latency is still recorded, applied or not
     assert sum(r.latency_samples for r in records) == counts["commands"]
+
+
+def test_plan_sees_only_the_loads_the_cloud_has_received(monkeypatch):
+    # on slow-cloud a load report takes ~29.85 s to reach the cloud, so the
+    # edges drift again while older reports are still in flight; every
+    # solve must plan on the last load the cloud received from each edge
+    cfg = pid_config(
+        scenario="edge-collab",
+        max_steps=60,
+        latency={"preset": "slow-cloud", "jitter": 0.3},
+        allocator={"rebalance_interval_steps": 3, "load_drift": 0.8, "load_max": 3.0},
+    )
+    received = {e.id: e.current_load for e in cfg.allocator.edges}
+    receive_report, solve = experiment._SeedRun.receive_report, allocator.solve
+    planned = []
+
+    def recorded_receive(self, body):
+        received[body["edge"]] = body["load"]
+        return receive_report(self, body)
+
+    def checked_solve(modules, resources, weights):
+        planned.append({r.id: r.current_load for r in resources} == received)
+        return solve(modules, resources, weights)
+
+    monkeypatch.setattr(experiment._SeedRun, "receive_report", recorded_receive)
+    monkeypatch.setattr(allocator, "solve", checked_solve)
+    run_seed(cfg, seed=5)
+    assert len(planned) > 10
+    assert all(planned)
 
 
 def test_utilization_is_compute_share_of_the_period():

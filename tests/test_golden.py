@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from edgeloop import allocator
 from edgeloop.config import config_from_dict
 from edgeloop.experiment import run_experiment
 
@@ -56,7 +57,7 @@ CONFIGS = {
     },
     # slow cloud, jitter and drifting loads: readings are served by the
     # entry edge, relayed to the other edge, or relayed to the cloud, and a
-    # command is overtaken en route
+    # command is overtaken en route; load reports are in flight for ~29.85 s
     "pid-edge-mixed-slow": {
         "scenario": "edge-collab",
         "controller": "pid",
@@ -111,12 +112,12 @@ GOLDEN = {
     },
     "pid-edge-mixed-slow": {
         "metrics_edge-collab_pid_seed5.jsonl": (
-            "47566d7e0858aa65578e005b2b41c2a5"
-            "ab60e9b190e395b585db4c5150b86d42"
+            "e0d42c59211019a52c2f3ee3749959c4"
+            "316e4a7e384c5abc570f38e47245ce9e"
         ),
         "summary.csv": (
-            "0c69deaa71839ad060df0a145dabf50e"
-            "9110a8da9fd2e5d94efb023febfeb331"
+            "d99354d9be8b9f5d7b414f34fd58b6da"
+            "f1e14cee3d64f17bf91617752726c75c"
         ),
     },
 }
@@ -140,3 +141,22 @@ def test_rebalance_config_moves_the_control_module():
     result = run_experiment(config_from_dict(CONFIGS["pid-edge-rebalance"]))
     latencies = [r.mean_latency_ms for r in result.results[3].records]
     assert any(300.0 < lat < 500.0 for lat in latencies), latencies
+
+
+def test_rebalance_config_re_solves_only_when_a_reading_needs_the_plan(monkeypatch, tmp_path):
+    # 2 episodes x 8 report rounds x 2 edges reach the cloud, but only a
+    # reading after a round re-solves: the first reading of the run, the 7
+    # rounds that land inside each episode, and the first episode's last
+    # round, which the second episode's first reading picks up
+    solve = allocator.solve
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(allocator, "solve", counted)
+    run_experiment(config_from_dict(CONFIGS["pid-edge-rebalance"]), str(tmp_path))
+    assert len(calls) == 16
+    got = {path.name: _sha256(path) for path in sorted(tmp_path.iterdir())}
+    assert got == GOLDEN["pid-edge-rebalance"]

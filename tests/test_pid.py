@@ -45,23 +45,23 @@ def test_zero_gains_always_output_zero():
 
 
 def test_integral_accumulates_and_clamps():
-    gains = wide(kp=0.0, ki=1.0, integral_limit=2.5)
+    gains = wide(kp=0.0, ki=1.0, integral_limit=12.5)
     state = PidState()
     outputs = []
     for _ in range(10):
-        out, state = pid_step(gains, state, 1.0, 0.0, dt=1.0)
+        out, state = pid_step(gains, state, 1.0, 0.0)
         outputs.append(out)
-        assert abs(state.integral) <= 2.5
-    # integral ramps 1, 2, then pins at the clamp
-    assert outputs[:4] == [1.0, 2.0, 2.5, 2.5]
+        assert abs(state.integral) <= 12.5
+    # a unit error over the 5 s period ramps the integral 5, 10, then pins it at the clamp
+    assert outputs[:4] == [5.0, 10.0, 12.5, 12.5]
 
 
 def test_derivative_is_zero_on_first_call():
     gains = wide(kp=0.0, kd=100.0)
-    out, state = pid_step(gains, PidState(), 1.0, 0.0, dt=1.0)
+    out, state = pid_step(gains, PidState(), 1.0, 0.0)
     assert out == 0.0
-    out, _ = pid_step(gains, state, 1.0, 0.5, dt=1.0)
-    assert out == pytest.approx(100.0 * (0.5 - 1.0))
+    out, _ = pid_step(gains, state, 1.0, 0.5)
+    assert out == pytest.approx(100.0 * (0.5 - 1.0) / 5.0)  # error change over the 5 s period
 
 
 def test_output_saturates_at_limits():
@@ -76,10 +76,10 @@ def test_saturation_does_not_wind_up_the_integral():
     gains = PidGains(kp=0.0, ki=10.0, out_lo=-0.5, out_hi=0.5, integral_limit=0.2)
     state = PidState()
     for _ in range(50):
-        out, state = pid_step(gains, state, 1.0, 0.0, dt=1.0)
+        out, state = pid_step(gains, state, 1.0, 0.0)
     assert state.integral == 0.2
     # reversing the error unwinds promptly instead of fighting stored windup
-    out, state = pid_step(gains, state, 0.0, 1.0, dt=1.0)
+    out, state = pid_step(gains, state, 0.0, 1.0)
     assert out < 0.5
 
 
@@ -105,8 +105,6 @@ def test_gain_validation():
         PidGains(out_lo=0.5, out_hi=0.5)
     with pytest.raises(ValueError):
         PidGains(integral_limit=0.0)
-    with pytest.raises(ValueError):
-        pid_step(wide(), PidState(), 0.0, 0.0, dt=0.0)
 
 
 # -- quantization ------------------------------------------------------------------
