@@ -23,7 +23,8 @@ Update equations (dt in seconds, applied once per control period):
                          + noise, 0, 600)
 
 Process noise enters only through the inlet temperature so the water mass
-balance stays exact.
+balance stays exact. The caller draws it (normal, inlet_noise_std_c) and
+passes each step's value in, so step() itself draws nothing.
 """
 
 from __future__ import annotations
@@ -130,16 +131,20 @@ class ActuatorCommand:
                 f"({self.pump_level}, {self.valve_level})"
             )
 
-    @classmethod
-    def from_index(cls, index: int) -> "ActuatorCommand":
+    @staticmethod
+    def from_index(index: int) -> "ActuatorCommand":
         if not (0 <= index < N_ACTIONS):
             raise ValueError(f"action index out of [0,{N_ACTIONS - 1}]: {index}")
-        return cls(ACTUATOR_LEVELS[index // 3], ACTUATOR_LEVELS[index % 3])
+        return COMMANDS[index]
 
     def to_index(self) -> int:
         return ACTUATOR_LEVELS.index(self.pump_level) * 3 + ACTUATOR_LEVELS.index(
             self.valve_level
         )
+
+
+# the nine commands, shared, in index order (pump-major)
+COMMANDS = tuple(ActuatorCommand(p, v) for p in ACTUATOR_LEVELS for v in ACTUATOR_LEVELS)
 
 
 def nominal_state(config: BoilerConfig) -> BoilerState:
@@ -211,12 +216,13 @@ def step(
     config: BoilerConfig,
     state: BoilerState,
     cmd: ActuatorCommand,
-    rng: np.random.Generator | None = None,
+    noise_c: float = 0.0,
     inlet_disturbance_c: float = 0.0,
 ) -> tuple[BoilerState, float, bool]:
     """Advance the plant one control period.
 
-    Returns (next_state, reward, failed). Failure is absorbing: stepping an
+    The caller supplies the step's inlet-noise draw as noise_c. Returns
+    (next_state, reward, failed). Failure is absorbing: stepping an
     envelope-violating state returns it unchanged with the bare penalty.
     The reward is the control cost of the state the command was issued
     from, minus the failure penalty when the step ends in failure.
@@ -242,13 +248,10 @@ def step(
     outlet = state.outlet_temp + config.temp_rate * (temp_target - state.outlet_temp) * dt
     outlet = min(max(outlet, 0.0), TEMP_MAX_C)
 
-    noise = 0.0
-    if rng is not None and config.inlet_noise_std_c > 0.0:
-        noise = float(rng.normal(0.0, config.inlet_noise_std_c))
     inlet = (
         state.inlet_temp
         + config.inlet_rate * (config.inlet_nominal_c - state.inlet_temp) * dt
-        + noise
+        + noise_c
         + inlet_disturbance_c
     )
     inlet = min(max(inlet, 0.0), TEMP_MAX_C)

@@ -10,7 +10,9 @@ emission to its command's delivery at the plant.
 Everything is seeded and integer-timed: per-episode generator streams are
 derived from (seed, phase, episode), so a PID arm replays the exact reset
 states and process noise of a learning arm's evaluation episodes, and two
-runs of the same config produce byte-identical metrics files.
+runs of the same config produce byte-identical metrics files. An episode
+draws its plant stream up front: the reset, then the inlet noise of every
+step in one call.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ def mean(values) -> float:
     return sum(values) / len(values)
 
 
-_COMMANDS = tuple(ActuatorCommand.from_index(a) for a in range(boiler.N_ACTIONS))
-
-
 def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) -> int:
     """Reference action: best immediate reward plus discounted greedy value.
 
@@ -96,7 +95,7 @@ def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) ->
     """
     best_action = 0
     best_value = -math.inf
-    for a, cmd in enumerate(_COMMANDS):
+    for a, cmd in enumerate(boiler.COMMANDS):
         nxt, r, failed = boiler.step(cfg, state, cmd)
         # the best follow-up holds cmd: the landed actuators already sit at
         # cmd, so its motion term is 0.0 and every other command's is >= 0
@@ -146,13 +145,16 @@ class _Episode:
         self.training = run.cfg.controller == "drl" and phase_code == PHASE_TRAIN
         self.greedy = run.cfg.controller == "pid" or phase_code == PHASE_EVAL
 
-        self.plant_rng = np.random.default_rng([run.seed, phase_code, index])
+        plant_rng = np.random.default_rng([run.seed, phase_code, index])
         jitter_rng = np.random.default_rng([run.seed, _STREAM_JITTER + phase_code, index])
         self.kernel = Kernel(run.links, rng=jitter_rng)
 
         if run.pid is not None:
             run.pid.reset()
-        self.state = boiler.reset(self.plant_cfg, self.plant_rng)
+        self.state = boiler.reset(self.plant_cfg, plant_rng)
+        # the rest of the plant stream: every step's inlet noise, drawn at once
+        std, n = self.plant_cfg.inlet_noise_std_c, run.max_steps
+        self.inlet_noise = plant_rng.normal(0.0, std, n) if std > 0.0 else np.zeros(n)
         self.pending_cmd = ActuatorCommand(self.state.pump_pos, self.state.valve_pos)
         self.cmd_step = -1  # step of the newest command the plant has taken
         self.ctl_pending: tuple[np.ndarray, int] | None = None
@@ -188,7 +190,7 @@ class _Episode:
                 self.plant_cfg,
                 self.state,
                 self.pending_cmd,
-                self.plant_rng,
+                self.inlet_noise.item(step - 1),
                 inlet_disturbance_c=disturbance,
             )
             self.steps = step
@@ -294,6 +296,7 @@ class _Episode:
         self.run.schedule_reports(kernel)
         kernel.run()
 
+        # readings all overtaken en route leave nothing to average: 0.0 over 0 samples
         ordered = sorted(self.latencies)
         duration_ms = self.steps * CONTROL_PERIOD_MS
         return MetricsRecord(
@@ -305,11 +308,11 @@ class _Episode:
             uninterrupted_steps=self.steps,
             failure_count=1 if self.failed else 0,
             cumulative_reward=self.cumulative_reward,
-            mean_latency_ms=sum(ordered) / len(ordered),
-            p95_latency_ms=_percentile(ordered, 0.95),
+            mean_latency_ms=sum(ordered) / len(ordered) if ordered else 0.0,
+            p95_latency_ms=_percentile(ordered, 0.95) if ordered else 0.0,
             latency_samples=len(ordered),
             control_loss=self.loss_sum / self.steps,
-            action_accuracy=self.acc_hits / self.acc_n,
+            action_accuracy=self.acc_hits / self.acc_n if self.acc_n else 0.0,
             utilization=self.busy_ms / duration_ms,
         )
 

@@ -9,6 +9,7 @@ snapped onto the plant's discrete actuator grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boiler import ActuatorCommand, BoilerConfig, BoilerState
 from .simcore import CONTROL_PERIOD_S
@@ -40,8 +41,7 @@ DEFAULT_LEVEL_GAINS = PidGains(kp=70.0, ki=0.0, kd=0.0)
 DEFAULT_PRESSURE_GAINS = PidGains(kp=2.0, ki=0.0, kd=0.0)
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     integral: float = 0.0
     prev_error: float = 0.0
     initialized: bool = False
@@ -61,16 +61,16 @@ def pid_step(
     derivative = 0.0 if not state.initialized else (error - state.prev_error) / CONTROL_PERIOD_S
     output = gains.kp * error + gains.ki * integral + gains.kd * derivative
     output = min(max(output, gains.out_lo), gains.out_hi)
-    return output, PidState(integral=integral, prev_error=error, initialized=True)
+    return output, PidState(integral, error, True)
 
 
-def _quantize(u: float) -> float:
-    # nearest of {0, 0.5, 1}, ties round down
+def _quantize(u: float) -> int:
+    # index of the nearest of {0, 0.5, 1}, ties round down
     if u <= 0.25:
-        return 0.0
+        return 0
     if u <= 0.75:
-        return 0.5
-    return 1.0
+        return 1
+    return 2
 
 
 def pid_to_command(pump_output: float, valve_output: float) -> ActuatorCommand:
@@ -78,7 +78,7 @@ def pid_to_command(pump_output: float, valve_output: float) -> ActuatorCommand:
     for name, u in (("pump", pump_output), ("valve", valve_output)):
         if not (0.0 <= u <= 1.0):
             raise ValueError(f"{name} output {u} outside [0,1]")
-    return ActuatorCommand(_quantize(pump_output), _quantize(valve_output))
+    return ActuatorCommand.from_index(3 * _quantize(pump_output) + _quantize(valve_output))
 
 
 class BoilerPid:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import cached_property
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -57,11 +58,11 @@ class Link:
         if not (0.0 <= self.jitter < 1.0):
             raise TopologyError(f"link jitter must be in [0, 1), got {self.jitter}")
 
-    @property
+    @cached_property  # kept in the instance dict; eq and hash read only the fields
     def min_delay_ms(self) -> int:
         return math.ceil(self.base_ms * (1.0 - self.jitter))
 
-    @property
+    @cached_property
     def max_delay_ms(self) -> int:
         return math.floor(self.base_ms * (1.0 + self.jitter))
 
@@ -73,8 +74,7 @@ class Link:
         return int(rng.integers(self.min_delay_ms, self.max_delay_ms + 1))
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):  # heaped as is: seq is unique, so body is never compared
     time: int
     seq: int
     target: int
@@ -97,7 +97,7 @@ class Kernel:
         self.rng = rng
         self.clock = 0
         self._seq = 0
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[Event] = []
         self._handlers: dict[int, Handler] = {}
         self.sent_count = 0
         self.delivered_count = 0
@@ -114,9 +114,9 @@ class Kernel:
             raise TopologyError(f"unknown node {target}")
         if kind not in PAYLOAD_KINDS:
             raise SimulationError(f"unknown payload kind {kind!r}")
-        event = Event(time=time, seq=self._seq, target=target, kind=kind, body=body)
+        event = Event(time, self._seq, target, kind, body)
         self._seq += 1
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+        heapq.heappush(self._queue, event)
         return event
 
     def send(
@@ -143,7 +143,7 @@ class Kernel:
         """Process the next event: advance the clock and dispatch it."""
         if not self._queue:
             raise SimulationDrained("event queue is empty")
-        _, _, event = heapq.heappop(self._queue)
+        event = heapq.heappop(self._queue)
         self.clock = event.time
         self.delivered_count += 1
         handler = self._handlers.get(event.target)

@@ -37,6 +37,9 @@ def test_action_index_round_trip_covers_the_grid():
         assert cmd.pump_level in ACTUATOR_LEVELS
         assert cmd.valve_level in ACTUATOR_LEVELS
         assert cmd.to_index() == index
+        # one shared instance per index, equal to the command built from its levels
+        assert ActuatorCommand.from_index(index) is cmd
+        assert cmd == ActuatorCommand(ACTUATOR_LEVELS[index // 3], ACTUATOR_LEVELS[index % 3])
         seen.add((cmd.pump_level, cmd.valve_level))
     assert len(seen) == N_ACTIONS
 
@@ -145,14 +148,13 @@ def test_reward_bounded_by_clamp():
 def test_step_matches_recomputed_equations_over_200_steps():
     cfg = BoilerConfig()
     state = boiler.reset(cfg, np.random.default_rng(3))
-    rng = np.random.default_rng(11)
     twin = np.random.default_rng(11)
     pattern = [ActuatorCommand.from_index(i) for i in (4, 1, 7, 5, 3, 4, 2, 6)]
     for k in range(200):
         cmd = pattern[k % len(pattern)]
-        expected_noise = float(twin.normal(0.0, cfg.inlet_noise_std_c))
-        want = oracles.boiler_step(cfg, state, cmd, noise=expected_noise, disturbance=0.3)
-        nxt, _, failed = boiler.step(cfg, state, cmd, rng, inlet_disturbance_c=0.3)
+        noise = float(twin.normal(0.0, cfg.inlet_noise_std_c))
+        want = oracles.boiler_step(cfg, state, cmd, noise=noise, disturbance=0.3)
+        nxt, _, failed = boiler.step(cfg, state, cmd, noise, inlet_disturbance_c=0.3)
         assert nxt.inlet_temp == pytest.approx(want[0], abs=1e-12)
         assert nxt.outlet_temp == pytest.approx(want[1], abs=1e-12)
         assert nxt.water_level == pytest.approx(want[2], abs=1e-12)
@@ -228,7 +230,7 @@ def test_holding_centered_actuators_drifts_into_failure():
 def test_failure_is_absorbing():
     cfg = BoilerConfig()
     dead = make_state(water_level=0.05)
-    nxt, r, failed = boiler.step(cfg, dead, ActuatorCommand(1.0, 0.0), np.random.default_rng(0))
+    nxt, r, failed = boiler.step(cfg, dead, ActuatorCommand(1.0, 0.0), noise_c=5.0)
     assert failed
     assert nxt == dead
     assert r == -cfg.failure_penalty
@@ -237,9 +239,13 @@ def test_failure_is_absorbing():
 def test_step_without_rng_is_deterministic():
     cfg = BoilerConfig()
     state = boiler.nominal_state(cfg)
+    # the plant draws nothing itself: equal inputs give equal steps
     a = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5))
     b = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5))
     assert a == b
+    noisy = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), noise_c=-1.5)
+    assert noisy == boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), noise_c=-1.5)
+    assert noisy[0].inlet_temp == a[0].inlet_temp - 1.5
 
 
 def test_step_reward_charges_failure_penalty_once():

@@ -269,6 +269,34 @@ def test_pid_eval_episodes_replay_the_drl_arms_plants():
     assert run_seed(pid_cfg, 5).records[-1].phase == "eval"
 
 
+def test_plant_steps_apply_the_plant_streams_scalar_draws_in_order(monkeypatch):
+    # the episode draws its inlet noise up front; step k must still get the
+    # k-th scalar draw after the reset, exactly as drawing per step would
+    applied = []
+    step = boiler.step
+
+    def recording(config, state, cmd, noise_c=None, inlet_disturbance_c=0.0):
+        if noise_c is not None:  # the oracle's probes pass no noise
+            applied.append(noise_c)
+            return step(config, state, cmd, noise_c, inlet_disturbance_c)
+        return step(config, state, cmd, inlet_disturbance_c=inlet_disturbance_c)
+
+    monkeypatch.setattr(boiler, "step", recording)
+    phase_codes = {"train": experiment.PHASE_TRAIN, "eval": experiment.PHASE_EVAL}
+    for std in (2.0, 35.0, 0.0):
+        applied.clear()
+        cfg = pid_config(episodes=1, max_steps=30, seeds=[7], plant={"inlet_noise_std_c": std})
+        expected = []
+        for rec in run_seed(cfg, 7).records:
+            twin = np.random.default_rng([7, phase_codes[rec.phase], rec.episode])
+            boiler.reset(cfg.plant, twin)
+            draws = [float(twin.normal(0.0, std)) for _ in range(rec.uninterrupted_steps)]
+            expected += draws if std > 0.0 else [0.0] * rec.uninterrupted_steps
+        assert applied == expected
+        assert all(type(noise) is float for noise in applied)
+        assert applied and (set(applied) == {0.0}) == (std == 0.0)
+
+
 # -- episode mechanics ----------------------------------------------------------------------
 
 
@@ -285,6 +313,19 @@ def test_failure_ends_the_episode_early_with_the_penalty():
         assert rec.uninterrupted_steps < 400
         assert rec.cumulative_reward < -400.0  # integrates the failure penalty
         assert rec.latency_samples == rec.uninterrupted_steps
+
+
+def test_episode_that_no_command_reaches_reports_zero_latency_over_zero_samples():
+    # on slow-cloud at jitter 0.99 the final reading overtakes the first, so
+    # nothing is served before the episode is done
+    cfg = config_from_dict({
+        "controller": "drl", "scenario": "cloud-only", "episodes": 1, "eval_episodes": 0,
+        "max_steps": 1, "seeds": [0], "agent": {"hidden_layers": [4]},
+        "latency": {"preset": "slow-cloud", "jitter": 0.99, "compute_ms": 4999},
+    })
+    (rec,) = run_seed(cfg, 0).records
+    assert rec.latency_samples == 0
+    assert (rec.mean_latency_ms, rec.p95_latency_ms, rec.action_accuracy) == (0.0, 0.0, 0.0)
 
 
 def test_episode_metrics_record_shape():

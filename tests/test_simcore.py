@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ def test_link_sample_stays_in_bounds():
     assert {90, 110} <= draws  # the closed range is actually reachable
 
 
+def test_link_bounds_are_cached_and_leave_equality_and_hash_alone():
+    for base_ms, jitter in ((700, 0.1), (33, 0.1), (1, 0.99), (5000, 0.37), (250, 0.0)):
+        link = Link(base_ms, jitter)
+        assert link.min_delay_ms == math.ceil(base_ms * (1.0 - jitter))
+        assert link.max_delay_ms == math.floor(base_ms * (1.0 + jitter))
+        assert vars(link).keys() >= {"min_delay_ms", "max_delay_ms"}  # computed once, kept
+        twin = Link(base_ms, jitter)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            link.sample_delay_ms(rng)
+        assert link == twin and hash(link) == hash(twin)
+        assert {link: 1}[twin] == 1
+
+
 def test_link_validation():
     with pytest.raises(TopologyError):
         Link(base_ms=0)
@@ -103,15 +119,17 @@ def test_schedule_validates_time_target_and_kind():
 
 
 def test_simultaneous_events_dispatch_in_scheduling_order():
-    links, sensor = star_topology()
-    kernel = Kernel(links)
-    seen = []
-    kernel.register_handler(sensor, lambda ev: seen.append(ev.body))
-    kernel.schedule(50, sensor, "sensor-reading", "first")
-    kernel.schedule(50, sensor, "sensor-reading", "second")
-    kernel.schedule(50, sensor, "sensor-reading", "third")
-    kernel.run()
-    assert seen == ["first", "second", "third"]
+    # dicts do not order: a tie on time must never compare bodies
+    for bodies in (["first", "second", "third"], [{"step": 2}, {"step": 1}, {}, {"step": 3}]):
+        links, sensor = star_topology()
+        kernel = Kernel(links)
+        seen = []
+        kernel.register_handler(sensor, lambda ev: seen.append(ev.body))
+        kernel.schedule(60, sensor, "sensor-reading", bodies[0])
+        for body in bodies:
+            kernel.schedule(50, sensor, "sensor-reading", body)
+        kernel.run()
+        assert seen == [*bodies, bodies[0]]
 
 
 def test_step_on_empty_queue_raises():
