@@ -198,6 +198,10 @@ class RunConfig:
             )
         if not self.seeds:
             raise ConfigError("seeds must contain at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat a seed, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if self.episodes < 0:
             raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
         if self.episode_preset not in EPISODE_PRESETS:

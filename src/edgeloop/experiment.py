@@ -13,6 +13,10 @@ states and process noise of a learning arm's evaluation episodes, and two
 runs of the same config produce byte-identical metrics files. An episode
 draws its plant stream up front: the reset, then the inlet noise of every
 step in one call.
+
+Seeds share nothing, so a sweep runs each seed in its own forked process,
+as many at once as the process may use CPUs; the results are collected in
+seed order, so the files are the same bytes for any number of workers.
 """
 
 from __future__ import annotations
@@ -519,14 +523,91 @@ def write_summary(results: dict[int, SeedResult], cfg: RunConfig, path) -> None:
             )
 
 
+def _seed_worker(cfg: RunConfig, seed: int, disturbance: list[float], conn, parent: int) -> None:
+    """Forked worker body: run one seed and send (result, None) or (exception, traceback)."""
+    import ctypes
+    import signal
+    import traceback
+
+    # the kernel kills this worker when the parent dies, even by SIGKILL (Linux);
+    # a parent that died before the request took effect is caught by the ppid check
+    try:
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    except (OSError, AttributeError):  # no prctl outside Linux
+        pass
+    if os.getppid() != parent:
+        os._exit(1)
+    try:
+        conn.send((run_seed(cfg, seed, disturbance), None))
+    except BaseException as exc:  # an unpicklable result is sent as its pickling error
+        conn.send((exc, traceback.format_exc()))
+
+
+def _run_forked(cfg: RunConfig, disturbance: list[float], workers: int) -> dict[int, SeedResult]:
+    """Each seed in its own forked process, at most `workers` alive at once.
+
+    The first seed to fail re-raises its exception here; the workers still
+    running are killed before this returns or raises.
+    """
+    # imported here, so that a serial run does not pay for them at start-up
+    import multiprocessing
+    from multiprocessing import connection
+
+    context = multiprocessing.get_context("fork")
+    queued = list(cfg.seeds)
+    running = {}  # result pipe -> (seed, process)
+    results = {}
+    try:
+        while queued or running:
+            while queued and len(running) < workers:
+                seed = queued.pop(0)
+                receiver, sender = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_seed_worker, args=(cfg, seed, disturbance, sender, os.getpid())
+                )
+                process.start()
+                sender.close()
+                running[receiver] = (seed, process)
+            for receiver in connection.wait(list(running)):
+                seed, process = running.pop(receiver)
+                try:
+                    payload, remote_traceback = receiver.recv()
+                except EOFError:
+                    process.join()
+                    raise RuntimeError(
+                        f"the worker for seed {seed} exited with code {process.exitcode} "
+                        "before sending its result"
+                    ) from None
+                finally:
+                    receiver.close()
+                process.join()
+                if remote_traceback is not None:
+                    raise payload from RuntimeError(f"in the worker for seed {seed}:\n{remote_traceback}")
+                results[seed] = payload
+    finally:
+        for receiver, (_, process) in running.items():
+            process.kill()
+            process.join()
+            receiver.close()
+    return {seed: results[seed] for seed in cfg.seeds}
+
+
 def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     """Run every configured seed; optionally write metrics files.
 
-    A diverged seed is marked in the summary and keeps its completed
-    episodes; remaining seeds still run.
+    Seeds run in parallel, one forked worker per CPU this process may use
+    (`taskset -c 0` gives a serial run). A diverged seed is marked in the
+    summary and keeps its completed episodes; remaining seeds still run.
     """
     disturbance = load_disturbance(cfg)
-    results = {seed: run_seed(cfg, seed, disturbance) for seed in cfg.seeds}
+    try:
+        workers = min(len(cfg.seeds), len(os.sched_getaffinity(0)))
+    except AttributeError:  # no sched_getaffinity on this platform
+        workers = 1
+    if workers == 1:
+        results = {seed: run_seed(cfg, seed, disturbance) for seed in cfg.seeds}
+    else:
+        results = _run_forked(cfg, disturbance, workers)
 
     metrics_paths: dict[int, str] = {}
     summary_path = None

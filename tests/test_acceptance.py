@@ -162,10 +162,10 @@ def test_criterion_3_training_gradients():
 def training_suite():
     cfg = load_config(None)
     t0 = time.monotonic()
-    drl = {seed: run_seed(cfg, seed) for seed in cfg.seeds}
+    drl = run_experiment(cfg).results
     drl_s = time.monotonic() - t0
     pid_cfg = dataclasses.replace(cfg, controller="pid", episodes=0)
-    pid = {seed: run_seed(pid_cfg, seed) for seed in cfg.seeds}
+    pid = run_experiment(pid_cfg).results
     total_s = time.monotonic() - t0
     return {"cfg": cfg, "drl": drl, "pid": pid, "drl_s": drl_s, "total_s": total_s}
 

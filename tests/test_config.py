@@ -89,6 +89,15 @@ def test_out_of_range_value_names_the_key_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"agent": {"buffer_capacity": 500}})
     assert str(exc.value).startswith("agent: warmup")
+    # a repeated seed would run twice into one metrics file; numpy rejects a negative one mid-run
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"seeds": [1, 2, 1]})
+    assert str(exc.value).endswith("seeds must not repeat a seed, got [1, 2, 1]")
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"seeds": [-1]})
+    assert str(exc.value).endswith("seeds must be >= 0, got [-1]")
+    with pytest.raises(ConfigError, match="seeds"):
+        dataclasses.replace(load_config(None), seeds=[1, 1])
     # duplicate ids fail when the config is built, in either scenario
     edge = {"id": "a", "capacity": 4.0, "current_load": 0.5,
             "bandwidth_mbps": 100.0, "compute_rating": 1.0}

@@ -1,8 +1,16 @@
 import dataclasses
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgeloop
 from edgeloop import allocator, boiler, experiment
 from edgeloop.boiler import ActuatorCommand
 from edgeloop.config import config_from_dict, load_config
@@ -412,3 +420,147 @@ def test_run_experiment_without_out_dir_writes_nothing(tmp_path):
     assert result.metrics_paths == {}
     assert result.summary_path is None
     assert result.results[1].records
+
+
+# -- seeds in forked workers ------------------------------------------------------------
+
+
+def _children(pid: int) -> set[int]:
+    """The live child pids of every thread of process pid, from /proc."""
+    found = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            found |= {int(p) for p in path.read_text().split()}
+        except FileNotFoundError:
+            pass  # the thread exited
+    return found
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    # run_experiment takes one worker per CPU this process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+SWEEPS = {
+    "pid": pid_config(seeds=[1, 2, 3], scenario="edge-collab", latency={"jitter": 0.2}),
+    "drl": config_from_dict(
+        {
+            "controller": "drl",
+            "episodes": 2,
+            "eval_episodes": 1,
+            "max_steps": 30,
+            "seeds": [4, 2],
+            "agent": {"hidden_layers": [16], "warmup": 16},
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_parallel_sweep_equals_each_seed_run_in_process(monkeypatch, tmp_path, name):
+    cfg = SWEEPS[name]
+    _cpus(monkeypatch, len(cfg.seeds))
+    parallel = run_experiment(cfg, str(tmp_path / "parallel"))
+    assert parallel.results == {seed: run_seed(cfg, seed) for seed in cfg.seeds}
+    assert list(parallel.results) == cfg.seeds
+    _cpus(monkeypatch, 1)
+    serial = run_experiment(cfg, str(tmp_path / "serial"))
+    assert serial.results == parallel.results
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "parallel").iterdir())
+    assert len(names) == len(cfg.seeds) + 1
+    for file_name in names:
+        assert (tmp_path / "parallel" / file_name).read_bytes() == (
+            tmp_path / "serial" / file_name
+        ).read_bytes()
+
+
+def _flaky_run_seed(failure):
+    real = experiment.run_seed
+
+    def run(cfg, seed, disturbance=None):
+        if seed == 2:
+            failure()
+        return real(cfg, seed, disturbance)
+
+    return run
+
+
+def _raise():
+    raise RuntimeError("seed 2 broke")
+
+
+@pytest.mark.parametrize(
+    "failure, expected",
+    [
+        (_raise, "seed 2 broke"),
+        # a worker that dies without sending must not leave the parent waiting
+        (lambda: os._exit(3), "worker for seed 2 exited with code 3 before sending"),
+    ],
+)
+def test_failing_seed_re_raises_in_the_parent_and_leaves_no_worker(monkeypatch, failure, expected):
+    before = _children(os.getpid())
+    monkeypatch.setattr(experiment, "run_seed", _flaky_run_seed(failure))  # forked workers inherit it
+    _cpus(monkeypatch, 3)
+    cfg = pid_config(seeds=[1, 2, 3], eval_episodes=20, max_steps=200)
+    with pytest.raises(RuntimeError, match=expected):
+        run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+    assert _children(os.getpid()) <= before
+
+
+def _process_state(pid: int) -> str | None:
+    """The one-letter state of process pid, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or not Path(f"/proc/{os.getpid()}/task").is_dir(),
+    reason="needs /proc and sched_getaffinity",
+)
+def test_workers_die_with_a_killed_parent(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the seeds run in the parent process")
+    if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
+        pytest.skip("no /proc/<pid>/task/<tid>/children on this kernel")
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "scenario: cloud-only\ncontroller: pid\nseeds: [1, 2]\n"
+        "episodes: 0\neval_episodes: 1000\nmax_steps: 500\n"
+    )
+    src = str(Path(edgeloop.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    parent = subprocess.Popen(
+        [sys.executable, "-m", "edgeloop.cli", "run", "--config", str(config), "--out", str(tmp_path / "out")],
+        env=env,
+        stdout=subprocess.DEVNULL,
+    )
+    workers: set[int] = set()
+    alive: set[int] = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline and parent.poll() is None:
+            workers = _children(parent.pid)
+            time.sleep(0.02)
+        assert len(workers) == 2, f"found workers {workers}"
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        deadline = time.monotonic() + 5
+        alive = workers
+        while alive and time.monotonic() < deadline:
+            alive = {pid for pid in workers if _process_state(pid) not in (None, "Z")}
+            time.sleep(0.05)
+        assert alive == set()
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in alive:  # only workers that outlived the deadline
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
