@@ -55,12 +55,12 @@ class SafetyEnvelope:
         if self.pressure_max_kpa <= 0 or self.outlet_temp_max_c <= 0:
             raise ValueError("pressure and temperature bounds must be positive")
 
-    def violates(self, state: "BoilerState") -> bool:
+    def violates(self, level: float, pressure: float, outlet_temp: float) -> bool:
         return (
-            state.water_level < self.level_min
-            or state.water_level > self.level_max
-            or state.pressure > self.pressure_max_kpa
-            or state.outlet_temp > self.outlet_temp_max_c
+            level < self.level_min
+            or level > self.level_max
+            or pressure > self.pressure_max_kpa
+            or outlet_temp > self.outlet_temp_max_c
         )
 
 
@@ -188,28 +188,68 @@ def setpoint_deviations(config: BoilerConfig, state: BoilerState) -> tuple[float
     )
 
 
+def deviation_cost(config: BoilerConfig, weight: float, value: float, setpoint: float) -> float:
+    """A weighted squared deviation relative to the setpoint, clamped at deviation_clamp."""
+    d = (value - setpoint) / setpoint
+    d2, clamp = d * d, config.deviation_clamp
+    # comparisons, not min()/max(), here and below: same operand, no builtin call
+    return weight * (clamp if clamp < d2 else d2)
+
+
+def combined_cost(config: BoilerConfig, level: float, pressure_cost: float, temp_cost: float) -> float:
+    """A state's cost from its level and its pressure and temperature deviation_cost terms."""
+    level_cost = deviation_cost(config, config.w_level, level, config.level_setpoint)
+    return level_cost + pressure_cost + temp_cost
+
+
+def state_cost(config: BoilerConfig, state: BoilerState) -> float:
+    """Clamped, weighted squared deviations from the setpoints: 0 at the setpoint."""
+    p_cost = deviation_cost(config, config.w_pressure, state.pressure, config.pressure_setpoint_kpa)
+    t_cost = deviation_cost(config, config.w_temp, state.outlet_temp, config.outlet_setpoint_c)
+    return combined_cost(config, state.water_level, p_cost, t_cost)
+
+
 def reward(config: BoilerConfig, state: BoilerState, cmd: ActuatorCommand) -> float:
     """Dense control cost: 0 at the setpoint with no actuator motion, else negative.
 
     Each squared normalized deviation is clamped so the reward stays bounded
     for any in-domain state. The failure penalty is added by step(), not here.
     """
-    clamp = config.deviation_clamp
-    dl, dp, dt_ = setpoint_deviations(config, state)
+    return command_reward(config, state_cost(config, state), state, cmd)
+
+
+def command_reward(config: BoilerConfig, cost: float, state: BoilerState, cmd: ActuatorCommand) -> float:
+    """reward() of cmd from a state whose state_cost is cost."""
     move = (cmd.pump_level - state.pump_pos) ** 2 + (cmd.valve_level - state.valve_pos) ** 2
-    return -(
-        config.w_level * min(dl * dl, clamp)
-        + config.w_pressure * min(dp * dp, clamp)
-        + config.w_temp * min(dt_ * dt_, clamp)
-        + config.w_action * move
-    )
+    return -(cost + config.w_action * move)
 
 
 def outflow_rate(config: BoilerConfig, valve: float, pressure: float) -> float:
     """Valve outflow in level fraction per second at the given pressure."""
     return config.valve_gain * valve * math.sqrt(
-        max(pressure, 0.0) / config.pressure_setpoint_kpa
+        (0.0 if pressure < 0.0 else pressure) / config.pressure_setpoint_kpa
     )
+
+
+def landed_level(config: BoilerConfig, level: float, pump: float, outflow: float) -> float:
+    level = level + (config.pump_gain * pump - outflow) * CONTROL_PERIOD_S
+    return 0.0 if level < 0.0 else (1.0 if level > 1.0 else level)
+
+
+def landed_pressure(config: BoilerConfig, state: BoilerState, valve: float) -> float:
+    p_target = (
+        config.pressure_setpoint_kpa
+        * (state.outlet_temp / config.outlet_setpoint_c)
+        * (1.0 + config.pressure_valve_span * (0.5 - valve))
+    )
+    pressure = state.pressure + config.pressure_rate * (p_target - state.pressure) * CONTROL_PERIOD_S
+    return pressure if pressure > 0.0 else 0.0
+
+
+def landed_outlet(config: BoilerConfig, state: BoilerState) -> float:
+    temp_target = state.inlet_temp + config.heat_gain_c - config.level_cooling_c * state.water_level
+    outlet = state.outlet_temp + config.temp_rate * (temp_target - state.outlet_temp) * CONTROL_PERIOD_S
+    return 0.0 if outlet < 0.0 else (TEMP_MAX_C if outlet > TEMP_MAX_C else outlet)
 
 
 def step(
@@ -227,34 +267,20 @@ def step(
     The reward is the control cost of the state the command was issued
     from, minus the failure penalty when the step ends in failure.
     """
-    if config.envelope.violates(state):
+    if config.envelope.violates(state.water_level, state.pressure, state.outlet_temp):
         return state, -config.failure_penalty, True
 
-    dt = CONTROL_PERIOD_S
     out = outflow_rate(config, cmd.valve_level, state.pressure)
-    level = state.water_level + (config.pump_gain * cmd.pump_level - out) * dt
-    level = min(max(level, 0.0), 1.0)
-
-    p_target = (
-        config.pressure_setpoint_kpa
-        * (state.outlet_temp / config.outlet_setpoint_c)
-        * (1.0 + config.pressure_valve_span * (0.5 - cmd.valve_level))
-    )
-    pressure = max(
-        0.0, state.pressure + config.pressure_rate * (p_target - state.pressure) * dt
-    )
-
-    temp_target = state.inlet_temp + config.heat_gain_c - config.level_cooling_c * state.water_level
-    outlet = state.outlet_temp + config.temp_rate * (temp_target - state.outlet_temp) * dt
-    outlet = min(max(outlet, 0.0), TEMP_MAX_C)
-
+    level = landed_level(config, state.water_level, cmd.pump_level, out)
+    pressure = landed_pressure(config, state, cmd.valve_level)
+    outlet = landed_outlet(config, state)
     inlet = (
         state.inlet_temp
-        + config.inlet_rate * (config.inlet_nominal_c - state.inlet_temp) * dt
+        + config.inlet_rate * (config.inlet_nominal_c - state.inlet_temp) * CONTROL_PERIOD_S
         + noise_c
         + inlet_disturbance_c
     )
-    inlet = min(max(inlet, 0.0), TEMP_MAX_C)
+    inlet = 0.0 if inlet < 0.0 else (TEMP_MAX_C if inlet > TEMP_MAX_C else inlet)
 
     next_state = BoilerState(
         inlet_temp=inlet,
@@ -264,7 +290,7 @@ def step(
         pump_pos=cmd.pump_level,
         valve_pos=cmd.valve_level,
     )
-    failed = config.envelope.violates(next_state)
+    failed = config.envelope.violates(level, pressure, outlet)
     r = reward(config, state, cmd)
     if failed:
         r -= config.failure_penalty

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import allocator, reporting
-from .config import CONTROLLERS, SCENARIOS, load_config, resolve_out_dir
+from .config import CONTROLLERS, SCENARIOS, ConfigError, load_config, resolve_out_dir
 from .experiment import mean, phase_records, run_experiment
 
 
@@ -62,7 +62,7 @@ def _cmd_run(args) -> int:
         overrides["scenario"] = args.scenario
     if args.controller:
         overrides["controller"] = args.controller
-    if args.seeds:
+    if args.seeds is not None:
         overrides["seeds"] = args.seeds
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
@@ -125,7 +125,12 @@ def main(argv=None) -> int:
         "alloc": _cmd_alloc,
         "plot-data": _cmd_plot_data,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigError as exc:  # from the config file or the command-line overrides
+        message = " ".join(str(exc).split()).removeprefix("config: ")
+        print(f"edgeloop: config: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

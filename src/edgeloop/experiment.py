@@ -93,18 +93,35 @@ def mean(values) -> float:
 def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) -> int:
     """Reference action: best immediate reward plus discounted greedy value.
 
-    Brute force over the 9 actions under the noise-free plant; the value of
-    the landed state is the best single-step reward available from it.
-    Ties go to the lowest action index.
+    A one-step lookahead over the 9 commands under the noise-free plant. A
+    command's value is its reward plus gamma times the best reward from the
+    landed state, which holding the command earns (no motion, so it is minus
+    the landed state's cost), or minus the failure penalty if it fails. Ties
+    go to the lowest index. Terms the commands share are computed once,
+    through boiler's helpers and in boiler.step's float order, so every value
+    has the same bits as nine plant steps give.
     """
+    envelope = cfg.envelope
+    if envelope.violates(state.water_level, state.pressure, state.outlet_temp):
+        return 0  # every command fails alike from a failed state, so all nine tie
+    cost = boiler.state_cost(cfg, state)
+    outlet = boiler.landed_outlet(cfg, state)
+    temp_cost = boiler.deviation_cost(cfg, cfg.w_temp, outlet, cfg.outlet_setpoint_c)
+    by_valve = []
+    for valve in boiler.ACTUATOR_LEVELS:
+        pressure = boiler.landed_pressure(cfg, state, valve)
+        p_cost = boiler.deviation_cost(cfg, cfg.w_pressure, pressure, cfg.pressure_setpoint_kpa)
+        by_valve.append((boiler.outflow_rate(cfg, valve, state.pressure), pressure, p_cost))
     best_action = 0
     best_value = -math.inf
     for a, cmd in enumerate(boiler.COMMANDS):
-        nxt, r, failed = boiler.step(cfg, state, cmd)
-        # the best follow-up holds cmd: the landed actuators already sit at
-        # cmd, so its motion term is 0.0 and every other command's is >= 0
-        follow = -cfg.failure_penalty if failed else boiler.reward(cfg, nxt, cmd)
-        value = r + gamma * follow
+        out, pressure, p_cost = by_valve[a % 3]
+        level = boiler.landed_level(cfg, state.water_level, cmd.pump_level, out)
+        r = boiler.command_reward(cfg, cost, state, cmd)
+        if envelope.violates(level, pressure, outlet):
+            value = (r - cfg.failure_penalty) + gamma * -cfg.failure_penalty
+        else:
+            value = r + gamma * -boiler.combined_cost(cfg, level, p_cost, temp_cost)
         if value > best_value:
             best_value = value
             best_action = a

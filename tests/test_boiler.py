@@ -70,11 +70,14 @@ def test_state_validation_bounds():
 
 def test_envelope_flags_each_bound():
     env = SafetyEnvelope()
-    assert not env.violates(make_state())
-    assert env.violates(make_state(water_level=0.1))
-    assert env.violates(make_state(water_level=0.96))
-    assert env.violates(make_state(pressure=1700.0))
-    assert env.violates(make_state(outlet_temp=430.0))
+    assert not env.violates(0.5, 1000.0, 300.0)
+    assert env.violates(0.1, 1000.0, 300.0)
+    assert env.violates(0.96, 1000.0, 300.0)
+    assert env.violates(0.5, 1700.0, 300.0)
+    assert env.violates(0.5, 1000.0, 430.0)
+    # each bound itself is inside
+    assert not env.violates(env.level_min, env.pressure_max_kpa, env.outlet_temp_max_c)
+    assert not env.violates(env.level_max, env.pressure_max_kpa, env.outlet_temp_max_c)
 
 
 # -- reset ------------------------------------------------------------------------
@@ -89,7 +92,7 @@ def test_reset_is_seeded_and_safe():
     cfg = BoilerConfig()
     for seed in range(1000):
         state = boiler.reset(cfg, np.random.default_rng(seed))
-        assert not cfg.envelope.violates(state)
+        assert not cfg.envelope.violates(state.water_level, state.pressure, state.outlet_temp)
         assert 0.30 <= state.water_level <= 0.70
         assert 700.0 <= state.pressure <= 1300.0
         assert 240.0 <= state.outlet_temp <= 360.0

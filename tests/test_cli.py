@@ -192,3 +192,32 @@ def test_unknown_command_is_rejected():
         main(["bogus"])
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, names",
+    [
+        (None, ["--controller", "pid", "--seeds", "1,1", "--episodes", "0"], "seeds must not repeat"),
+        (None, ["--seeds", ","], "seeds must contain at least one seed"),
+        (None, ["--episodes", "-1"], "episodes must be >= 0"),
+        ("agent: {buffer_capacity: 500}\n", [], "agent: warmup must be"),
+        ("seeds: [1, 1]\n", [], "seeds must not repeat"),
+        ("seeds: [1\n", [], "invalid YAML"),
+    ],
+    ids=["override-repeated-seed", "override-empty-seeds", "override-negative-episodes",
+         "file-warmup-past-buffer", "file-repeated-seed", "file-bad-yaml"],
+)
+def test_config_errors_print_one_line_and_return_2(tmp_path, capsys, config_text, flags, names):
+    argv = ["run", "--out", str(tmp_path / "out"), *flags]
+    if config_text is not None:
+        path = tmp_path / "run.yaml"
+        path.write_text(config_text)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("edgeloop: config: "), lines
+    assert not lines[0].startswith("edgeloop: config: config:")
+    assert names in lines[0]
+    assert not (tmp_path / "out").exists()

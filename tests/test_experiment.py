@@ -283,11 +283,10 @@ def test_plant_steps_apply_the_plant_streams_scalar_draws_in_order(monkeypatch):
     applied = []
     step = boiler.step
 
-    def recording(config, state, cmd, noise_c=None, inlet_disturbance_c=0.0):
-        if noise_c is not None:  # the oracle's probes pass no noise
-            applied.append(noise_c)
-            return step(config, state, cmd, noise_c, inlet_disturbance_c)
-        return step(config, state, cmd, inlet_disturbance_c=inlet_disturbance_c)
+    def recording(config, state, cmd, noise_c, inlet_disturbance_c=0.0):
+        # every call is a plant step: the reference action does not step the plant
+        applied.append(noise_c)
+        return step(config, state, cmd, noise_c, inlet_disturbance_c)
 
     monkeypatch.setattr(boiler, "step", recording)
     phase_codes = {"train": experiment.PHASE_TRAIN, "eval": experiment.PHASE_EVAL}

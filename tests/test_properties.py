@@ -2,17 +2,24 @@
 
 Each drawn config either fails when it is built, with a ConfigError that
 names the offending key, or runs; a run must give finite metrics, a
-utilization within [0, 1], and the same bytes when it is run again.
+utilization within [0, 1], and the same bytes when it is run again. The
+reference action must equal the full two-step enumeration for any valid
+plant and any state, inside, at or past the safety envelope.
 """
 
 import math
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgeloop import boiler
 from edgeloop.config import ConfigError, config_from_dict
-from edgeloop.experiment import run_experiment
+from edgeloop.experiment import oracle_action, run_experiment
+
+import oracles
 
 TIGHT_EDGE = {"id": "tight", "capacity": 1.0, "current_load": 0.9,
               "bandwidth_mbps": 10.0, "compute_rating": 0.1}
@@ -82,3 +89,90 @@ def test_edge_of_range_configs_fail_by_key_or_run_cleanly(tmp_path_factory, draw
             for name, value in vars(rec).items():
                 if isinstance(value, float):
                     assert math.isfinite(value), (name, value)
+
+
+@st.composite
+def plants_and_states(draw):
+    """A valid plant, a state near one of its envelope bounds, and a discount.
+
+    The weights are sometimes all zero, or zero on motion only, so that many
+    commands tie; the two small deviation clamps bind on most states.
+    """
+    weights = {"w_level": 1.0, "w_pressure": 0.3, "w_temp": 0.2, "w_action": 0.1}
+    zeroed = draw(st.sampled_from([(), ("w_action",), tuple(weights)]))
+    for name in weights:
+        weights[name] = 0.0 if name in zeroed else draw(st.sampled_from([weights[name], 2.5, 0.01]))
+    level_min = draw(st.sampled_from([0.15, 0.0, 0.45]))
+    envelope = boiler.SafetyEnvelope(
+        level_min=level_min,
+        level_max=draw(st.sampled_from([0.95, 1.0, level_min + 0.3])),
+        pressure_max_kpa=draw(st.sampled_from([1600.0, 1000.0, 1250.0])),
+        outlet_temp_max_c=draw(st.sampled_from([420.0, 300.0, 360.0])),
+    )
+    cfg = boiler.BoilerConfig(
+        level_setpoint=draw(st.sampled_from([0.5, 0.3, 0.8])),
+        pressure_setpoint_kpa=draw(st.sampled_from([1000.0, 600.0, 1400.0])),
+        outlet_setpoint_c=draw(st.sampled_from([300.0, 200.0, 410.0])),
+        pump_gain=draw(st.sampled_from([0.0035, 0.0, 0.01])),
+        valve_gain=draw(st.sampled_from([0.0025, 0.0, 0.01])),
+        pressure_rate=draw(st.sampled_from([0.04, 0.0, 0.1])),
+        pressure_valve_span=draw(st.sampled_from([0.4, 0.0, 1.0])),
+        temp_rate=draw(st.sampled_from([0.02, 0.0, 0.1])),
+        heat_gain_c=draw(st.sampled_from([250.0, 0.0, 300.0])),
+        level_cooling_c=draw(st.sampled_from([100.0, 0.0, 300.0])),
+        failure_penalty=draw(st.sampled_from([500.0, 0.0, 1.0])),
+        deviation_clamp=draw(st.sampled_from([100.0, 0.02, 1e-4])),
+        envelope=envelope,
+        **weights,
+    )
+    # uniform inside the envelope, where st.floats would favour the ends
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def inside(low, high):
+        return float(rng.uniform(low, high))
+
+    values = {
+        "water_level": inside(envelope.level_min, envelope.level_max),
+        "pressure": inside(0.5 * cfg.pressure_setpoint_kpa, envelope.pressure_max_kpa),
+        "outlet_temp": inside(0.7 * cfg.outlet_setpoint_c, envelope.outlet_temp_max_c),
+    }
+    # move one value to just inside, onto or past one bound; the others stay inside
+    field, bound, outward = draw(st.sampled_from([
+        ("water_level", envelope.level_min, -1.0),
+        ("water_level", envelope.level_max, 1.0),
+        ("pressure", envelope.pressure_max_kpa, 1.0),
+        ("outlet_temp", envelope.outlet_temp_max_c, 1.0),
+    ]))
+    where = draw(st.sampled_from(["drawn", "at", "inside", "drawn", "inside", "past", "far"]))
+    if where != "drawn":
+        value = {
+            "at": bound,
+            "inside": math.nextafter(bound, -outward * math.inf),
+            "past": math.nextafter(bound, outward * math.inf),
+            "far": bound + outward * 0.05 * max(bound, 1.0),
+        }[where]
+        top = 1.0 if field == "water_level" else (2500.0 if field == "pressure" else boiler.TEMP_MAX_C)
+        values[field] = min(max(value, 0.0), top)
+    state = boiler.BoilerState(
+        inlet_temp=inside(50.0, 150.0),
+        pump_pos=draw(st.sampled_from(boiler.ACTUATOR_LEVELS)),
+        valve_pos=draw(st.sampled_from(boiler.ACTUATOR_LEVELS)),
+        **values,
+    )
+    return cfg, state, draw(st.sampled_from([0.95, 0.0, 0.5, 1.0]))
+
+
+_PLANT = boiler.BoilerConfig()
+_UNWEIGHTED = boiler.BoilerConfig(w_level=0.0, w_pressure=0.0, w_temp=0.0, w_action=0.0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(plants_and_states())
+# myopic, one step below the level ceiling while pumping in: holding the
+# actuators moves least but fails, so only the failure penalty decides
+@example((_PLANT, boiler.BoilerState(100.0, 300.0, 0.949, 1000.0, 1.0, 0.0), 0.0))
+# no weights: all nine commands tie at 0.0 and the lowest index must win
+@example((_UNWEIGHTED, boiler.nominal_state(_UNWEIGHTED), 0.95))
+def test_oracle_action_equals_two_step_enumeration_on_any_plant(drawn):
+    cfg, state, gamma = drawn
+    assert oracle_action(cfg, state, gamma) == oracles.brute_force_oracle_action(cfg, state, gamma)
