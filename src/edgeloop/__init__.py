@@ -28,7 +28,7 @@ from .experiment import (
     run_experiment,
     run_seed,
 )
-from .pid import BoilerPid, PidGains, PidState, pid_step, pid_to_command
+from .pid import BoilerPid, PidGains, PidState, pid_step, pid_to_action
 from .reporting import compare, emit_plot_data, read_metrics, render_table
 from .simcore import Kernel, Link
 from .traces import ingest_trace, read_trace, resample
@@ -64,7 +64,7 @@ __all__ = [
     "load_config",
     "oracle_action",
     "pid_step",
-    "pid_to_command",
+    "pid_to_action",
     "read_metrics",
     "read_trace",
     "render_table",

@@ -30,7 +30,7 @@ passes each step's value in, so step() itself draws nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -94,9 +94,15 @@ class BoilerConfig:
     envelope: SafetyEnvelope = SafetyEnvelope()
 
     def __post_init__(self):
-        for name in ("w_level", "w_pressure", "w_temp", "w_action"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        # costs and observations divide by these; a clamp <= 0 cancels or inverts every cost
+        positive = ("level_setpoint", "pressure_setpoint_kpa", "outlet_setpoint_c",
+                    "inlet_nominal_c", "deviation_clamp")
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in positive and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if name != "envelope" and not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -136,11 +142,6 @@ class ActuatorCommand:
         if not (0 <= index < N_ACTIONS):
             raise ValueError(f"action index out of [0,{N_ACTIONS - 1}]: {index}")
         return COMMANDS[index]
-
-    def to_index(self) -> int:
-        return ACTUATOR_LEVELS.index(self.pump_level) * 3 + ACTUATOR_LEVELS.index(
-            self.valve_level
-        )
 
 
 # the nine commands, shared, in index order (pump-major)

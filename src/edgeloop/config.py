@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -81,14 +82,7 @@ class LatencyConfig:
             )
         if not (0.0 <= self.jitter < 1.0):
             raise ConfigError(f"jitter must be in [0,1), got {self.jitter}")
-        for name in (
-            "cloud_uplink_ms",
-            "cloud_downlink_ms",
-            "edge_uplink_ms",
-            "edge_downlink_ms",
-            "inter_edge_ms",
-            "compute_ms",
-        ):
+        for name in LATENCY_PRESETS[self.preset]:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be >= 1 ms, got {v}")
@@ -246,6 +240,8 @@ def _convert(hint, raw, path: str):
     if hint is float:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {raw!r}")
+        if not -sys.float_info.max <= raw <= sys.float_info.max:  # false for nan too
+            raise ConfigError(f"{path}: expected a finite number, got {raw!r}")
         return float(raw)
     if hint is str:
         if not isinstance(raw, str):

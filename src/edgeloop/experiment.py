@@ -1,11 +1,14 @@
 """Scenario orchestration: seeded sweeps of networked control episodes.
 
 Each episode drives the boiler through the event kernel. The plant node
-emits a reading every control period; the serving node (an edge server
+emits a Reading every control period; the serving node (an edge server
 or the cloud, chosen by the allocator in edge-collab, always the cloud in
-cloud-only) computes a command; the command is applied at the next period
-boundary. Control-loop latency is the simulated time from a reading's
-emission to its command's delivery at the plant.
+cloud-only) computes a Command; the command is applied at the next period
+boundary. In edge-collab each edge also sends the cloud a Report of its
+background load, which the allocator reads. Two ticks drive the loop: the
+plant's period tick carries its step as a bare int, and an edge's report
+tick carries None. Control-loop latency is the simulated time from a
+reading's emission to its command's delivery at the plant.
 
 Everything is seeded and integer-timed: per-episode generator streams are
 derived from (seed, phase, episode), so a PID arm replays the exact reset
@@ -26,6 +29,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +49,32 @@ _STREAM_EXPLORE = 12
 _STREAM_REPLAY = 13
 _STREAM_DRIFT = 14
 _STREAM_JITTER = 21  # + phase
+
+
+class Reading(NamedTuple):
+    """The plant's state at a step, sent to the node that serves it."""
+
+    step: int
+    state: BoilerState
+    reward: float | None  # None at step 0
+    done: bool
+    emit_ms: int
+    server: int
+
+
+class Command(NamedTuple):
+    """The action chosen for a reading, sent back to the plant."""
+
+    step: int
+    action: int
+    emit_ms: int  # the reading's emission time
+
+
+class Report(NamedTuple):
+    """An edge's background load, sent to the cloud."""
+
+    edge: str
+    load: float
 
 
 @dataclass(frozen=True)
@@ -160,11 +190,9 @@ class _Episode:
         self.run = run
         self.cfg = run.cfg
         self.plant_cfg = run.cfg.plant
-        self.phase_code = phase_code
         self.phase_name = phase_name
         self.index = index
-        self.training = run.cfg.controller == "drl" and phase_code == PHASE_TRAIN
-        self.greedy = run.cfg.controller == "pid" or phase_code == PHASE_EVAL
+        self.training = phase_code == PHASE_TRAIN
 
         plant_rng = np.random.default_rng([run.seed, phase_code, index])
         jitter_rng = np.random.default_rng([run.seed, _STREAM_JITTER + phase_code, index])
@@ -194,14 +222,14 @@ class _Episode:
     # -- plant node ---------------------------------------------------------
 
     def handle_sensor(self, event):
-        if event.kind == "control-command":
-            body = event.body
-            self.latencies.append(self.kernel.clock - body["emit_ms"])
-            if body["step"] > self.cmd_step:  # a command overtaken en route stays unapplied
-                self.cmd_step = body["step"]
-                self.pending_cmd = ActuatorCommand.from_index(body["action"])
-        else:
-            self._tick(event.body["step"])
+        body = event.body
+        if isinstance(body, Command):
+            self.latencies.append(self.kernel.clock - body.emit_ms)
+            if body.step > self.cmd_step:  # a command overtaken en route stays unapplied
+                self.cmd_step = body.step
+                self.pending_cmd = ActuatorCommand.from_index(body.action)
+        else:  # the period tick, carrying its step
+            self._tick(body)
 
     def _tick(self, step: int):
         reward = None
@@ -219,56 +247,40 @@ class _Episode:
             dl, dp, dt = boiler.setpoint_deviations(self.plant_cfg, self.state)
             self.loss_sum += dl * dl + dp * dp + dt * dt
             self.done = self.failed or step == self.run.max_steps
-        run = self.run
-        body = {
-            "step": step,
-            "state": self.state,
-            "reward": reward,
-            "done": self.done,
-            "emit_ms": self.kernel.clock,
-            "server": run.serving_node(),
-        }
+        run, clock = self.run, self.kernel.clock
+        reading = Reading(step, self.state, reward, self.done, clock, run.serving_node())
         # the next tick is scheduled before the reading is sent: event seq
         # numbers break ties in the queue
         if not self.done:
-            self.kernel.schedule(
-                self.kernel.clock + CONTROL_PERIOD_MS,
-                run.sensor_node,
-                "sensor-reading",
-                {"step": step + 1},
-            )
-        self.kernel.send(run.sensor_node, run.entry_node, "sensor-reading", body)
+            self.kernel.schedule(clock + CONTROL_PERIOD_MS, run.sensor_node, step + 1)
+        self.kernel.send(run.sensor_node, run.entry_node, reading)
 
     # -- edge and cloud nodes ------------------------------------------------
     # The sensor sends each reading to the entry node, which serves it or
     # relays it to the reading's server; the command returns through the
-    # entry node.
+    # entry node. Only edges get report ticks, only the cloud gets reports,
+    # and only the entry edge gets commands to forward.
 
-    def handle_edge(self, event):
-        node, kind, body = event.target, event.kind, event.body
-        if kind == "state-report":  # the edge's own report tick
-            self.kernel.send(node, CLOUD_NODE, kind, self.run.emit_report(node))
-        elif kind == "control-command":  # only the entry edge gets commands
-            self.kernel.send(node, self.run.sensor_node, kind, body)
-        elif body["server"] != node:
-            self.kernel.send(node, body["server"], kind, body)
+    def handle_node(self, event):
+        node, body = event.target, event.body
+        if body is None:  # an edge's report tick
+            self.kernel.send(node, CLOUD_NODE, self.run.emit_report(node))
+        elif isinstance(body, Report):
+            self.run.receive_report(body)
+        elif isinstance(body, Command):
+            self.kernel.send(node, self.run.sensor_node, body)
+        elif body.server != node:
+            self.kernel.send(node, body.server, body)
         else:
-            self._serve(event)
+            self._serve(node, body)
 
-    def handle_cloud(self, event):
-        if event.kind == "sensor-reading":
-            self._serve(event)
-        else:
-            self.run.receive_report(event.body)
-
-    def _serve(self, event):
-        body = event.body
-        step = body["step"]
+    def _serve(self, node: int, reading: Reading):
+        step = reading.step
         if step <= self.ctl_last_step:
             return  # stale reading overtaken en route
         self.ctl_last_step = step
-        state = body["state"]
-        action = self._decide(state, body["reward"], body["done"], step)
+        state = reading.state
+        action = self._decide(state, reading.reward, reading.done, step)
         if action is None:
             return
         if step % self.cfg.accuracy_sample_every == 0:
@@ -277,10 +289,9 @@ class _Episode:
             self.acc_hits += 1 if action == reference else 0
         run = self.run
         self.busy_ms += run.compute_ms
-        command = {"step": step, "action": action, "emit_ms": body["emit_ms"]}
-        node = event.target
         dst = run.sensor_node if node == run.entry_node else run.entry_node
-        self.kernel.send(node, dst, "control-command", command, depart_delay_ms=run.compute_ms)
+        command = Command(step, action, reading.emit_ms)
+        self.kernel.send(node, dst, command, depart_delay_ms=run.compute_ms)
 
     def _decide(self, state: BoilerState, reward, done: bool, step: int):
         agent = self.run.agent
@@ -294,14 +305,13 @@ class _Episode:
         else:
             prev_obs, prev_action = self.ctl_pending
             obs = boiler.observe(self.plant_cfg, state, prev_obs, reward)
-            if self.phase_code == PHASE_TRAIN:
+            if self.training:
                 agent.record(dqn.Transition(prev_obs, prev_action, reward, obs, done))
-                if self.training:
-                    agent.train()
+                agent.train()
         if done:
             self.ctl_pending = None
             return None
-        action = agent.act(obs, greedy=self.greedy)
+        action = agent.act(obs, greedy=not self.training)
         self.ctl_pending = (obs, action)
         return action
 
@@ -310,10 +320,9 @@ class _Episode:
     def run_to_completion(self) -> MetricsRecord:
         kernel = self.kernel
         kernel.register_handler(self.run.sensor_node, self.handle_sensor)
-        kernel.register_handler(CLOUD_NODE, self.handle_cloud)
-        for node in self.run.edge_nodes:
-            kernel.register_handler(node, self.handle_edge)
-        kernel.schedule(0, self.run.sensor_node, "sensor-reading", {"step": 0})
+        for node in (CLOUD_NODE, *self.run.edge_nodes):
+            kernel.register_handler(node, self.handle_node)
+        kernel.schedule(0, self.run.sensor_node, 0)
         self.run.schedule_reports(kernel)
         kernel.run()
 
@@ -420,10 +429,10 @@ class _SeedRun:
             for node in self.edge_nodes:
                 # offset into the period so reports never share a timestamp
                 # with control traffic emission
-                kernel.schedule(t + CONTROL_PERIOD_MS // 2, node, "state-report", {})
+                kernel.schedule(t + CONTROL_PERIOD_MS // 2, node)
             t += interval_ms
 
-    def emit_report(self, edge_node: int) -> dict:
+    def emit_report(self, edge_node: int) -> Report:
         """Drift this edge's background load; returns the report for the cloud."""
         resource = self.cfg.allocator.edges[edge_node - 1]
         drifted = self.edge_loads[resource.id] + self.drift_rng.normal(
@@ -432,11 +441,11 @@ class _SeedRun:
         self.edge_loads[resource.id] = float(
             np.clip(drifted, 0.0, self.cfg.allocator.load_max)
         )
-        return {"edge": resource.id, "load": self.edge_loads[resource.id]}
+        return Report(resource.id, self.edge_loads[resource.id])
 
-    def receive_report(self, body) -> None:
+    def receive_report(self, report: Report) -> None:
         """Record the load the cloud received; the next reading re-solves the placement."""
-        self.reported_loads[body["edge"]] = body["load"]
+        self.reported_loads[report.edge] = report.load
         self.plan_stale = True
 
     def _build_links(self) -> dict[tuple[int, int], Link]:

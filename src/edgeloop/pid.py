@@ -3,7 +3,7 @@
 Two independent loops: water-level error drives the pump, pressure error
 drives the valve. Each loop is a textbook PID with a clamped integral
 (anti-windup) and saturated output; the continuous outputs are then
-snapped onto the plant's discrete actuator grid.
+snapped onto the plant's discrete actuator grid, as an action index.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .boiler import ActuatorCommand, BoilerConfig, BoilerState
+from .boiler import BoilerConfig, BoilerState
 from .simcore import CONTROL_PERIOD_S
 
 
@@ -73,12 +73,12 @@ def _quantize(u: float) -> int:
     return 2
 
 
-def pid_to_command(pump_output: float, valve_output: float) -> ActuatorCommand:
-    """Snap continuous [0,1] outputs onto the discrete actuator grid."""
+def pid_to_action(pump_output: float, valve_output: float) -> int:
+    """Snap continuous [0,1] outputs onto the discrete actuator grid; returns the action index."""
     for name, u in (("pump", pump_output), ("valve", valve_output)):
         if not (0.0 <= u <= 1.0):
             raise ValueError(f"{name} output {u} outside [0,1]")
-    return ActuatorCommand.from_index(3 * _quantize(pump_output) + _quantize(valve_output))
+    return 3 * _quantize(pump_output) + _quantize(valve_output)
 
 
 class BoilerPid:
@@ -106,7 +106,7 @@ class BoilerPid:
         self.level_state = PidState()
         self.pressure_state = PidState()
 
-    def command(self, state: BoilerState) -> ActuatorCommand:
+    def act(self, state: BoilerState) -> int:
         cfg = self.config
         level_out, self.level_state = pid_step(
             self.level_gains, self.level_state, cfg.level_setpoint, state.water_level
@@ -120,7 +120,4 @@ class BoilerPid:
         # above-setpoint pressure yields a negative loop output, opening the valve
         pump_u = min(max(0.5 + level_out, 0.0), 1.0)
         valve_u = min(max(0.5 - pressure_out, 0.0), 1.0)
-        return pid_to_command(pump_u, valve_u)
-
-    def act(self, state: BoilerState) -> int:
-        return self.command(state).to_index()
+        return pid_to_action(pump_u, valve_u)

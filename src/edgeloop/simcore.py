@@ -4,7 +4,8 @@ Time is integer milliseconds. Events are totally ordered by (time, seq),
 where seq is a monotone counter issued at scheduling time, so simultaneous
 events replay in scheduling order and runs are bit-reproducible for a
 fixed link table, seed, and initial schedule. The nodes are the ends of
-the links.
+the links. An event's body is opaque to the kernel: it stores the payload
+and hands it to the target's handler, and never reads it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 MS_PER_SECOND = 1000
 CONTROL_PERIOD_MS = 5 * MS_PER_SECOND  # control cadence: one command every 5 s
 CONTROL_PERIOD_S = CONTROL_PERIOD_MS / MS_PER_SECOND  # the plant and PID step
-
-PAYLOAD_KINDS = frozenset({"sensor-reading", "control-command", "state-report"})
 
 
 class SimulationError(Exception):
@@ -78,7 +77,6 @@ class Event(NamedTuple):  # heaped as is: seq is unique, so body is never compar
     time: int
     seq: int
     target: int
-    kind: str
     body: Any = None
 
 
@@ -107,26 +105,17 @@ class Kernel:
             raise TopologyError(f"unknown node {node_id}")
         self._handlers[node_id] = handler
 
-    def schedule(self, time: int, target: int, kind: str, body: Any = None) -> Event:
+    def schedule(self, time: int, target: int, body: Any = None) -> Event:
         if time < self.clock:
             raise StaleEventError(f"cannot schedule at t={time} before clock {self.clock}")
         if target not in self.nodes:
             raise TopologyError(f"unknown node {target}")
-        if kind not in PAYLOAD_KINDS:
-            raise SimulationError(f"unknown payload kind {kind!r}")
-        event = Event(time, self._seq, target, kind, body)
+        event = Event(time, self._seq, target, body)
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
 
-    def send(
-        self,
-        src: int,
-        dst: int,
-        kind: str,
-        body: Any = None,
-        depart_delay_ms: int = 0,
-    ) -> Event:
+    def send(self, src: int, dst: int, body: Any = None, depart_delay_ms: int = 0) -> Event:
         """Schedule delivery of a payload over the src->dst link.
 
         The delivery time is now + depart_delay_ms + sampled link delay.
@@ -135,7 +124,7 @@ class Kernel:
         if link is None:
             raise TopologyError(f"no link from {src} to {dst}")
         delay = link.sample_delay_ms(self.rng)
-        event = self.schedule(self.clock + depart_delay_ms + delay, dst, kind, body)
+        event = self.schedule(self.clock + depart_delay_ms + delay, dst, body)
         self.sent_count += 1
         return event
 

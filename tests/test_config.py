@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 import yaml
@@ -77,6 +78,18 @@ def test_out_of_range_value_names_the_key_path():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"allocator": {"load_drift": -1}})
     assert str(exc.value) == "allocator: load_drift must be >= 0"
+    # a non-finite number is rejected where it is read, for any float key
+    for section, key, value in (("plant", "w_action", math.inf), ("plant", "failure_penalty", math.nan),
+                                ("allocator", "load_drift", math.inf), ("plant", "w_temp", 10**400)):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({section: {key: value}})
+        assert str(exc.value).startswith(f"{section}.{key}: expected a finite number")
+    # plant values that would invert every cost, run the plant backwards or divide by zero
+    for key, value in (("deviation_clamp", -1.0), ("pump_gain", -1.0),
+                       ("inlet_noise_std_c", -2.0), ("level_setpoint", 0.0)):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({"plant": {key: value}})
+        assert str(exc.value).startswith(f"plant: {key} must be")
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"latency": {"jitter": 1.0}})
     assert str(exc.value).startswith("latency: jitter")

@@ -55,7 +55,7 @@ def test_oracle_action_holds_the_setpoint():
     # at the nominal point every deviation term is zero, so any actuator
     # motion is pure cost and the reference action is to hold
     cfg = load_config(None).plant
-    assert oracle_action(cfg, boiler.nominal_state(cfg), 0.95) == ActuatorCommand(0.5, 0.5).to_index()
+    assert boiler.COMMANDS[oracle_action(cfg, boiler.nominal_state(cfg), 0.95)] == ActuatorCommand(0.5, 0.5)
 
 
 def test_oracle_action_keeps_correcting_once_in_position():
@@ -167,9 +167,9 @@ def test_plant_keeps_the_newest_command_when_commands_arrive_out_of_order(monkey
 
     def checked(self, event):
         out = handle_sensor(self, event)
-        if event.kind == "control-command":
+        if isinstance(event.body, experiment.Command):
             counts["commands"] += 1
-            step, action = event.body["step"], event.body["action"]
+            step, action = event.body.step, event.body.action
             if step > newest.get(self, (-1, None))[0]:
                 newest[self] = (step, action)
             else:
@@ -204,9 +204,9 @@ def test_plan_sees_only_the_loads_the_cloud_has_received(monkeypatch):
     receive_report, solve = experiment._SeedRun.receive_report, allocator.solve
     planned = []
 
-    def recorded_receive(self, body):
-        received[body["edge"]] = body["load"]
-        return receive_report(self, body)
+    def recorded_receive(self, report):
+        received[report.edge] = report.load
+        return receive_report(self, report)
 
     def checked_solve(modules, resources, weights):
         planned.append({r.id: r.current_load for r in resources} == received)

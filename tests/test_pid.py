@@ -12,7 +12,7 @@ from edgeloop.pid import (
     PidGains,
     PidState,
     pid_step,
-    pid_to_command,
+    pid_to_action,
 )
 
 
@@ -111,26 +111,26 @@ def test_gain_validation():
 
 
 def test_quantizer_examples():
-    assert pid_to_command(0.74, 0.74) == ActuatorCommand(0.5, 0.5)
-    assert pid_to_command(0.76, 0.76) == ActuatorCommand(1.0, 1.0)
-    assert pid_to_command(0.25, 0.25) == ActuatorCommand(0.0, 0.0)  # tie rounds down
-    assert pid_to_command(0.75, 0.75) == ActuatorCommand(0.5, 0.5)  # tie rounds down
-    assert pid_to_command(0.0, 1.0) == ActuatorCommand(0.0, 1.0)
+    assert boiler.COMMANDS[pid_to_action(0.74, 0.74)] == ActuatorCommand(0.5, 0.5)
+    assert boiler.COMMANDS[pid_to_action(0.76, 0.76)] == ActuatorCommand(1.0, 1.0)
+    assert boiler.COMMANDS[pid_to_action(0.25, 0.25)] == ActuatorCommand(0.0, 0.0)  # tie rounds down
+    assert boiler.COMMANDS[pid_to_action(0.75, 0.75)] == ActuatorCommand(0.5, 0.5)  # tie rounds down
+    assert boiler.COMMANDS[pid_to_action(0.0, 1.0)] == ActuatorCommand(0.0, 1.0)
 
 
 def test_quantizer_error_is_bounded_over_a_fine_grid():
     for k in range(1001):
         u = k / 1000.0
-        cmd = pid_to_command(u, u)
+        cmd = boiler.COMMANDS[pid_to_action(u, u)]
         assert abs(cmd.pump_level - u) <= 0.25
         assert cmd.pump_level in (0.0, 0.5, 1.0)
 
 
 def test_quantizer_rejects_out_of_range():
     with pytest.raises(ValueError):
-        pid_to_command(1.2, 0.5)
+        pid_to_action(1.2, 0.5)
     with pytest.raises(ValueError):
-        pid_to_command(0.5, -0.1)
+        pid_to_action(0.5, -0.1)
 
 
 # -- the two-loop boiler controller ---------------------------------------------------
@@ -144,7 +144,7 @@ def test_level_step_settles_within_two_percent_inside_100_steps():
     band = 0.02 * cfg.level_setpoint
     in_band_from = None
     for step in range(1, 101):
-        state, _, failed = boiler.step(cfg, state, ctl.command(state))
+        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)])
         assert not failed
         if abs(state.water_level - cfg.level_setpoint) <= band:
             if in_band_from is None:
@@ -161,7 +161,7 @@ def test_controller_regulates_the_drifting_plant_long_term():
     ctl = BoilerPid(cfg)
     state = boiler.nominal_state(cfg)
     for _ in range(2000):
-        state, _, failed = boiler.step(cfg, state, ctl.command(state))
+        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)])
         assert not failed
     assert abs(state.water_level - cfg.level_setpoint) <= 0.05
 
@@ -170,34 +170,34 @@ def test_controller_responds_in_the_right_direction():
     cfg = BoilerConfig()
     ctl = BoilerPid(cfg)
     low = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.2)
-    assert ctl.command(low).pump_level == 1.0
+    assert boiler.COMMANDS[ctl.act(low)].pump_level == 1.0
     ctl.reset()
     high = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.9)
-    assert ctl.command(high).pump_level == 0.0
+    assert boiler.COMMANDS[ctl.act(high)].pump_level == 0.0
     ctl.reset()
     over_pressure = dataclasses.replace(boiler.nominal_state(cfg), pressure=1500.0)
-    assert ctl.command(over_pressure).valve_level == 1.0
+    assert boiler.COMMANDS[ctl.act(over_pressure)].valve_level == 1.0
 
 
 def test_reset_clears_loop_state():
     cfg = BoilerConfig()
     ctl = BoilerPid(cfg)
     state = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.3)
-    first = ctl.command(state)
-    ctl.command(dataclasses.replace(state, water_level=0.45))
+    first = ctl.act(state)
+    ctl.act(dataclasses.replace(state, water_level=0.45))
     ctl.reset()
     assert ctl.level_state == PidState()
     assert ctl.pressure_state == PidState()
-    assert ctl.command(state) == first
+    assert ctl.act(state) == first
 
 
 def test_act_returns_the_command_index():
     cfg = BoilerConfig()
     ctl = BoilerPid(cfg)
-    state = boiler.nominal_state(cfg)
-    index = ctl.act(state)
-    ctl.reset()
-    assert ActuatorCommand.from_index(index) == ctl.command(state)
+    # at the setpoints both loop outputs are zero, so both actuators sit mid-range
+    index = ctl.act(boiler.nominal_state(cfg))
+    assert type(index) is int
+    assert boiler.COMMANDS[index] == ActuatorCommand(0.5, 0.5)
 
 
 def test_default_gains_are_the_documented_tuning():

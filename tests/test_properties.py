@@ -57,9 +57,15 @@ def edge_configs(draw):
         return config, None
     section, key, value = draw(st.sampled_from(
         [("latency", "jitter", 1.0), ("latency", "compute_ms", 5000),
-         ("agent", "warmup", replay + 1), (None, "max_steps", 0)]
+         ("agent", "warmup", replay + 1), (None, "max_steps", 0),
+         ("plant", "w_action", math.inf), ("plant", "failure_penalty", math.nan),
+         ("plant", "deviation_clamp", -1.0), ("plant", "pump_gain", -1.0),
+         ("plant", "inlet_noise_std_c", -2.0), ("plant", "level_setpoint", 0.0),
+         ("allocator", "load_drift", math.inf)]
     ))
     (config[section] if section else config)[key] = value
+    if isinstance(value, float) and not math.isfinite(value):
+        return config, f"{section}.{key}: "  # rejected as it is read, by its dotted path
     return config, f"{section or 'config'}: {key}"
 
 

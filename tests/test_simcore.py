@@ -91,31 +91,29 @@ def test_topology_link_lookup_errors():
     with pytest.raises(TopologyError):
         kernel.register_handler(99, lambda ev: None)
     with pytest.raises(TopologyError):
-        kernel.schedule(0, 99, "sensor-reading")
+        kernel.schedule(0, 99)
     # only the home edge has a direct link to the sensor
     with pytest.raises(TopologyError):
-        kernel.send(2, sensor, "control-command")
+        kernel.send(2, sensor)
     with pytest.raises(TopologyError):
-        kernel.send(99, 0, "state-report")
+        kernel.send(99, 0)
     assert kernel.sent_count == 0
-    assert kernel.send(1, sensor, "control-command").time == 100
+    assert kernel.send(1, sensor).time == 100
 
 
 # -- scheduling and ordering ----------------------------------------------------------
 
 
-def test_schedule_validates_time_target_and_kind():
+def test_schedule_validates_time_and_target():
     links, sensor = star_topology()
     kernel = Kernel(links)
-    kernel.schedule(10, sensor, "sensor-reading")
+    kernel.schedule(10, sensor)
     with pytest.raises(TopologyError):
-        kernel.schedule(10, 99, "sensor-reading")
-    with pytest.raises(SimulationError):
-        kernel.schedule(10, sensor, "bogus-kind")
+        kernel.schedule(10, 99)
     kernel.run()
     assert kernel.clock == 10
     with pytest.raises(StaleEventError):
-        kernel.schedule(5, sensor, "sensor-reading")
+        kernel.schedule(5, sensor)
 
 
 def test_simultaneous_events_dispatch_in_scheduling_order():
@@ -125,9 +123,9 @@ def test_simultaneous_events_dispatch_in_scheduling_order():
         kernel = Kernel(links)
         seen = []
         kernel.register_handler(sensor, lambda ev: seen.append(ev.body))
-        kernel.schedule(60, sensor, "sensor-reading", bodies[0])
+        kernel.schedule(60, sensor, bodies[0])
         for body in bodies:
-            kernel.schedule(50, sensor, "sensor-reading", body)
+            kernel.schedule(50, sensor, body)
         kernel.run()
         assert seen == [*bodies, bodies[0]]
 
@@ -145,9 +143,9 @@ def test_send_timing_is_departure_plus_link_delay():
     kernel.register_handler(0, lambda ev: arrivals.append(kernel.clock))
     kernel.register_handler(
         sensor,
-        lambda ev: kernel.send(sensor, 0, "sensor-reading", None, depart_delay_ms=100),
+        lambda ev: kernel.send(sensor, 0, depart_delay_ms=100),
     )
-    kernel.schedule(1000, sensor, "sensor-reading")
+    kernel.schedule(1000, sensor)
     kernel.run()
     assert arrivals == [1000 + 100 + 700]
 
@@ -158,7 +156,7 @@ def test_step_dispatches_one_event_at_a_time():
     seen = []
     kernel.register_handler(sensor, lambda ev: seen.append(ev.time))
     for t in (40, 10, 30, 20):
-        kernel.schedule(t, sensor, "sensor-reading")
+        kernel.schedule(t, sensor)
     assert kernel.step().time == 10
     assert kernel.step().time == 20
     assert seen == [10, 20]
@@ -181,13 +179,13 @@ def test_event_conservation_under_random_traffic():
         for _ in range(int(traffic_rng.integers(0, 3))):
             dst = int(traffic_rng.choice([n for n in nodes if n != ev.target]))
             if (ev.target, dst) in links:
-                kernel.send(ev.target, dst, "state-report")
+                kernel.send(ev.target, dst)
 
     for node in nodes:
         kernel.register_handler(node, chatter)
     scheduled = 5
     for t in (0, 100, 200, 300, 400):
-        kernel.schedule(t, sensor, "sensor-reading")
+        kernel.schedule(t, sensor)
     processed = kernel.run()
     assert kernel.delivered_count == processed
     assert kernel.delivered_count == kernel.sent_count + scheduled
@@ -202,13 +200,14 @@ def test_identical_seeds_replay_identical_traces():
         trace = []
 
         def bounce(ev):
-            trace.append((ev.time, ev.seq, ev.target, ev.kind))
-            if next(hops) < 150:
-                kernel.send(ev.target, 0 if ev.target != 0 else 1, "state-report")
+            trace.append((ev.time, ev.seq, ev.target, ev.body))
+            hop = next(hops)
+            if hop < 150:
+                kernel.send(ev.target, 0 if ev.target != 0 else 1, hop)
 
         for node in (0, 1, 2, sensor):
             kernel.register_handler(node, bounce)
-        kernel.schedule(0, sensor, "sensor-reading")
+        kernel.schedule(0, sensor)
         kernel.run()
         return trace
 
