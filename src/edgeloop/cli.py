@@ -72,7 +72,8 @@ def _cmd_run(args) -> int:
     result = run_experiment(cfg, out_dir)
     for seed in sorted(result.results):
         res = result.results[seed]
-        note = " DIVERGED" if res.diverged else ""
+        d = res.divergence
+        note = f" DIVERGED in {d.phase} episode {d.episode} at step {d.step}: {d.message}" if d else ""
         evals = phase_records(res.records, "eval")
         tail = ""
         if evals:

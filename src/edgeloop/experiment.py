@@ -97,11 +97,24 @@ class MetricsRecord:
     utilization: float
 
 
+class Divergence(NamedTuple):
+    """Where a seed's learner diverged, and the DivergenceError's message."""
+
+    message: str
+    phase: str
+    episode: int
+    step: int  # the reading step being served
+
+
 @dataclass
 class SeedResult:
     seed: int
     records: list[MetricsRecord]
-    diverged: bool
+    divergence: Divergence | None = None  # None when the seed ran to the end
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
 
 @dataclass
@@ -325,6 +338,9 @@ class _Episode:
         kernel.schedule(0, self.run.sensor_node, 0)
         self.run.schedule_reports(kernel)
         kernel.run()
+        # the kernel's handlers refer back to this episode: breaking the cycle
+        # frees both now, not at the cyclic collector's next full pass
+        del self.kernel
 
         # readings all overtaken en route leave nothing to average: 0.0 over 0 samples
         ordered = sorted(self.latencies)
@@ -475,21 +491,18 @@ class _SeedRun:
 
     def run(self) -> SeedResult:
         records: list[MetricsRecord] = []
-        diverged = False
         phases = [(PHASE_TRAIN, "train", self.cfg.episodes)]
         if self.cfg.eval_episodes > 0:
             phases.append((PHASE_EVAL, "eval", self.cfg.eval_episodes))
         for phase_code, phase_name, count in phases:
-            if diverged:
-                break
             for index in range(count):
                 episode = _Episode(self, phase_code, phase_name, index)
                 try:
                     records.append(episode.run_to_completion())
-                except dqn.DivergenceError:
-                    diverged = True
-                    break
-        return SeedResult(seed=self.seed, records=records, diverged=diverged)
+                except dqn.DivergenceError as exc:
+                    divergence = Divergence(str(exc), phase_name, index, episode.ctl_last_step)
+                    return SeedResult(self.seed, records, divergence)
+        return SeedResult(self.seed, records)
 
 
 def run_seed(cfg: RunConfig, seed: int, disturbance: list[float] | None = None) -> SeedResult:

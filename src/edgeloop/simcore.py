@@ -6,14 +6,25 @@ events replay in scheduling order and runs are bit-reproducible for a
 fixed link table, seed, and initial schedule. The nodes are the ends of
 the links. An event's body is opaque to the kernel: it stores the payload
 and hands it to the target's handler, and never reads it.
+
+Jittered link delays come from the kernel's rng, which only links read.
+The kernel draws it CHUNK raw 32-bit words at a time and maps each word
+to a delay with the bounded-integer rule numpy's Generator.integers uses
+for ranges of at most 2**32 values, Lemire's multiply-shift with rejection
+("Fast random integer generation in an interval", ACM TOMACS 2019), so the
+delays equal one scalar rng.integers(min, max + 1) call per message, and a
+link with a single possible delay takes no word. Byte-identical runs across
+numpy versions therefore rest on numpy keeping that rule (NEP 19 allows it
+to change); tests/test_simcore.py checks the mapping against
+Generator.integers.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -21,6 +32,7 @@ import numpy as np
 MS_PER_SECOND = 1000
 CONTROL_PERIOD_MS = 5 * MS_PER_SECOND  # control cadence: one command every 5 s
 CONTROL_PERIOD_S = CONTROL_PERIOD_MS / MS_PER_SECOND  # the plant and PID step
+CHUNK = 512  # jitter words drawn per refill of the kernel's word list
 
 
 class SimulationError(Exception):
@@ -45,7 +57,8 @@ class Link:
 
     A delivered delay is drawn uniformly from the integer range
     [ceil(base*(1-jitter)), floor(base*(1+jitter))]; with jitter 0 the
-    delay is exactly the base.
+    delay is exactly the base. The range holds at most 2**32 values: for a
+    wider one numpy draws 64-bit words, which the kernel does not.
     """
 
     base_ms: int
@@ -56,6 +69,9 @@ class Link:
             raise TopologyError(f"link base delay must be positive, got {self.base_ms}")
         if not (0.0 <= self.jitter < 1.0):
             raise TopologyError(f"link jitter must be in [0, 1), got {self.jitter}")
+        if self.max_delay_ms - self.min_delay_ms + 1 > 2**32:
+            raise TopologyError(f"link delay range {self.min_delay_ms}..{self.max_delay_ms} ms "
+                                "holds more than 2**32 values")
 
     @cached_property  # kept in the instance dict; eq and hash read only the fields
     def min_delay_ms(self) -> int:
@@ -64,13 +80,6 @@ class Link:
     @cached_property
     def max_delay_ms(self) -> int:
         return math.floor(self.base_ms * (1.0 + self.jitter))
-
-    def sample_delay_ms(self, rng: np.random.Generator | None) -> int:
-        if self.jitter == 0.0:
-            return self.base_ms
-        if rng is None:
-            raise SimulationError("jittered link requires the kernel to own an rng")
-        return int(rng.integers(self.min_delay_ms, self.max_delay_ms + 1))
 
 
 class Event(NamedTuple):  # heaped as is: seq is unique, so body is never compared
@@ -90,9 +99,17 @@ class Kernel:
     """Single-stream event kernel. One instance per simulation run."""
 
     def __init__(self, links: dict[tuple[int, int], Link], rng: np.random.Generator | None = None):
-        self.links = links
+        if rng is None and any(link.jitter for link in links.values()):
+            raise SimulationError("jittered link requires the kernel to own an rng")
+        # per link: the lowest delay, the number of delays, and the rejection
+        # threshold (2**32 - span) % span of numpy's bounded-integer rule
+        self._routes = {}
+        for pair, link in links.items():
+            span = link.max_delay_ms - link.min_delay_ms + 1
+            self._routes[pair] = (link.min_delay_ms, span, (2**32 - span) % span)
         self.nodes = frozenset(node for pair in links for node in pair)
         self.rng = rng
+        self._words: list[int] = []  # drawn jitter words, the next one last
         self.clock = 0
         self._seq = 0
         self._queue: list[Event] = []
@@ -112,27 +129,46 @@ class Kernel:
             raise TopologyError(f"unknown node {target}")
         event = Event(time, self._seq, target, body)
         self._seq += 1
-        heapq.heappush(self._queue, event)
+        heappush(self._queue, event)
         return event
 
     def send(self, src: int, dst: int, body: Any = None, depart_delay_ms: int = 0) -> Event:
         """Schedule delivery of a payload over the src->dst link.
 
-        The delivery time is now + depart_delay_ms + sampled link delay.
+        The delivery time is now + depart_delay_ms + drawn link delay. A
+        link ends at a node and delays by at least 1 ms, so the event is
+        pushed without schedule's checks.
         """
-        link = self.links.get((src, dst))
-        if link is None:
+        route = self._routes.get((src, dst))
+        if route is None:
             raise TopologyError(f"no link from {src} to {dst}")
-        delay = link.sample_delay_ms(self.rng)
-        event = self.schedule(self.clock + depart_delay_ms + delay, dst, body)
+        if depart_delay_ms < 0:
+            raise StaleEventError(f"cannot depart {depart_delay_ms} ms before clock {self.clock}")
+        low, span, threshold = route
+        if span == 1:
+            delay = low
+        else:
+            m = (self._words or self._refill()).pop() * span
+            while m & 0xFFFFFFFF < threshold:
+                m = (self._words or self._refill()).pop() * span
+            delay = low + (m >> 32)
+        event = Event(self.clock + depart_delay_ms + delay, self._seq, dst, body)
+        self._seq += 1
+        heappush(self._queue, event)
         self.sent_count += 1
         return event
+
+    def _refill(self) -> list[int]:
+        words = self.rng.integers(0, 2**32, size=CHUNK, dtype=np.uint64).tolist()
+        words.reverse()  # pop() takes them in drawn order
+        self._words = words
+        return words
 
     def step(self) -> Event:
         """Process the next event: advance the clock and dispatch it."""
         if not self._queue:
             raise SimulationDrained("event queue is empty")
-        event = heapq.heappop(self._queue)
+        event = heappop(self._queue)
         self.clock = event.time
         self.delivered_count += 1
         handler = self._handlers.get(event.target)

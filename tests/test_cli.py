@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from edgeloop import dqn
 from edgeloop.allocator import ControlModule, EdgeResource, plan_to_dict, solve_greedy
 from edgeloop.cli import _parse_seeds, main
 from edgeloop.reporting import COMPARED_METRICS
@@ -67,6 +68,31 @@ def test_run_applies_cli_overrides(tmp_path, capsys):
     assert "seed 3:" in captured
     assert "summary ->" in captured
     assert (out / "metrics_edge-collab_pid_seed3.jsonl").exists()
+
+
+def test_run_prints_where_and_why_a_seed_diverged(tmp_path, capsys, monkeypatch):
+    # at zero jitter every reading is served in order, and each served reading
+    # after an episode's first trains once: call 27 is train episode 1, step 7
+    calls = []
+
+    def train(agent):
+        calls.append(None)
+        if len(calls) == 27:
+            raise dqn.DivergenceError("non-finite training loss: nan")
+
+    monkeypatch.setattr(dqn.DqnAgent, "train", train)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "scenario: cloud-only\ncontroller: drl\nseeds: [4]\nepisodes: 3\n"
+        "eval_episodes: 1\nmax_steps: 20\nagent: {warmup: 8, batch_size: 8}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("seed 4: 1 episodes -> ")
+    assert line.endswith(" DIVERGED in train episode 1 at step 7: non-finite training loss: nan")
+    with open(out / "summary.csv", newline="") as f:
+        assert next(csv.DictReader(f))["diverged"] == "1"
 
 
 def test_compare_prints_table_and_writes_json(run_outputs, tmp_path, capsys):

@@ -2,22 +2,24 @@
 
 Each drawn config either fails when it is built, with a ConfigError that
 names the offending key, or runs; a run must give finite metrics, a
-utilization within [0, 1], and the same bytes when it is run again. The
+utilization within [0, 1], and the same bytes when it is run again. A
+valid config's run keeps the invariants _CheckedEpisode lists. The
 reference action must equal the full two-step enumeration for any valid
 plant and any state, inside, at or past the safety envelope.
 """
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeloop import boiler
+from edgeloop import boiler, experiment
 from edgeloop.config import ConfigError, config_from_dict
-from edgeloop.experiment import oracle_action, run_experiment
+from edgeloop.experiment import oracle_action, run_experiment, run_seed
 
 import oracles
 
@@ -26,10 +28,11 @@ TIGHT_EDGE = {"id": "tight", "capacity": 1.0, "current_load": 0.9,
 
 
 @st.composite
-def edge_configs(draw):
-    """A config dict and, when a value is out of range, the start of its error.
+def run_configs(draw):
+    """A valid config dict with values at the edges of their ranges.
 
-    Each list starts with its most extreme value, the one hypothesis favours.
+    Each list starts with its most extreme value, the one hypothesis favours:
+    jitter 0.99, for one, reorders messages on every route.
     """
     replay = draw(st.sampled_from([1, 2, 8]))  # buffer = batch = warmup
     config = {
@@ -52,6 +55,14 @@ def edge_configs(draw):
     }
     if draw(st.booleans()):
         config["allocator"]["edges"] = [TIGHT_EDGE]
+    return config
+
+
+@st.composite
+def edge_configs(draw):
+    """A config dict and, when a value is out of range, the start of its error."""
+    config = draw(run_configs())
+    replay = config["agent"]["warmup"]
     # about one config in four has one value just past its range
     if draw(st.integers(0, 3)) < 3:
         return config, None
@@ -95,6 +106,70 @@ def test_edge_of_range_configs_fail_by_key_or_run_cleanly(tmp_path_factory, draw
             for name, value in vars(rec).items():
                 if isinstance(value, float):
                     assert math.isfinite(value), (name, value)
+
+
+class _CheckedEpisode(experiment._Episode):
+    """An episode that checks the run invariants on what its kernel delivers.
+
+    Every command's latency is at least the minimum delay of the route its
+    reading and command took plus the compute time (and at most its maximum
+    delay plus the compute time); the steps of the commands the plant
+    applies strictly increase; and once the kernel has drained, every
+    message sent was delivered (the ticks are scheduled, not sent).
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.server_of = {}  # reading step -> the node that served it
+        self.applied = []
+        self.ticks = 0
+
+    def _route_ms(self, step):
+        """The least and the most a loop over this reading's route can take."""
+        run = self.run
+        sensor, entry, server = run.sensor_node, run.entry_node, self.server_of[step]
+        hops = [(sensor, entry), (entry, sensor)]
+        if server != entry:
+            hops += [(entry, server), (server, entry)]
+        links = [run.links[hop] for hop in hops]
+        return (run.compute_ms + sum(link.min_delay_ms for link in links),
+                run.compute_ms + sum(link.max_delay_ms for link in links))
+
+    def handle_sensor(self, event):
+        if isinstance(event.body, experiment.Command):
+            latency = event.time - event.body.emit_ms
+            least, most = self._route_ms(event.body.step)
+            assert least <= latency <= most, (latency, least, most, event.body)
+        else:
+            self.ticks += 1
+        before = self.cmd_step
+        super().handle_sensor(event)
+        if self.cmd_step != before:
+            self.applied.append(self.cmd_step)
+
+    def handle_node(self, event):
+        self.ticks += event.body is None  # an edge's report tick
+        super().handle_node(event)
+
+    def _serve(self, node, reading):
+        self.server_of[reading.step] = node
+        super()._serve(node, reading)
+
+    def run_to_completion(self):
+        kernel = self.kernel
+        record = super().run_to_completion()
+        assert all(a < b for a, b in zip(self.applied, self.applied[1:])), self.applied
+        assert len(self.latencies) >= len(self.applied)
+        assert kernel.sent_count == kernel.delivered_count - self.ticks
+        return record
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(run_configs())
+def test_runs_keep_their_invariants_on_jittered_and_slow_routes(data):
+    cfg = config_from_dict(data)
+    with mock.patch.object(experiment, "_Episode", _CheckedEpisode):
+        run_seed(cfg, cfg.seeds[0])
 
 
 @st.composite

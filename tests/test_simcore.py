@@ -1,8 +1,10 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from edgeloop import simcore
 from edgeloop.simcore import (
     Kernel,
     Link,
@@ -38,24 +40,59 @@ def test_link_delay_bounds_are_rounded_inward():
     assert odd.max_delay_ms == 36  # floor(36.3)
 
 
+def one_link(link, rng=None):
+    """A kernel over the single link 0 -> 1."""
+    return Kernel({(0, 1): link}, rng=rng)
+
+
+def delays(kernel, n):
+    """Link delays of n sends from node 0 at a clock that stays at 0."""
+    return [kernel.send(0, 1).time for _ in range(n)]
+
+
 def test_link_sample_zero_jitter_is_exact_and_needs_no_rng():
-    link = Link(base_ms=250)
-    assert link.sample_delay_ms(None) == 250
+    assert delays(one_link(Link(base_ms=250)), 3) == [250, 250, 250]
 
 
 def test_link_sample_jittered_requires_rng():
-    link = Link(base_ms=100, jitter=0.2)
-    with pytest.raises(SimulationError):
-        link.sample_delay_ms(None)
+    # the kernel refuses the link when it is built, not at its first send
+    with pytest.raises(SimulationError, match="requires the kernel to own an rng"):
+        one_link(Link(base_ms=100, jitter=0.2))
+    # a jittered link with a single possible delay still needs an rng, and takes no word from it
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert delays(one_link(Link(base_ms=1, jitter=0.3), rng), 5) == [1] * 5
+    assert rng.bit_generator.state == before
 
 
 def test_link_sample_stays_in_bounds():
-    link = Link(base_ms=100, jitter=0.1)
-    rng = np.random.default_rng(5)
-    draws = {link.sample_delay_ms(rng) for _ in range(2000)}
+    draws = set(delays(one_link(Link(base_ms=100, jitter=0.1), np.random.default_rng(5)), 2000))
     assert min(draws) >= 90
     assert max(draws) <= 110
     assert {90, 110} <= draws  # the closed range is actually reachable
+
+
+class Route(NamedTuple):
+    """What the kernel reads of a link, for delay ranges no Link has (even sizes)."""
+
+    min_delay_ms: int
+    max_delay_ms: int
+    jitter: float = 0.5
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 21, 141, 301, 2**31 + 1, 2**32 - 1, 2**32])
+def test_kernel_delays_equal_scalar_generator_integers(monkeypatch, span):
+    # the metrics bytes rest on this: if a numpy release changes its
+    # bounded-integer algorithm (NEP 19 allows it), this fails first; a
+    # 7-word chunk makes 500 draws cross many refills, and 2**31 + 1 rejects
+    # about half its words
+    monkeypatch.setattr(simcore, "CHUNK", 7)
+    low = 3
+    for seed in range(5):
+        kernel = one_link(Route(low, low + span - 1), np.random.default_rng(seed))
+        reference = np.random.default_rng(seed)
+        expected = [int(reference.integers(low, low + span)) for _ in range(500)]
+        assert delays(kernel, 500) == expected, (span, seed)
 
 
 def test_link_bounds_are_cached_and_leave_equality_and_hash_alone():
@@ -65,11 +102,19 @@ def test_link_bounds_are_cached_and_leave_equality_and_hash_alone():
         assert link.max_delay_ms == math.floor(base_ms * (1.0 + jitter))
         assert vars(link).keys() >= {"min_delay_ms", "max_delay_ms"}  # computed once, kept
         twin = Link(base_ms, jitter)
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            link.sample_delay_ms(rng)
+        delays(one_link(link, np.random.default_rng(0)), 3)
         assert link == twin and hash(link) == hash(twin)
         assert {link: 1}[twin] == 1
+
+
+def test_link_rejects_delay_ranges_past_32_bit_words():
+    jitter = 1 - 2**-31
+    widest = Link(2**31 + 1, jitter)
+    assert widest.max_delay_ms - widest.min_delay_ms + 1 == 2**32
+    with pytest.raises(TopologyError, match="more than 2\\*\\*32 values"):
+        Link(2**31 + 2, jitter)  # numpy would draw 64-bit words for this range
+    with pytest.raises(TopologyError):
+        Link(3 * 2**30, 0.99)
 
 
 def test_link_validation():
@@ -148,6 +193,9 @@ def test_send_timing_is_departure_plus_link_delay():
     kernel.schedule(1000, sensor)
     kernel.run()
     assert arrivals == [1000 + 100 + 700]
+    with pytest.raises(StaleEventError):
+        kernel.send(0, sensor, depart_delay_ms=-1)
+    assert kernel.sent_count == 1
 
 
 def test_step_dispatches_one_event_at_a_time():
