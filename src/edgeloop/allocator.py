@@ -8,7 +8,9 @@ pruning is affordable; a greedy heuristic covers anything larger.
 
 A plan is the binary placement matrix itself (rows are resources, columns
 are modules, both in instance order) so that constraint checks and JSON
-output are direct.
+output are direct. Instances are checked where they are built, by
+instance_from_dict and the run config's allocator section; the solvers
+trust them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ CAPACITY_SLACK = 1e-9  # float-tolerant feasibility comparisons
 
 
 class AllocationError(ValueError):
-    """Malformed instance or plan."""
+    """Malformed instance."""
 
 
 class InstanceTooLargeError(AllocationError):
@@ -87,8 +89,6 @@ def affinity(
     Bandwidth is normalized by the instance-wide maximum so the score is
     unit-free; more intense modules amplify the gap between servers.
     """
-    if max_bandwidth <= 0:
-        raise AllocationError("max_bandwidth must be positive")
     quality = (
         weights.bandwidth * resource.bandwidth_mbps / max_bandwidth
         + weights.cpu * resource.compute_rating
@@ -108,15 +108,6 @@ class AssignmentPlan:
     module_ids: tuple[str, ...]
     x: tuple[tuple[int, ...], ...]
     objective: float
-
-    def __post_init__(self):
-        if len(self.x) != len(self.resource_ids):
-            raise AllocationError("plan matrix row count != resource count")
-        for row in self.x:
-            if len(row) != len(self.module_ids):
-                raise AllocationError("plan matrix column count != module count")
-            if any(v not in (0, 1) for v in row):
-                raise AllocationError("plan matrix entries must be 0 or 1")
 
     def assignment(self) -> dict[str, str]:
         """module id -> resource id for every placed module."""
@@ -206,7 +197,6 @@ def solve_exact(
     Ties on the objective resolve to the lexicographically smallest
     row-major placement matrix, which keeps the result unique.
     """
-    check_instance(modules, resources)
     n, m = len(resources), len(modules)
     if (n + 1) ** m > EXACT_SEARCH_LIMIT:
         raise InstanceTooLargeError(
@@ -260,7 +250,6 @@ def solve_greedy(
     Load ties fall back to module id; among feasible servers the highest
     affinity wins, earliest in instance order on ties.
     """
-    check_instance(modules, resources)
     if not modules:
         return _plan_from_choice([], modules, resources, 0.0)
     score = _affinity_matrix(modules, resources, weights)
@@ -297,12 +286,14 @@ def solve(
 
 
 def instance_from_dict(data: dict) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:
+    """Build and check an instance; any fault in it is an AllocationError."""
     try:
         resources = [EdgeResource(**r) for r in data["resources"]]
         modules = [ControlModule(**m) for m in data["modules"]]
+        weights = AffinityWeights(**data.get("weights", {}))
+        check_instance(modules, resources)
     except (KeyError, TypeError) as exc:
         raise AllocationError(f"malformed instance: {exc}") from exc
-    weights = AffinityWeights(**data.get("weights", {}))
     return modules, resources, weights
 
 
@@ -318,5 +309,9 @@ def plan_to_dict(plan: AssignmentPlan) -> dict:
 
 
 def load_instance(path) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:
+    """Read an instance file; bad JSON or a bad instance is an AllocationError naming the file."""
     with open(path) as f:
-        return instance_from_dict(json.load(f))
+        try:
+            return instance_from_dict(json.load(f))
+        except ValueError as exc:  # JSONDecodeError and AllocationError
+            raise AllocationError(f"{path}: {exc}") from exc

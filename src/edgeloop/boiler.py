@@ -97,16 +97,22 @@ class BoilerConfig:
         # costs and observations divide by these; a clamp <= 0 cancels or inverts every cost
         positive = ("level_setpoint", "pressure_setpoint_kpa", "outlet_setpoint_c",
                     "inlet_nominal_c", "deviation_clamp")
+        # the nominal state sits at these values, so they must lie inside step()'s clamps
+        upper = {"level_setpoint": 1.0, "outlet_setpoint_c": TEMP_MAX_C, "inlet_nominal_c": TEMP_MAX_C}
         for f in fields(self):
             name, value = f.name, getattr(self, f.name)
             if name in positive and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+            if name in upper and value > upper[name]:
+                raise ValueError(f"{name} must be <= {upper[name]}, got {value}")
             if name != "envelope" and not value >= 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
 class BoilerState:
+    """Plant state: step() clamps the level to [0, 1] and temperatures to [0, TEMP_MAX_C]."""
+
     inlet_temp: float
     outlet_temp: float
     water_level: float
@@ -114,33 +120,14 @@ class BoilerState:
     pump_pos: float
     valve_pos: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.water_level <= 1.0):
-            raise ValueError(f"water_level out of [0,1]: {self.water_level}")
-        if self.pressure < 0.0:
-            raise ValueError(f"pressure must be non-negative: {self.pressure}")
-        for name in ("inlet_temp", "outlet_temp"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= TEMP_MAX_C):
-                raise ValueError(f"{name} out of [0,{TEMP_MAX_C}]: {value}")
-
 
 @dataclass(frozen=True)
 class ActuatorCommand:
     pump_level: float
     valve_level: float
 
-    def __post_init__(self):
-        if self.pump_level not in ACTUATOR_LEVELS or self.valve_level not in ACTUATOR_LEVELS:
-            raise ValueError(
-                f"actuator levels must be one of {ACTUATOR_LEVELS}: "
-                f"({self.pump_level}, {self.valve_level})"
-            )
-
     @staticmethod
     def from_index(index: int) -> "ActuatorCommand":
-        if not (0 <= index < N_ACTIONS):
-            raise ValueError(f"action index out of [0,{N_ACTIONS - 1}]: {index}")
         return COMMANDS[index]
 
 

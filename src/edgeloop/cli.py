@@ -17,6 +17,7 @@ import sys
 from . import allocator, reporting
 from .config import CONTROLLERS, SCENARIOS, ConfigError, load_config, resolve_out_dir
 from .experiment import mean, phase_records, run_experiment
+from .traces import TraceError
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -126,12 +127,17 @@ def main(argv=None) -> int:
         "alloc": _cmd_alloc,
         "plot-data": _cmd_plot_data,
     }
+    # a fault in an input file or a command-line override: one stderr line, exit status 2
     try:
         return handlers[args.command](args)
     except ConfigError as exc:  # from the config file or the command-line overrides
-        message = " ".join(str(exc).split()).removeprefix("config: ")
-        print(f"edgeloop: config: {message}", file=sys.stderr)
-        return 2
+        kind, message = "config", str(exc).removeprefix("config: ")
+    except TraceError as exc:  # from the run's trace file
+        kind, message = "trace", str(exc)
+    except allocator.AllocationError as exc:  # from the alloc command's instance file
+        kind, message = "instance", str(exc)
+    print(f"edgeloop: {kind}: {' '.join(message.split())}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

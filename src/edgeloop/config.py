@@ -84,8 +84,10 @@ class LatencyConfig:
             raise ConfigError(f"jitter must be in [0,1), got {self.jitter}")
         for name in LATENCY_PRESETS[self.preset]:
             v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ConfigError(f"{name} must be >= 1 ms, got {v}")
+            # the kernel maps 32-bit words to delays: below 2**31 ms a delay
+            # range holds fewer than 2**32 values for any jitter below 1
+            if v is not None and not 1 <= v < 2**31:
+                raise ConfigError(f"{name} must be >= 1 ms and < 2**31 ms, got {v}")
         values = self.resolved()
         if values["compute_ms"] >= CONTROL_PERIOD_MS:
             # a serving node has no queue: each reading must be served before the next is due

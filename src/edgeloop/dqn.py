@@ -15,10 +15,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 
-class DimensionError(ValueError):
-    """Input shape incompatible with the network."""
-
-
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
@@ -83,21 +79,10 @@ class Transition:
 class MlpPolicy:
     """Fully connected Q-network: ReLU hidden layers, identity output."""
 
-    def __init__(self, layer_sizes: Sequence[int], weights=None, biases=None):
-        sizes = tuple(int(s) for s in layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"layer_sizes needs >= 2 positive entries, got {sizes}")
-        self.layer_sizes = sizes
-        if weights is None:
-            weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
-            biases = [np.zeros(b) for b in sizes[1:]]
+    def __init__(self, layer_sizes: Sequence[int], weights, biases):
+        self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        for w, b, (a, o) in zip(self.weights, self.biases, zip(sizes[:-1], sizes[1:])):
-            if w.shape != (a, o) or b.shape != (o,):
-                raise DimensionError(
-                    f"parameter shapes {w.shape}/{b.shape} do not match layers {a}->{o}"
-                )
 
     @classmethod
     def initialize(cls, layer_sizes: Sequence[int], rng: np.random.Generator) -> "MlpPolicy":
@@ -120,10 +105,6 @@ class MlpPolicy:
     def activations(self, obs: np.ndarray) -> list[np.ndarray]:
         """Input and every layer's output, for one observation or a batch of rows."""
         x = np.asarray(obs, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
-            raise DimensionError(
-                f"observation shape {x.shape} does not match input size {self.layer_sizes[0]}"
-            )
         out = [x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = x @ w + b
@@ -139,8 +120,6 @@ class MlpPolicy:
 
 def select_action(values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over action values; greedy ties go to the lowest index."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, len(values)))
     return int(np.argmax(values))
@@ -160,8 +139,6 @@ class ReplayBuffer:
     """Bounded FIFO transition store with uniform seeded sampling; a Batch row per slot."""
 
     def __init__(self, capacity: int = 5000):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._store: Batch | None = None
         self._size = 0
@@ -176,8 +153,6 @@ class ReplayBuffer:
             n, width = self.capacity, len(transition.obs)
             obs, next_obs = np.empty((n, width)), np.empty((n, width))
             self._store = Batch(obs, np.empty(n, np.intp), np.empty(n), next_obs, np.empty(n))
-        if {len(transition.obs), len(transition.next_obs)} != {self._store.obs.shape[1]}:
-            raise DimensionError("observation width differs from the buffer's")
         i = self._next
         self._store.obs[i] = transition.obs
         self._store.actions[i] = transition.action
@@ -199,13 +174,11 @@ class ReplayBuffer:
         return [Transition(o, int(a), float(r), n, bool(d)) for o, a, r, n, d in zip(*rows)]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        if batch_size > self._size:
-            raise ValueError(f"cannot sample {batch_size} from buffer of {self._size}")
         return self._rows(rng.choice(self._size, size=batch_size, replace=False))
 
 
 def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> float:
-    """One SGD update on the mean squared TD error over the batch.
+    """One SGD update on the mean squared TD error over a batch of hp.batch_size samples.
 
     Only the taken action's value contributes per sample. Returns the
     pre-update loss; raises DivergenceError if it is not finite. With
@@ -213,9 +186,6 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
     (the returned loss is still computed from the raw errors), which keeps
     rare large-penalty targets from destabilizing the update.
     """
-    if len(batch.actions) != hp.batch_size:
-        raise ValueError(f"batch size {len(batch.actions)} != configured {hp.batch_size}")
-
     next_q = target.forward(batch.next_obs)
     targets = batch.rewards + hp.gamma * next_q.max(axis=1) * (1.0 - batch.dones)
 
@@ -253,8 +223,6 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
 
 def sync_target(policy: MlpPolicy, target: MlpPolicy) -> None:
     """Copy policy parameters into the target network exactly."""
-    if policy.layer_sizes != target.layer_sizes:
-        raise DimensionError("policy and target layer sizes differ")
     for tw, w in zip(target.weights, policy.weights):
         tw[...] = w
     for tb, b in zip(target.biases, policy.biases):
@@ -273,8 +241,6 @@ class DqnAgent:
         explore_rng: np.random.Generator,
         replay_rng: np.random.Generator,
     ):
-        if epsilon_decay_steps < 1:
-            raise ValueError("epsilon_decay_steps must be >= 1")
         self.hp = hp
         self.epsilon_decay_steps = epsilon_decay_steps
         self.policy = MlpPolicy.initialize(layer_sizes, init_rng)

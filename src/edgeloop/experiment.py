@@ -35,7 +35,7 @@ import numpy as np
 
 from . import allocator, boiler, dqn, traces
 from .boiler import ActuatorCommand, BoilerState
-from .config import CONTROL_MODULE_ID, RunConfig
+from .config import CONTROL_MODULE_ID, ConfigError, RunConfig
 from .pid import BoilerPid
 from .simcore import CONTROL_PERIOD_MS, Kernel, Link
 
@@ -191,7 +191,7 @@ def load_disturbance(config: RunConfig) -> list[float]:
     sensor = config.trace_sensor or rows[0].sensor_id
     values = traces.sensor_values(rows, sensor)
     if not values:
-        raise ValueError(f"trace has no rows for sensor {sensor!r}")
+        raise ConfigError(f"trace_sensor {sensor!r} has no rows in {config.trace_file}")
     base = values[0]
     return [config.trace_disturbance_scale * (v - base) for v in values]
 

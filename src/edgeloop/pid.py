@@ -75,9 +75,6 @@ def _quantize(u: float) -> int:
 
 def pid_to_action(pump_output: float, valve_output: float) -> int:
     """Snap continuous [0,1] outputs onto the discrete actuator grid; returns the action index."""
-    for name, u in (("pump", pump_output), ("valve", valve_output)):
-        if not (0.0 <= u <= 1.0):
-            raise ValueError(f"{name} output {u} outside [0,1]")
     return 3 * _quantize(pump_output) + _quantize(valve_output)
 
 

