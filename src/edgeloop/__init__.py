@@ -30,7 +30,7 @@ from .experiment import (
 )
 from .pid import BoilerPid, PidGains, PidState, pid_step, pid_to_action
 from .reporting import compare, emit_plot_data, read_metrics, render_table
-from .simcore import Kernel, Link
+from .simcore import Kernel
 from .traces import ingest_trace, read_trace, resample
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "EdgeResource",
     "Hyperparams",
     "Kernel",
-    "Link",
     "MetricsRecord",
     "MlpPolicy",
     "PidGains",

@@ -6,16 +6,17 @@ is the summed affinity of the chosen placements. Instances stay tiny (a
 handful of servers and modules), so an exact enumerator with feasibility
 pruning is affordable; a greedy heuristic covers anything larger.
 
-A plan is the binary placement matrix itself (rows are resources, columns
-are modules, both in instance order) so that constraint checks and JSON
-output are direct. Instances are checked where they are built, by
-instance_from_dict and the run config's allocator section; the solvers
-trust them.
+A plan is the choice vector both solvers build, one resource index (or -1)
+per module, so no module can be placed twice; the binary placement matrix
+that the JSON output shows is derived from it. Instances are checked where
+they are built, by load_instance, instance_from_dict and the run config's
+allocator section; the solvers trust them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 EXACT_SEARCH_LIMIT = 10**7
@@ -98,32 +99,29 @@ def affinity(
 
 @dataclass(frozen=True)
 class AssignmentPlan:
-    """Binary placement matrix with its objective value.
+    """Choice vector with its objective value.
 
-    x[i][j] = 1 places module j on resource i; a zero column leaves that
-    module unassigned (it runs at the cloud).
+    choice[j] = i places module j on resource i; choice[j] = -1 leaves it
+    unassigned (it runs at the cloud).
     """
 
     resource_ids: tuple[str, ...]
     module_ids: tuple[str, ...]
-    x: tuple[tuple[int, ...], ...]
+    choice: tuple[int, ...]
     objective: float
 
+    @property
+    def x(self) -> tuple[tuple[int, ...], ...]:
+        """The binary placement matrix: x[i][j] = 1 places module j on resource i."""
+        return tuple(tuple(int(c == i) for c in self.choice) for i in range(len(self.resource_ids)))
+
     def assignment(self) -> dict[str, str]:
-        """module id -> resource id for every placed module."""
-        placed = {}
-        for i, row in enumerate(self.x):
-            for j, v in enumerate(row):
-                if v:
-                    placed[self.module_ids[j]] = self.resource_ids[i]
-        return placed
+        """module id -> resource id for every placed module, in x's row-major order."""
+        placed = sorted((i, j) for j, i in enumerate(self.choice) if i >= 0)
+        return {self.module_ids[j]: self.resource_ids[i] for i, j in placed}
 
     def unassigned(self) -> list[str]:
-        return [
-            self.module_ids[j]
-            for j in range(len(self.module_ids))
-            if all(row[j] == 0 for row in self.x)
-        ]
+        return [m for m, c in zip(self.module_ids, self.choice) if c < 0]
 
 
 def validate(
@@ -139,12 +137,8 @@ def validate(
     if plan.module_ids != tuple(m.id for m in modules):
         violations.append("plan module ids do not match the instance")
         return violations
-    for j, mod in enumerate(modules):
-        copies = sum(row[j] for row in plan.x)
-        if copies > 1:
-            violations.append(f"module {mod.id} assigned to {copies} resources")
     for i, res in enumerate(resources):
-        assigned = sum(modules[j].load for j, v in enumerate(plan.x[i]) if v)
+        assigned = sum(modules[j].load for j, c in enumerate(plan.choice) if c == i)
         total = res.current_load + assigned
         if total > res.capacity + CAPACITY_SLACK:
             violations.append(
@@ -172,21 +166,6 @@ def check_instance(modules: list[ControlModule], resources: list[EdgeResource]) 
         raise AllocationError("duplicate module ids")
 
 
-def _plan_from_choice(
-    choice: list[int],
-    modules: list[ControlModule],
-    resources: list[EdgeResource],
-    objective: float,
-) -> AssignmentPlan:
-    x = tuple(
-        tuple(1 if choice[j] == i else 0 for j in range(len(modules)))
-        for i in range(len(resources))
-    )
-    return AssignmentPlan(
-        tuple(r.id for r in resources), tuple(m.id for m in modules), x, objective
-    )
-
-
 def solve_exact(
     modules: list[ControlModule],
     resources: list[EdgeResource],
@@ -202,9 +181,6 @@ def solve_exact(
         raise InstanceTooLargeError(
             f"(n+1)^m = {(n + 1) ** m} exceeds {EXACT_SEARCH_LIMIT}; use solve_greedy"
         )
-    if m == 0:
-        return _plan_from_choice([], modules, resources, 0.0)
-
     score = _affinity_matrix(modules, resources, weights)
     headroom = [r.headroom for r in resources]
 
@@ -237,7 +213,8 @@ def solve_exact(
         choice[j] = -1
 
     descend(0, [0.0] * n, 0.0)
-    return _plan_from_choice(best_choice, modules, resources, best_score)
+    ids = tuple(r.id for r in resources), tuple(mod.id for mod in modules)
+    return AssignmentPlan(*ids, tuple(best_choice), best_score)
 
 
 def solve_greedy(
@@ -250,8 +227,6 @@ def solve_greedy(
     Load ties fall back to module id; among feasible servers the highest
     affinity wins, earliest in instance order on ties.
     """
-    if not modules:
-        return _plan_from_choice([], modules, resources, 0.0)
     score = _affinity_matrix(modules, resources, weights)
     headroom = [r.headroom for r in resources]
     order = sorted(range(len(modules)), key=lambda j: (-modules[j].load, modules[j].id))
@@ -270,7 +245,8 @@ def solve_greedy(
             choice[j] = best_i
             used[best_i] += modules[j].load
             total += score[best_i][j]
-    return _plan_from_choice(choice, modules, resources, total)
+    ids = tuple(r.id for r in resources), tuple(m.id for m in modules)
+    return AssignmentPlan(*ids, tuple(choice), total)
 
 
 def solve(
@@ -308,10 +284,20 @@ def plan_to_dict(plan: AssignmentPlan) -> dict:
     }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise AllocationError(f"expected a finite number, got {text}")
+    return value
+
+
 def load_instance(path) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:
-    """Read an instance file; bad JSON or a bad instance is an AllocationError naming the file."""
-    with open(path) as f:
-        try:
-            return instance_from_dict(json.load(f))
-        except ValueError as exc:  # JSONDecodeError and AllocationError
-            raise AllocationError(f"{path}: {exc}") from exc
+    """Read an instance file; any fault in the file is an AllocationError naming it."""
+    try:
+        with open(path) as f:
+            # NaN and Infinity reach parse_constant, 1e999 reaches parse_float
+            return instance_from_dict(json.load(f, parse_constant=_finite, parse_float=_finite))
+    except OSError as exc:
+        raise AllocationError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and AllocationError
+        raise AllocationError(f"{path}: {exc}") from exc

@@ -126,10 +126,6 @@ class ActuatorCommand:
     pump_level: float
     valve_level: float
 
-    @staticmethod
-    def from_index(index: int) -> "ActuatorCommand":
-        return COMMANDS[index]
-
 
 # the nine commands, shared, in index order (pump-major)
 COMMANDS = tuple(ActuatorCommand(p, v) for p in ACTUATOR_LEVELS for v in ACTUATOR_LEVELS)

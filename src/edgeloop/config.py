@@ -281,7 +281,11 @@ def load_config(path) -> RunConfig:
     if path is None:
         data = {}
     else:
-        with open(path) as f:
+        try:
+            f = open(path)
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        with f:
             try:
                 data = yaml.safe_load(f)
             except yaml.YAMLError as exc:

@@ -34,10 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import allocator, boiler, dqn, traces
-from .boiler import ActuatorCommand, BoilerState
+from .boiler import COMMANDS, ActuatorCommand, BoilerState
 from .config import CONTROL_MODULE_ID, ConfigError, RunConfig
 from .pid import BoilerPid
-from .simcore import CONTROL_PERIOD_MS, Kernel, Link
+from .simcore import CONTROL_PERIOD_MS, Kernel, delay_range
 
 CLOUD_NODE = 0
 
@@ -197,7 +197,7 @@ def load_disturbance(config: RunConfig) -> list[float]:
 
 
 class _Episode:
-    """One episode's mutable state plus the node handlers that drive it."""
+    """One episode's mutable state plus the event handler that drives it."""
 
     def __init__(self, run: "_SeedRun", phase_code: int, phase_name: str, index: int):
         self.run = run
@@ -209,7 +209,7 @@ class _Episode:
 
         plant_rng = np.random.default_rng([run.seed, phase_code, index])
         jitter_rng = np.random.default_rng([run.seed, _STREAM_JITTER + phase_code, index])
-        self.kernel = Kernel(run.links, rng=jitter_rng)
+        self.kernel = Kernel(run.links, self.handle, jitter_rng)
 
         if run.pid is not None:
             run.pid.reset()
@@ -232,17 +232,32 @@ class _Episode:
         self.acc_hits = 0
         self.acc_n = 0
 
-    # -- plant node ---------------------------------------------------------
+    # -- the handler of every node -------------------------------------------
+    # The sensor sends each reading to the entry node, which serves it or
+    # relays it to the reading's server; the command returns through the
+    # entry node. Only edges get report ticks, only the cloud gets reports,
+    # and only the entry edge gets commands to forward.
 
-    def handle_sensor(self, event):
-        body = event.body
-        if isinstance(body, Command):
-            self.latencies.append(self.kernel.clock - body.emit_ms)
-            if body.step > self.cmd_step:  # a command overtaken en route stays unapplied
-                self.cmd_step = body.step
-                self.pending_cmd = ActuatorCommand.from_index(body.action)
-        else:  # the period tick, carrying its step
-            self._tick(body)
+    def handle(self, event):
+        node, body, run = event.target, event.body, self.run
+        if node == run.sensor_node:
+            if isinstance(body, Command):
+                self.latencies.append(self.kernel.clock - body.emit_ms)
+                if body.step > self.cmd_step:  # a command overtaken en route stays unapplied
+                    self.cmd_step = body.step
+                    self.pending_cmd = COMMANDS[body.action]
+            else:  # the period tick, carrying its step
+                self._tick(body)
+        elif body is None:  # an edge's report tick
+            self.kernel.send(node, CLOUD_NODE, run.emit_report(node))
+        elif isinstance(body, Report):
+            run.receive_report(body)
+        elif isinstance(body, Command):
+            self.kernel.send(node, run.sensor_node, body)
+        elif body.server != node:
+            self.kernel.send(node, body.server, body)
+        else:
+            self._serve(node, body)
 
     def _tick(self, step: int):
         reward = None
@@ -267,25 +282,6 @@ class _Episode:
         if not self.done:
             self.kernel.schedule(clock + CONTROL_PERIOD_MS, run.sensor_node, step + 1)
         self.kernel.send(run.sensor_node, run.entry_node, reading)
-
-    # -- edge and cloud nodes ------------------------------------------------
-    # The sensor sends each reading to the entry node, which serves it or
-    # relays it to the reading's server; the command returns through the
-    # entry node. Only edges get report ticks, only the cloud gets reports,
-    # and only the entry edge gets commands to forward.
-
-    def handle_node(self, event):
-        node, body = event.target, event.body
-        if body is None:  # an edge's report tick
-            self.kernel.send(node, CLOUD_NODE, self.run.emit_report(node))
-        elif isinstance(body, Report):
-            self.run.receive_report(body)
-        elif isinstance(body, Command):
-            self.kernel.send(node, self.run.sensor_node, body)
-        elif body.server != node:
-            self.kernel.send(node, body.server, body)
-        else:
-            self._serve(node, body)
 
     def _serve(self, node: int, reading: Reading):
         step = reading.step
@@ -332,13 +328,10 @@ class _Episode:
 
     def run_to_completion(self) -> MetricsRecord:
         kernel = self.kernel
-        kernel.register_handler(self.run.sensor_node, self.handle_sensor)
-        for node in (CLOUD_NODE, *self.run.edge_nodes):
-            kernel.register_handler(node, self.handle_node)
         kernel.schedule(0, self.run.sensor_node, 0)
         self.run.schedule_reports(kernel)
         kernel.run()
-        # the kernel's handlers refer back to this episode: breaking the cycle
+        # the kernel's handler refers back to this episode: breaking the cycle
         # frees both now, not at the cyclic collector's next full pass
         del self.kernel
 
@@ -404,6 +397,7 @@ class _SeedRun:
             self.pid = BoilerPid(cfg.plant, cfg.pid.level, cfg.pid.pressure)
 
         self.drift_rng = np.random.default_rng([seed, _STREAM_DRIFT])
+        self.modules = [cfg.allocator.control_module(), *cfg.allocator.background_modules]
         # each edge's own drifting load, and the last load the cloud has received from it
         self.edge_loads = {e.id: e.current_load for e in cfg.allocator.edges}
         self.reported_loads = dict(self.edge_loads)
@@ -418,9 +412,6 @@ class _SeedRun:
             for e in self.cfg.allocator.edges
         ]
 
-    def _modules(self) -> list[allocator.ControlModule]:
-        return [self.cfg.allocator.control_module(), *self.cfg.allocator.background_modules]
-
     def serving_node(self) -> int:
         """The node that serves the next reading; a stale plan is re-solved first.
 
@@ -429,7 +420,7 @@ class _SeedRun:
         """
         if self.plan_stale:
             self.plan_stale = False
-            plan = allocator.solve(self._modules(), self._resources(), self.cfg.allocator.weights)
+            plan = allocator.solve(self.modules, self._resources(), self.cfg.allocator.weights)
             resource = plan.assignment().get(CONTROL_MODULE_ID)
             self.serving = CLOUD_NODE if resource is None else self.node_for_resource[resource]
         return self.serving
@@ -464,7 +455,7 @@ class _SeedRun:
         self.reported_loads[report.edge] = report.load
         self.plan_stale = True
 
-    def _build_links(self) -> dict[tuple[int, int], Link]:
+    def _build_links(self) -> dict[tuple[int, int], tuple[int, int]]:
         lat = self.latency
         jitter = self.cfg.latency.jitter
         sensor, edge = self.sensor_node, self.attached_edge
@@ -480,7 +471,7 @@ class _SeedRun:
             for other in self.edge_nodes:
                 if other != node:
                     delays[node, other] = lat["inter_edge_ms"]
-        return {pair: Link(base_ms, jitter) for pair, base_ms in delays.items()}
+        return {pair: delay_range(base_ms, jitter) for pair, base_ms in delays.items()}
 
     def disturbance_at(self, step_index: int) -> float:
         if not self.disturbance:

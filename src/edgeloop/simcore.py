@@ -3,11 +3,11 @@
 Time is integer milliseconds. Events are totally ordered by (time, seq),
 where seq is a monotone counter issued at scheduling time, so simultaneous
 events replay in scheduling order and runs are bit-reproducible for a
-fixed link table, seed, and initial schedule. The nodes are the ends of
-the links. An event's body is opaque to the kernel: it stores the payload
-and hands it to the target's handler, and never reads it. The kernel
-checks nothing it is given: the run config enforces each Link's
-precondition, and the episode builds the schedule.
+fixed link table, seed, and initial schedule. The table maps each directed
+(src, dst) link to its closed delay range (min_ms, max_ms). One handler
+serves every node: the kernel hands it each event and never reads the
+body. The kernel checks nothing it is given: the run config enforces
+delay_range's precondition, and the episode builds the schedule.
 
 Jittered link delays come from the kernel's rng, which only links read.
 The kernel draws it CHUNK raw 32-bit words at a time and maps each word
@@ -24,8 +24,6 @@ Generator.integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
 from typing import Any, Callable, NamedTuple
 
@@ -37,27 +35,14 @@ CONTROL_PERIOD_S = CONTROL_PERIOD_MS / MS_PER_SECOND  # the plant and PID step
 CHUNK = 512  # jitter words drawn per refill of the kernel's word list
 
 
-@dataclass(frozen=True)
-class Link:
-    """Directed link with a base delay and an optional jitter fraction.
+def delay_range(base_ms: int, jitter: float) -> tuple[int, int]:
+    """The closed range a link's delays are drawn from: base_ms*(1 -/+ jitter), rounded inward.
 
-    A delivered delay is drawn uniformly from the integer range
-    [ceil(base*(1-jitter)), floor(base*(1+jitter))]; with jitter 0 the
-    delay is exactly the base. Precondition, enforced by LatencyConfig:
-    1 <= base_ms < 2**31 and 0 <= jitter < 1, so the range holds fewer than
-    2**32 values (the kernel draws 32-bit words), and a jittered link needs an rng.
+    Precondition, enforced by LatencyConfig: 1 <= base_ms < 2**31 and
+    0 <= jitter < 1, so the range holds fewer than 2**32 values (the kernel
+    draws 32-bit words), and a jittered link needs the kernel's rng.
     """
-
-    base_ms: int
-    jitter: float = 0.0
-
-    @cached_property  # kept in the instance dict; eq and hash read only the fields
-    def min_delay_ms(self) -> int:
-        return math.ceil(self.base_ms * (1.0 - self.jitter))
-
-    @cached_property
-    def max_delay_ms(self) -> int:
-        return math.floor(self.base_ms * (1.0 + self.jitter))
+    return math.ceil(base_ms * (1.0 - jitter)), math.floor(base_ms * (1.0 + jitter))
 
 
 class Event(NamedTuple):  # heaped as is: seq is unique, so body is never compared
@@ -67,33 +52,29 @@ class Event(NamedTuple):  # heaped as is: seq is unique, so body is never compar
     body: Any = None
 
 
-# A handler reacts to a delivered event and sends its messages itself with
-# Kernel.send. Handlers own their node state; the kernel owns time,
-# ordering, and delivery.
+# The handler reacts to every delivered event and sends its messages itself
+# with Kernel.send. It owns the node state; the kernel owns time, ordering,
+# and delivery.
 Handler = Callable[[Event], None]
 
 
 class Kernel:
     """Single-stream event kernel. One instance per simulation run."""
 
-    def __init__(self, links: dict[tuple[int, int], Link], rng: np.random.Generator | None = None):
+    def __init__(self, links: dict[tuple[int, int], tuple[int, int]], handler: Handler,
+                 rng: np.random.Generator | None = None):
         # per link: the lowest delay, the number of delays, and the rejection
         # threshold (2**32 - span) % span of numpy's bounded-integer rule
         self._routes = {}
-        for pair, link in links.items():
-            span = link.max_delay_ms - link.min_delay_ms + 1
-            self._routes[pair] = (link.min_delay_ms, span, (2**32 - span) % span)
+        for pair, (low, high) in links.items():
+            span = high - low + 1
+            self._routes[pair] = (low, span, (2**32 - span) % span)
+        self.handler = handler
         self.rng = rng
         self._words: list[int] = []  # drawn jitter words, the next one last
         self.clock = 0
         self._seq = 0
         self._queue: list[Event] = []
-        self._handlers: dict[int, Handler] = {}
-        self.sent_count = 0
-        self.delivered_count = 0
-
-    def register_handler(self, node_id: int, handler: Handler) -> None:
-        self._handlers[node_id] = handler
 
     def schedule(self, time: int, target: int, body: Any = None) -> Event:
         """Queue an event for target at time, which must not precede the clock."""
@@ -119,7 +100,6 @@ class Kernel:
         event = Event(self.clock + depart_delay_ms + delay, self._seq, dst, body)
         self._seq += 1
         heappush(self._queue, event)
-        self.sent_count += 1
         return event
 
     def _refill(self) -> list[int]:
@@ -129,13 +109,10 @@ class Kernel:
         return words
 
     def step(self) -> Event:
-        """Process the next event, of a non-empty queue: advance the clock and dispatch it."""
+        """Process the next event, of a non-empty queue: advance the clock and hand it on."""
         event = heappop(self._queue)
         self.clock = event.time
-        self.delivered_count += 1
-        handler = self._handlers.get(event.target)
-        if handler is not None:
-            handler(event)
+        self.handler(event)
         return event
 
     def run(self) -> int:

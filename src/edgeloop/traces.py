@@ -38,7 +38,11 @@ def read_trace(path) -> SensorTrace:
     Rejects unknown units, non-integer timestamps, and per-sensor
     timestamps that fail to strictly increase, naming the file line.
     """
-    with open(path, newline="") as f:
+    try:
+        f = open(path, newline="")
+    except OSError as exc:
+        raise TraceError(f"{path}: {exc.strerror or exc}") from exc
+    with f:
         reader = csv.reader(f)
         try:
             header = next(reader)

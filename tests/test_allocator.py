@@ -94,25 +94,24 @@ def test_affinity_favors_better_servers_and_scales_with_intensity():
 
 
 def test_plan_validation_and_accessors():
-    plan = AssignmentPlan(("r0", "r1"), ("m0", "m1"), ((1, 0), (0, 0)), 1.5)
+    plan = AssignmentPlan(("r0", "r1"), ("m0", "m1"), (0, -1), 1.5)
+    assert plan.x == ((1, 0), (0, 0))
     assert plan.assignment() == {"m0": "r0"}
     assert plan.unassigned() == ["m1"]
     modules = [ControlModule("m0", load=1.0), ControlModule("m1", load=1.0)]
     assert validate(plan, modules, [EdgeResource("r0", 1.0), EdgeResource("r1", 1.0)]) == []
 
 
-def test_validate_flags_double_assignment_and_overload():
+def test_validate_flags_overload():
     modules = [ControlModule("m0", load=3.0)]
     resources = [
         EdgeResource("r0", capacity=2.0),
         EdgeResource("r1", capacity=4.0),
     ]
-    doubled = AssignmentPlan(("r0", "r1"), ("m0",), ((1,), (1,)), 0.0)
-    problems = validate(doubled, modules, resources)
-    assert any("assigned to 2" in p for p in problems)
-    overloaded = AssignmentPlan(("r0", "r1"), ("m0",), ((1,), (0,)), 0.0)
+    overloaded = AssignmentPlan(("r0", "r1"), ("m0",), (0,), 0.0)
     problems = validate(overloaded, modules, resources)
     assert any("over capacity" in p for p in problems)
+    assert validate(AssignmentPlan(("r0", "r1"), ("m0",), (1,), 0.0), modules, resources) == []
 
 
 # -- exact solver against brute force ---------------------------------------------

@@ -34,11 +34,10 @@ def make_state(**overrides):
 def test_action_index_round_trip_covers_the_grid():
     seen = set()
     for index in range(N_ACTIONS):
-        cmd = ActuatorCommand.from_index(index)
+        cmd = boiler.COMMANDS[index]
         assert cmd.pump_level in ACTUATOR_LEVELS
         assert cmd.valve_level in ACTUATOR_LEVELS
-        # one shared instance per index, equal to the command built from its levels
-        assert ActuatorCommand.from_index(index) is cmd
+        # pump-major: equal to the command built from the index's levels
         assert cmd == ActuatorCommand(ACTUATOR_LEVELS[index // 3], ACTUATOR_LEVELS[index % 3])
         seen.add((cmd.pump_level, cmd.valve_level))
     assert len(seen) == N_ACTIONS
@@ -142,7 +141,7 @@ def test_step_matches_recomputed_equations_over_200_steps():
     cfg = BoilerConfig()
     state = boiler.reset(cfg, np.random.default_rng(3))
     twin = np.random.default_rng(11)
-    pattern = [ActuatorCommand.from_index(i) for i in (4, 1, 7, 5, 3, 4, 2, 6)]
+    pattern = [boiler.COMMANDS[i] for i in (4, 1, 7, 5, 3, 4, 2, 6)]
     for k in range(200):
         cmd = pattern[k % len(pattern)]
         noise = float(twin.normal(0.0, cfg.inlet_noise_std_c))
@@ -163,7 +162,7 @@ def test_step_mass_balance_is_exact():
     cfg = BoilerConfig()
     state = boiler.nominal_state(cfg)
     for index in range(N_ACTIONS):
-        cmd = ActuatorCommand.from_index(index)
+        cmd = boiler.COMMANDS[index]
         nxt, _, _ = boiler.step(cfg, state, cmd)
         outflow = cfg.valve_gain * cmd.valve_level * math.sqrt(
             state.pressure / cfg.pressure_setpoint_kpa

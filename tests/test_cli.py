@@ -296,9 +296,16 @@ EDGE = {"id": "edge-0", "capacity": 4.0}
         (json.dumps({"resources": [EDGE, EDGE], "modules": []}), "duplicate resource ids"),
         (json.dumps({"resources": [{**EDGE, "capacity": -1.0}], "modules": []}),
          "resource edge-0: capacity must be >= 0"),
+        ('{"resources": [{"id": "r", "capacity": NaN}], "modules": [{"id": "m", "load": 1.0}]}',
+         "expected a finite number, got NaN"),
+        ('{"resources": [{"id": "r", "capacity": 5, "bandwidth_mbps": Infinity}],'
+         ' "modules": [{"id": "m", "load": 1.0}]}', "expected a finite number, got Infinity"),
+        ('{"resources": [{"id": "r", "capacity": 1e999}], "modules": []}',
+         "expected a finite number, got 1e999"),
     ],
     ids=["invalid-json", "no-resources-key", "unknown-weights-key", "no-resources",
-         "duplicate-ids", "negative-capacity"],
+         "duplicate-ids", "negative-capacity", "nan-capacity", "infinite-bandwidth",
+         "overflowing-capacity"],
 )
 def test_alloc_bad_instance_prints_one_line_and_returns_2(tmp_path, capsys, text, names):
     path = tmp_path / "instance.json"
@@ -306,3 +313,25 @@ def test_alloc_bad_instance_prints_one_line_and_returns_2(tmp_path, capsys, text
     assert main(["alloc", "--instance", str(path)]) == 2
     line = one_error_line(capsys)
     assert line.startswith(f"edgeloop: instance: {path}: ") and names in line, line
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("run", "config"), ("alloc", "instance"), ("trace", "trace")],
+    ids=["run-config", "alloc-instance", "trace-file-is-a-directory"],
+)
+def test_unreadable_input_files_print_one_line_and_return_2(tmp_path, capsys, command, kind):
+    missing = tmp_path / "nope"
+    if command == "run":
+        argv = ["run", "--config", str(missing), "--out", str(tmp_path / "out")]
+    elif command == "alloc":
+        argv = ["alloc", "--instance", str(missing)]
+    else:  # the config's existence check passes a directory; reading it fails
+        missing.mkdir()
+        path = tmp_path / "run.yaml"
+        path.write_text(f"trace_file: {json.dumps(str(missing))}\ntrace_disturbance_scale: 1.0\n")
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    line = one_error_line(capsys)
+    assert line.startswith(f"edgeloop: {kind}: {missing}: "), line
+    assert not (tmp_path / "out").exists()

@@ -65,14 +65,14 @@ def test_oracle_action_keeps_correcting_once_in_position():
     low = dataclasses.replace(
         boiler.nominal_state(cfg), water_level=0.22, pump_pos=1.0, valve_pos=0.0
     )
-    cmd = ActuatorCommand.from_index(oracle_action(cfg, low, 0.95))
+    cmd = boiler.COMMANDS[oracle_action(cfg, low, 0.95)]
     assert cmd.pump_level == 1.0
     assert cmd.valve_level == 0.0
 
     high = dataclasses.replace(
         boiler.nominal_state(cfg), water_level=0.9, pump_pos=0.0, valve_pos=1.0
     )
-    cmd = ActuatorCommand.from_index(oracle_action(cfg, high, 0.95))
+    cmd = boiler.COMMANDS[oracle_action(cfg, high, 0.95)]
     assert cmd.pump_level == 0.0
     assert cmd.valve_level == 1.0
 
@@ -107,7 +107,7 @@ def test_oracle_action_matches_two_step_brute_force():
 def test_oracle_action_avoids_certain_failure():
     cfg = load_config(None).plant
     near_ceiling = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.94)
-    cmd = ActuatorCommand.from_index(oracle_action(cfg, near_ceiling, 0.95))
+    cmd = boiler.COMMANDS[oracle_action(cfg, near_ceiling, 0.95)]
     nxt, _, failed = boiler.step(cfg, near_ceiling, cmd)
     assert not failed
 
@@ -163,21 +163,21 @@ def test_plant_keeps_the_newest_command_when_commands_arrive_out_of_order(monkey
     # older one en route; the older one must not replace the newer at the plant
     newest: dict = {}
     counts = {"commands": 0, "overtaken": 0}
-    handle_sensor = experiment._Episode.handle_sensor
+    handle = experiment._Episode.handle
 
     def checked(self, event):
-        out = handle_sensor(self, event)
-        if isinstance(event.body, experiment.Command):
+        out = handle(self, event)
+        if event.target == self.run.sensor_node and isinstance(event.body, experiment.Command):
             counts["commands"] += 1
             step, action = event.body.step, event.body.action
             if step > newest.get(self, (-1, None))[0]:
                 newest[self] = (step, action)
             else:
                 counts["overtaken"] += 1
-            assert self.pending_cmd == ActuatorCommand.from_index(newest[self][1])
+            assert self.pending_cmd == boiler.COMMANDS[newest[self][1]]
         return out
 
-    monkeypatch.setattr(experiment._Episode, "handle_sensor", checked)
+    monkeypatch.setattr(experiment._Episode, "handle", checked)
     cfg = pid_config(
         scenario="cloud-only",
         eval_episodes=3,

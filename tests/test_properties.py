@@ -111,6 +111,9 @@ def test_edge_of_range_configs_fail_by_key_or_run_cleanly(tmp_path_factory, draw
                     assert math.isfinite(value), (name, value)
 
 
+MESSAGES = (experiment.Reading, experiment.Command, experiment.Report)
+
+
 class _CheckedEpisode(experiment._Episode):
     """An episode that checks the run invariants on what its kernel delivers.
 
@@ -125,7 +128,15 @@ class _CheckedEpisode(experiment._Episode):
         super().__init__(*args)
         self.server_of = {}  # reading step -> the node that served it
         self.applied = []
-        self.ticks = 0
+        self.sent = 0
+        self.delivered = 0
+        send = self.kernel.send
+
+        def counted_send(*args, **kwargs):
+            self.sent += 1
+            return send(*args, **kwargs)
+
+        self.kernel.send = counted_send
 
     def _route_ms(self, step):
         """The least and the most a loop over this reading's route can take."""
@@ -134,36 +145,32 @@ class _CheckedEpisode(experiment._Episode):
         hops = [(sensor, entry), (entry, sensor)]
         if server != entry:
             hops += [(entry, server), (server, entry)]
-        links = [run.links[hop] for hop in hops]
-        return (run.compute_ms + sum(link.min_delay_ms for link in links),
-                run.compute_ms + sum(link.max_delay_ms for link in links))
+        ranges = [run.links[hop] for hop in hops]
+        return (run.compute_ms + sum(low for low, _ in ranges),
+                run.compute_ms + sum(high for _, high in ranges))
 
-    def handle_sensor(self, event):
-        if isinstance(event.body, experiment.Command):
-            latency = event.time - event.body.emit_ms
-            least, most = self._route_ms(event.body.step)
-            assert least <= latency <= most, (latency, least, most, event.body)
-        else:
-            self.ticks += 1
+    def handle(self, event):
+        body = event.body
+        # a tick carries the plant's step (an int) or, at an edge, None
+        self.delivered += isinstance(body, MESSAGES)
+        if event.target == self.run.sensor_node and isinstance(body, experiment.Command):
+            latency = event.time - body.emit_ms
+            least, most = self._route_ms(body.step)
+            assert least <= latency <= most, (latency, least, most, body)
         before = self.cmd_step
-        super().handle_sensor(event)
+        super().handle(event)
         if self.cmd_step != before:
             self.applied.append(self.cmd_step)
-
-    def handle_node(self, event):
-        self.ticks += event.body is None  # an edge's report tick
-        super().handle_node(event)
 
     def _serve(self, node, reading):
         self.server_of[reading.step] = node
         super()._serve(node, reading)
 
     def run_to_completion(self):
-        kernel = self.kernel
         record = super().run_to_completion()
         assert all(a < b for a, b in zip(self.applied, self.applied[1:])), self.applied
         assert len(self.latencies) >= len(self.applied)
-        assert kernel.sent_count == kernel.delivered_count - self.ticks
+        assert self.sent == self.delivered > 0
         return record
 
 

@@ -1,16 +1,15 @@
 import math
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from edgeloop import simcore
 from edgeloop.config import ConfigError, config_from_dict
-from edgeloop.simcore import Kernel, Link
+from edgeloop.simcore import Kernel, delay_range
 
 
 def star_topology(n_edges=2, jitter=0.0):
-    """Links of a cloud (0), edges 1..n and a sensor attached to edge 1."""
+    """Delay ranges of a cloud (0), edges 1..n and a sensor attached to edge 1."""
     sensor = n_edges + 1
     delays = {(sensor, 0): 700, (0, sensor): 700, (sensor, 1): 100, (1, sensor): 100}
     for i in range(1, n_edges + 1):
@@ -19,24 +18,30 @@ def star_topology(n_edges=2, jitter=0.0):
         for j in range(1, n_edges + 1):
             if i != j:
                 delays[i, j] = 100
-    return {pair: Link(base_ms, jitter) for pair, base_ms in delays.items()}, sensor
+    return {pair: delay_range(base_ms, jitter) for pair, base_ms in delays.items()}, sensor
 
 
 # -- links ------------------------------------------------------------------------
 
 
 def test_link_delay_bounds_are_rounded_inward():
-    link = Link(base_ms=700, jitter=0.1)
-    assert link.min_delay_ms == 630
-    assert link.max_delay_ms == 770
-    odd = Link(base_ms=33, jitter=0.1)
-    assert odd.min_delay_ms == 30  # ceil(29.7)
-    assert odd.max_delay_ms == 36  # floor(36.3)
+    assert delay_range(700, 0.1) == (630, 770)
+    assert delay_range(33, 0.1) == (30, 36)  # ceil(29.7), floor(36.3)
+    assert delay_range(250, 0.0) == (250, 250)
+    for base_ms, jitter in ((700, 0.1), (33, 0.1), (1, 0.99), (5000, 0.37), (250, 0.0)):
+        low, high = delay_range(base_ms, jitter)
+        assert low == math.ceil(base_ms * (1.0 - jitter))
+        assert high == math.floor(base_ms * (1.0 + jitter))
+        assert type(low) is int and type(high) is int
 
 
-def one_link(link, rng=None):
-    """A kernel over the single link 0 -> 1."""
-    return Kernel({(0, 1): link}, rng=rng)
+def ignore(event):
+    pass
+
+
+def one_link(delays, rng=None):
+    """A kernel over the single link 0 -> 1 with the closed delay range `delays`."""
+    return Kernel({(0, 1): delays}, ignore, rng)
 
 
 def delays(kernel, n):
@@ -45,29 +50,22 @@ def delays(kernel, n):
 
 
 def test_link_sample_zero_jitter_is_exact_and_needs_no_rng():
-    assert delays(one_link(Link(base_ms=250)), 3) == [250, 250, 250]
+    assert delays(one_link((250, 250)), 3) == [250, 250, 250]
 
 
 def test_single_delay_jittered_link_takes_no_word():
     # jitter 0.3 of a 1 ms base leaves 1 ms as the only delay, as numpy's integers(1, 2) would
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    assert delays(one_link(Link(base_ms=1, jitter=0.3), rng), 5) == [1] * 5
+    assert delays(one_link(delay_range(1, 0.3), rng), 5) == [1] * 5
     assert rng.bit_generator.state == before
 
 
 def test_link_sample_stays_in_bounds():
-    draws = set(delays(one_link(Link(base_ms=100, jitter=0.1), np.random.default_rng(5)), 2000))
+    draws = set(delays(one_link(delay_range(100, 0.1), np.random.default_rng(5)), 2000))
     assert min(draws) >= 90
     assert max(draws) <= 110
     assert {90, 110} <= draws  # the closed range is actually reachable
-
-
-class Route(NamedTuple):
-    """What the kernel reads of a link, for delay ranges no Link has (even sizes)."""
-
-    min_delay_ms: int
-    max_delay_ms: int
 
 
 @pytest.mark.parametrize("span", [1, 2, 3, 21, 141, 301, 2**31 + 1, 2**32 - 1, 2**32])
@@ -79,25 +77,13 @@ def test_kernel_delays_equal_scalar_generator_integers(monkeypatch, span):
     monkeypatch.setattr(simcore, "CHUNK", 7)
     low = 3
     for seed in range(5):
-        kernel = one_link(Route(low, low + span - 1), np.random.default_rng(seed))
+        kernel = one_link((low, low + span - 1), np.random.default_rng(seed))
         reference = np.random.default_rng(seed)
         expected = [int(reference.integers(low, low + span)) for _ in range(500)]
         assert delays(kernel, 500) == expected, (span, seed)
 
 
-def test_link_bounds_are_cached_and_leave_equality_and_hash_alone():
-    for base_ms, jitter in ((700, 0.1), (33, 0.1), (1, 0.99), (5000, 0.37), (250, 0.0)):
-        link = Link(base_ms, jitter)
-        assert link.min_delay_ms == math.ceil(base_ms * (1.0 - jitter))
-        assert link.max_delay_ms == math.floor(base_ms * (1.0 + jitter))
-        assert vars(link).keys() >= {"min_delay_ms", "max_delay_ms"}  # computed once, kept
-        twin = Link(base_ms, jitter)
-        delays(one_link(link, np.random.default_rng(0)), 3)
-        assert link == twin and hash(link) == hash(twin)
-        assert {link: 1}[twin] == 1
-
-
-# Link states its precondition and trusts it; the run config enforces it on every leg
+# delay_range states its precondition and trusts it; the run config enforces it on every leg
 
 
 def test_link_rejects_delay_ranges_past_32_bit_words():
@@ -107,8 +93,8 @@ def test_link_rejects_delay_ranges_past_32_bit_words():
         config_from_dict({"latency": {"cloud_uplink_ms": 2**31}})
     jitter = math.nextafter(1.0, 0.0)
     latency = config_from_dict({"latency": {"jitter": jitter, "cloud_uplink_ms": 2**31 - 1}}).latency
-    widest = Link(latency.resolved()["cloud_uplink_ms"], latency.jitter)
-    assert widest.max_delay_ms - widest.min_delay_ms + 1 < 2**32
+    low, high = delay_range(latency.resolved()["cloud_uplink_ms"], latency.jitter)
+    assert high - low + 1 < 2**32
 
 
 def test_link_validation():
@@ -127,9 +113,8 @@ def test_simultaneous_events_dispatch_in_scheduling_order():
     # dicts do not order: a tie on time must never compare bodies
     for bodies in (["first", "second", "third"], [{"step": 2}, {"step": 1}, {}, {"step": 3}]):
         links, sensor = star_topology()
-        kernel = Kernel(links)
         seen = []
-        kernel.register_handler(sensor, lambda ev: seen.append(ev.body))
+        kernel = Kernel(links, lambda ev: seen.append(ev.body))
         kernel.schedule(60, sensor, bodies[0])
         for body in bodies:
             kernel.schedule(50, sensor, body)
@@ -139,24 +124,24 @@ def test_simultaneous_events_dispatch_in_scheduling_order():
 
 def test_send_timing_is_departure_plus_link_delay():
     links, sensor = star_topology()
-    kernel = Kernel(links)
     arrivals = []
-    kernel.register_handler(0, lambda ev: arrivals.append(kernel.clock))
-    kernel.register_handler(
-        sensor,
-        lambda ev: kernel.send(sensor, 0, depart_delay_ms=100),
-    )
+
+    def handler(ev):
+        if ev.target == sensor:
+            kernel.send(sensor, 0, depart_delay_ms=100)
+        else:
+            arrivals.append(kernel.clock)
+
+    kernel = Kernel(links, handler)
     kernel.schedule(1000, sensor)
-    kernel.run()
+    assert kernel.run() == 2
     assert arrivals == [1000 + 100 + 700]
-    assert kernel.sent_count == 1
 
 
 def test_step_dispatches_one_event_at_a_time():
     links, sensor = star_topology()
-    kernel = Kernel(links)
     seen = []
-    kernel.register_handler(sensor, lambda ev: seen.append(ev.time))
+    kernel = Kernel(links, lambda ev: seen.append(ev.time))
     for t in (40, 10, 30, 20):
         kernel.schedule(t, sensor)
     assert kernel.step().time == 10
@@ -170,34 +155,35 @@ def test_step_dispatches_one_event_at_a_time():
 def test_event_conservation_under_random_traffic():
     # every sent message is eventually delivered; scheduled ticks deliver too
     links, sensor = star_topology(n_edges=3, jitter=0.2)
-    rng = np.random.default_rng(123)
-    kernel = Kernel(links, rng=rng)
     traffic_rng = np.random.default_rng(99)
     nodes = [0, 1, 2, 3, sensor]
+    sent = []
+    delivered = []
 
     def chatter(ev):
+        if ev.body is not None:
+            delivered.append(ev.body)
         if ev.time > 50_000:
             return
         for _ in range(int(traffic_rng.integers(0, 3))):
             dst = int(traffic_rng.choice([n for n in nodes if n != ev.target]))
             if (ev.target, dst) in links:
-                kernel.send(ev.target, dst)
+                sent.append(len(sent))
+                kernel.send(ev.target, dst, sent[-1])
 
-    for node in nodes:
-        kernel.register_handler(node, chatter)
+    kernel = Kernel(links, chatter, np.random.default_rng(123))
     scheduled = 5
     for t in (0, 100, 200, 300, 400):
         kernel.schedule(t, sensor)
     processed = kernel.run()
-    assert kernel.delivered_count == processed
-    assert kernel.delivered_count == kernel.sent_count + scheduled
-    assert kernel.sent_count > 0
+    assert processed == len(sent) + scheduled
+    assert sorted(delivered) == sent
+    assert len(sent) > 0
 
 
 def test_identical_seeds_replay_identical_traces():
     def run_once():
         links, sensor = star_topology(jitter=0.3)
-        kernel = Kernel(links, rng=np.random.default_rng(42))
         hops = iter(range(200))
         trace = []
 
@@ -207,8 +193,7 @@ def test_identical_seeds_replay_identical_traces():
             if hop < 150:
                 kernel.send(ev.target, 0 if ev.target != 0 else 1, hop)
 
-        for node in (0, 1, 2, sensor):
-            kernel.register_handler(node, bounce)
+        kernel = Kernel(links, bounce, np.random.default_rng(42))
         kernel.schedule(0, sensor)
         kernel.run()
         return trace
