@@ -35,7 +35,7 @@ import numpy as np
 
 from . import allocator, boiler, dqn, traces
 from .boiler import COMMANDS, ActuatorCommand, BoilerState
-from .config import CONTROL_MODULE_ID, ConfigError, RunConfig
+from .config import ConfigError, RunConfig
 from .pid import BoilerPid
 from .simcore import CONTROL_PERIOD_MS, Kernel, delay_range
 
@@ -373,9 +373,6 @@ class _SeedRun:
         self.attached_edge = 1
         # the node the sensor sends every reading to
         self.entry_node = CLOUD_NODE if cfg.scenario == "cloud-only" else self.attached_edge
-        self.node_for_resource = {
-            e.id: self.edge_nodes[i] for i, e in enumerate(cfg.allocator.edges)
-        }
 
         self.links = self._build_links()
 
@@ -421,8 +418,9 @@ class _SeedRun:
         if self.plan_stale:
             self.plan_stale = False
             plan = allocator.solve(self.modules, self._resources(), self.cfg.allocator.weights)
-            resource = plan.assignment().get(CONTROL_MODULE_ID)
-            self.serving = CLOUD_NODE if resource is None else self.node_for_resource[resource]
+            # the control module is self.modules[0], so the plan's choice[0] places it
+            edge = plan.choice[0]
+            self.serving = CLOUD_NODE if edge < 0 else self.edge_nodes[edge]
         return self.serving
 
     def schedule_reports(self, kernel: Kernel) -> None:

@@ -33,14 +33,6 @@ class PidGains:
             raise ValueError("integral_limit must be positive")
 
 
-# Gains tuned against the default plant coefficients by grid search over a
-# seeded episode suite (proportional action dominates: the discrete actuator
-# grid makes integral and derivative terms immaterial at this scale). The
-# acceptance suite pins the resulting behavior.
-DEFAULT_LEVEL_GAINS = PidGains(kp=70.0, ki=0.0, kd=0.0)
-DEFAULT_PRESSURE_GAINS = PidGains(kp=2.0, ki=0.0, kd=0.0)
-
-
 class PidState(NamedTuple):
     integral: float = 0.0
     prev_error: float = 0.0
@@ -87,15 +79,10 @@ class BoilerPid:
     plant's equilibrium input.
     """
 
-    def __init__(
-        self,
-        config: BoilerConfig,
-        level_gains: PidGains | None = None,
-        pressure_gains: PidGains | None = None,
-    ):
+    def __init__(self, config: BoilerConfig, level_gains: PidGains, pressure_gains: PidGains):
         self.config = config
-        self.level_gains = level_gains or DEFAULT_LEVEL_GAINS
-        self.pressure_gains = pressure_gains or DEFAULT_PRESSURE_GAINS
+        self.level_gains = level_gains
+        self.pressure_gains = pressure_gains
         self.level_state = PidState()
         self.pressure_state = PidState()
 

@@ -115,10 +115,7 @@ class Kernel:
         self.handler(event)
         return event
 
-    def run(self) -> int:
-        """Drain the queue completely; returns the processed count."""
-        count = 0
+    def run(self) -> None:
+        """Drain the queue completely."""
         while self._queue:
             self.step()
-            count += 1
-        return count

@@ -11,6 +11,7 @@ one source period, inferred from its last timestamp gap.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 EXPECTED_HEADER = ["timestamp", "sensor_id", "value", "unit"]
@@ -35,8 +36,8 @@ SensorTrace = list[TraceRow]
 def read_trace(path) -> SensorTrace:
     """Parse and validate a trace CSV.
 
-    Rejects unknown units, non-integer timestamps, and per-sensor
-    timestamps that fail to strictly increase, naming the file line.
+    Rejects unknown units, non-integer timestamps, non-finite values, and
+    per-sensor timestamps that fail to strictly increase, naming the file line.
     """
     try:
         f = open(path, newline="")
@@ -72,6 +73,8 @@ def read_trace(path) -> SensorTrace:
                 raise TraceError(
                     f"{path} line {line_no}: value {value_text!r} is not a number"
                 ) from None
+            if not math.isfinite(value):
+                raise TraceError(f"{path} line {line_no}: value {value_text!r} is not finite")
             if unit not in KNOWN_UNITS:
                 raise TraceError(
                     f"{path} line {line_no}: unknown unit {unit!r} "

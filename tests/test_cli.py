@@ -268,8 +268,10 @@ def one_error_line(capsys):
     [
         ("0,inlet,100.0,furlong\n", "trace", "line 2: unknown unit 'furlong'"),
         ("0,outlet,100.0,C\n", "config", "trace_sensor 'inlet' has no rows in"),
+        ("0,inlet,100.0,C\n60,inlet,nan,C\n", "trace", "line 3: value 'nan' is not finite"),
+        ("0,inlet,inf,C\n", "trace", "line 2: value 'inf' is not finite"),
     ],
-    ids=["unknown-unit", "sensor-without-rows"],
+    ids=["unknown-unit", "sensor-without-rows", "nan-value", "infinite-value"],
 )
 def test_trace_errors_print_one_line_and_return_2(tmp_path, capsys, rows, kind, names):
     trace = tmp_path / "trace.csv"
@@ -302,10 +304,12 @@ EDGE = {"id": "edge-0", "capacity": 4.0}
          ' "modules": [{"id": "m", "load": 1.0}]}', "expected a finite number, got Infinity"),
         ('{"resources": [{"id": "r", "capacity": 1e999}], "modules": []}',
          "expected a finite number, got 1e999"),
+        ('{"resources": [{"id": "r", "capacity": %s}], "modules": [{"id": "m", "load": 1}]}'
+         % ("1" * 401), "expected a finite number, got 111"),
     ],
     ids=["invalid-json", "no-resources-key", "unknown-weights-key", "no-resources",
          "duplicate-ids", "negative-capacity", "nan-capacity", "infinite-bandwidth",
-         "overflowing-capacity"],
+         "overflowing-capacity", "overflowing-integer-capacity"],
 )
 def test_alloc_bad_instance_prints_one_line_and_returns_2(tmp_path, capsys, text, names):
     path = tmp_path / "instance.json"

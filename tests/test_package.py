@@ -5,21 +5,10 @@ import importlib.util
 import tomllib
 from pathlib import Path
 
-import edgeloop
 from edgeloop import experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
-
-
-def test_every_exported_name_resolves():
-    assert [name for name in edgeloop.__all__ if not hasattr(edgeloop, name)] == []
-
-
-def test_star_import_binds_every_exported_name():
-    namespace = {}
-    exec("from edgeloop import *", namespace)
-    assert set(edgeloop.__all__) <= set(namespace)
 
 
 def test_benchmark_traced_names_resolve():
@@ -65,7 +54,7 @@ def _unreached_definitions() -> list[str]:
     in a string. Reaching a name reaches every definition of that name; a
     reached function brings in the names in its body, decorators and default
     values, and a reached class its bases, decorators, class-body statements
-    and dunder methods. The re-exports in __init__ and the tests are not uses.
+    and dunder methods. The tests are not uses.
     """
     definitions = {}  # qualified name -> node
     by_name = collections.defaultdict(list)
@@ -83,7 +72,7 @@ def _unreached_definitions() -> list[str]:
                 for qualname, node in members:
                     definitions[qualname] = node
                     by_name[node.name].append(qualname)
-            elif path.name != "__init__.py" and not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _identifiers([stmt])
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         roots |= _identifiers([ast.parse(path.read_text(), filename=str(path))], strings=True)

@@ -5,15 +5,11 @@ import pytest
 
 from edgeloop import boiler
 from edgeloop.boiler import ActuatorCommand, BoilerConfig
-from edgeloop.pid import (
-    DEFAULT_LEVEL_GAINS,
-    DEFAULT_PRESSURE_GAINS,
-    BoilerPid,
-    PidGains,
-    PidState,
-    pid_step,
-    pid_to_action,
-)
+from edgeloop.config import PidConfig
+from edgeloop.pid import BoilerPid, PidGains, PidState, pid_step, pid_to_action
+
+
+TUNED = PidConfig()  # the default gains a run passes
 
 
 def wide(kp=1.0, ki=0.0, kd=0.0, integral_limit=1000.0):
@@ -132,7 +128,7 @@ def test_quantizer_error_is_bounded_over_a_fine_grid():
 def test_level_step_settles_within_two_percent_inside_100_steps():
     # zero process noise, tuned default gains, level displaced from setpoint
     cfg = BoilerConfig(inlet_noise_std_c=0.0)
-    ctl = BoilerPid(cfg)
+    ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
     state = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.35)
     band = 0.02 * cfg.level_setpoint
     in_band_from = None
@@ -151,7 +147,7 @@ def test_level_step_settles_within_two_percent_inside_100_steps():
 def test_controller_regulates_the_drifting_plant_long_term():
     # the tuned loops must hold the envelope where holding still fails
     cfg = BoilerConfig(inlet_noise_std_c=0.0)
-    ctl = BoilerPid(cfg)
+    ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
     state = boiler.nominal_state(cfg)
     for _ in range(2000):
         state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)])
@@ -161,7 +157,7 @@ def test_controller_regulates_the_drifting_plant_long_term():
 
 def test_controller_responds_in_the_right_direction():
     cfg = BoilerConfig()
-    ctl = BoilerPid(cfg)
+    ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
     low = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.2)
     assert boiler.COMMANDS[ctl.act(low)].pump_level == 1.0
     ctl.reset()
@@ -174,7 +170,7 @@ def test_controller_responds_in_the_right_direction():
 
 def test_reset_clears_loop_state():
     cfg = BoilerConfig()
-    ctl = BoilerPid(cfg)
+    ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
     state = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.3)
     first = ctl.act(state)
     ctl.act(dataclasses.replace(state, water_level=0.45))
@@ -186,7 +182,7 @@ def test_reset_clears_loop_state():
 
 def test_act_returns_the_command_index():
     cfg = BoilerConfig()
-    ctl = BoilerPid(cfg)
+    ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
     # at the setpoints both loop outputs are zero, so both actuators sit mid-range
     index = ctl.act(boiler.nominal_state(cfg))
     assert type(index) is int
@@ -194,5 +190,5 @@ def test_act_returns_the_command_index():
 
 
 def test_default_gains_are_the_documented_tuning():
-    assert DEFAULT_LEVEL_GAINS == PidGains(kp=70.0, ki=0.0, kd=0.0)
-    assert DEFAULT_PRESSURE_GAINS == PidGains(kp=2.0, ki=0.0, kd=0.0)
+    assert TUNED.level == PidGains(kp=70.0, ki=0.0, kd=0.0)
+    assert TUNED.pressure == PidGains(kp=2.0, ki=0.0, kd=0.0)

@@ -124,9 +124,11 @@ def test_simultaneous_events_dispatch_in_scheduling_order():
 
 def test_send_timing_is_departure_plus_link_delay():
     links, sensor = star_topology()
+    dispatched = []
     arrivals = []
 
     def handler(ev):
+        dispatched.append(ev)
         if ev.target == sensor:
             kernel.send(sensor, 0, depart_delay_ms=100)
         else:
@@ -134,7 +136,8 @@ def test_send_timing_is_departure_plus_link_delay():
 
     kernel = Kernel(links, handler)
     kernel.schedule(1000, sensor)
-    assert kernel.run() == 2
+    kernel.run()
+    assert len(dispatched) == 2
     assert arrivals == [1000 + 100 + 700]
 
 
@@ -148,7 +151,7 @@ def test_step_dispatches_one_event_at_a_time():
     assert kernel.step().time == 20
     assert seen == [10, 20]
     assert kernel.clock == 20
-    assert kernel.run() == 2
+    kernel.run()
     assert seen == [10, 20, 30, 40]
 
 
@@ -159,8 +162,10 @@ def test_event_conservation_under_random_traffic():
     nodes = [0, 1, 2, 3, sensor]
     sent = []
     delivered = []
+    dispatched = []
 
     def chatter(ev):
+        dispatched.append(ev)
         if ev.body is not None:
             delivered.append(ev.body)
         if ev.time > 50_000:
@@ -175,8 +180,8 @@ def test_event_conservation_under_random_traffic():
     scheduled = 5
     for t in (0, 100, 200, 300, 400):
         kernel.schedule(t, sensor)
-    processed = kernel.run()
-    assert processed == len(sent) + scheduled
+    kernel.run()
+    assert len(dispatched) == len(sent) + scheduled
     assert sorted(delivered) == sent
     assert len(sent) > 0
 
