@@ -27,10 +27,6 @@ class AllocationError(ValueError):
     """Malformed instance."""
 
 
-class InstanceTooLargeError(AllocationError):
-    """Search space exceeds the exact solver's enumeration guard."""
-
-
 @dataclass(frozen=True)
 class EdgeResource:
     id: str
@@ -164,18 +160,14 @@ def check_instance(modules: list[ControlModule], resources: list[EdgeResource]) 
 def solve_exact(
     modules: list[ControlModule],
     resources: list[EdgeResource],
-    weights: AffinityWeights = AffinityWeights(),
+    weights: AffinityWeights,
 ) -> AssignmentPlan:
-    """Enumerate all placements, prune on capacity, return the best plan.
+    """Enumerate all (n+1)^m placements, prune on capacity, return the best plan.
 
     Ties on the objective resolve to the lexicographically smallest
     row-major placement matrix, which keeps the result unique.
     """
     n, m = len(resources), len(modules)
-    if (n + 1) ** m > EXACT_SEARCH_LIMIT:
-        raise InstanceTooLargeError(
-            f"(n+1)^m = {(n + 1) ** m} exceeds {EXACT_SEARCH_LIMIT}; use solve_greedy"
-        )
     score = _affinity_matrix(modules, resources, weights)
     headroom = [r.headroom for r in resources]
 
@@ -215,7 +207,7 @@ def solve_exact(
 def solve_greedy(
     modules: list[ControlModule],
     resources: list[EdgeResource],
-    weights: AffinityWeights = AffinityWeights(),
+    weights: AffinityWeights,
 ) -> AssignmentPlan:
     """Place heaviest modules first, each on its best feasible server.
 
@@ -247,13 +239,12 @@ def solve_greedy(
 def solve(
     modules: list[ControlModule],
     resources: list[EdgeResource],
-    weights: AffinityWeights = AffinityWeights(),
+    weights: AffinityWeights,
 ) -> AssignmentPlan:
     """Exact when the enumeration guard allows it, greedy otherwise."""
-    try:
-        return solve_exact(modules, resources, weights)
-    except InstanceTooLargeError:
+    if (len(resources) + 1) ** len(modules) > EXACT_SEARCH_LIMIT:
         return solve_greedy(modules, resources, weights)
+    return solve_exact(modules, resources, weights)
 
 
 def instance_from_dict(data: dict) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:

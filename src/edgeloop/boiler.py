@@ -240,12 +240,13 @@ def step(
     config: BoilerConfig,
     state: BoilerState,
     cmd: ActuatorCommand,
-    noise_c: float = 0.0,
-    inlet_disturbance_c: float = 0.0,
+    noise_c: float,
+    inlet_disturbance_c: float,
 ) -> tuple[BoilerState, float, bool]:
     """Advance the plant one control period.
 
-    The caller supplies the step's inlet-noise draw as noise_c. Returns
+    The caller supplies the step's inlet-noise draw as noise_c and its
+    trace offset as inlet_disturbance_c. Returns
     (next_state, reward, failed). Failure is absorbing: stepping an
     envelope-violating state returns it unchanged with the bare penalty.
     The reward is the control cost of the state the command was issued

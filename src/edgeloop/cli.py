@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config) if args.config else load_config(None)
+    cfg = load_config(args.config)
     overrides = {}
     if args.scenario:
         overrides["scenario"] = args.scenario
@@ -91,7 +91,7 @@ def _cmd_compare(args) -> int:
     a = phase_records(reporting.read_metrics(args.metrics_a), args.phase)
     b = phase_records(reporting.read_metrics(args.metrics_b), args.phase)
     comparisons = reporting.compare(a, b)
-    print(reporting.render_table(comparisons, label_a="run_a", label_b="run_b"))
+    print(reporting.render_table(comparisons))
     if args.json_out:
         with open(args.json_out, "w") as f:
             json.dump([dataclasses.asdict(c) for c in comparisons], f, indent=2)

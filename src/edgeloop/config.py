@@ -257,7 +257,7 @@ def _convert(hint, raw, path: str):
 
 
 def _build(cls, data, path: str):
-    if data is None:
+    if data is None:  # an empty file or section: every default
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
@@ -277,14 +277,13 @@ def _build(cls, data, path: str):
 
 
 def config_from_dict(data: dict | None) -> RunConfig:
-    return _build(RunConfig, data or {}, "")
+    return _build(RunConfig, data, "")
 
 
 def load_config(path) -> RunConfig:
     """Load and validate a YAML config; an empty file or no path means defaults."""
-    if path is None:
-        data = {}
-    else:
+    data = None
+    if path is not None:
         try:
             f = open(path)
         except OSError as exc:
@@ -294,10 +293,8 @@ def load_config(path) -> RunConfig:
                 data = yaml.safe_load(f)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        if data is not None and not isinstance(data, dict):
+            raise ConfigError(f"{path}: top level must be a mapping")
     config = config_from_dict(data)
     if config.trace_file is not None and not os.path.exists(config.trace_file):
         raise ConfigError(f"trace_file does not exist: {config.trace_file}")

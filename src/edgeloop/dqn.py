@@ -79,32 +79,25 @@ class Transition:
 class MlpPolicy:
     """Fully connected Q-network: ReLU hidden layers, identity output."""
 
-    def __init__(self, layer_sizes: Sequence[int], weights, biases):
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        self.weights = weights  # float64 (fan_in, fan_out) per layer
+        self.biases = biases
 
     @classmethod
     def initialize(cls, layer_sizes: Sequence[int], rng: np.random.Generator) -> "MlpPolicy":
         """Seeded uniform init in +-sqrt(6/(fan_in+fan_out)), zero biases."""
-        sizes = tuple(int(s) for s in layer_sizes)
         weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        return cls(sizes, weights, biases)
+        return cls(weights, biases)
 
     def copy(self) -> "MlpPolicy":
-        return MlpPolicy(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MlpPolicy([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    def activations(self, obs: np.ndarray) -> list[np.ndarray]:
-        """Input and every layer's output, for one observation or a batch of rows."""
-        x = np.asarray(obs, dtype=np.float64)
+    def activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """Input and every layer's output, for one float64 observation or a batch of rows."""
         out = [x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = x @ w + b
@@ -138,7 +131,7 @@ class Batch(NamedTuple):
 class ReplayBuffer:
     """Bounded FIFO transition store with uniform seeded sampling; a Batch row per slot."""
 
-    def __init__(self, capacity: int = 5000):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._store: Batch | None = None
         self._size = 0
@@ -177,13 +170,13 @@ class ReplayBuffer:
         return self._rows(rng.choice(self._size, size=batch_size, replace=False))
 
 
-def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> float:
+def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> None:
     """One SGD update on the mean squared TD error over a batch of hp.batch_size samples.
 
-    Only the taken action's value contributes per sample. Returns the
-    pre-update loss; raises DivergenceError if it is not finite. With
+    Only the taken action's value contributes per sample. Raises
+    DivergenceError, before updating, if the loss is not finite. With
     td_error_clip set, each sample's error is bounded inside the gradient
-    (the returned loss is still computed from the raw errors), which keeps
+    (the loss checked is still computed from the raw errors), which keeps
     rare large-penalty targets from destabilizing the update.
     """
     next_q = target.forward(batch.next_obs)
@@ -218,7 +211,6 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
     for w, b, gw, gb in zip(policy.weights, policy.biases, grads_w, grads_b):
         w -= hp.learning_rate * gw
         b -= hp.learning_rate * gb
-    return loss
 
 
 def sync_target(policy: MlpPolicy, target: MlpPolicy) -> None:
@@ -251,7 +243,7 @@ class DqnAgent:
         self.train_steps = 0
         self.action_steps = 0
 
-    def act(self, obs: np.ndarray, greedy: bool = False) -> int:
+    def act(self, obs: np.ndarray, greedy: bool) -> int:
         values = self.policy.forward(obs)
         epsilon = 0.0 if greedy else self.epsilon_at(self.action_steps)
         if not greedy:
@@ -266,13 +258,12 @@ class DqnAgent:
     def record(self, transition: Transition) -> None:
         self.buffer.add(transition)
 
-    def train(self) -> float | None:
+    def train(self) -> None:
         """Run one train step if the buffer is warm; sync the target every tau steps."""
         if len(self.buffer) < self.hp.warmup:
-            return None
+            return
         batch = self.buffer.sample(self.hp.batch_size, self.replay_rng)
-        loss = train_step(self.policy, self.target, batch, self.hp)
+        train_step(self.policy, self.target, batch, self.hp)
         self.train_steps += 1
         if self.train_steps % self.hp.target_update_freq == 0:
             sync_target(self.policy, self.target)
-        return loss

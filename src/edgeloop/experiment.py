@@ -121,7 +121,7 @@ class SeedResult:
 class RunResult:
     results: dict[int, SeedResult]
     metrics_paths: dict[int, str]
-    summary_path: str | None
+    summary_path: str
 
 
 def phase_records(records: list[MetricsRecord], phase: str | None) -> list[MetricsRecord]:
@@ -187,7 +187,7 @@ def load_disturbance(config: RunConfig) -> list[float]:
         return []
     rows = traces.ingest_trace(config.trace_file)
     if not rows:
-        return []
+        raise ConfigError(f"trace_file has no rows: {config.trace_file}")
     sensor = config.trace_sensor or rows[0].sensor_id
     values = traces.sensor_values(rows, sensor)
     if not values:
@@ -494,9 +494,7 @@ class _SeedRun:
         return SeedResult(self.seed, records)
 
 
-def run_seed(cfg: RunConfig, seed: int, disturbance: list[float] | None = None) -> SeedResult:
-    if disturbance is None:
-        disturbance = load_disturbance(cfg)
+def run_seed(cfg: RunConfig, seed: int, disturbance: list[float]) -> SeedResult:
     return _SeedRun(cfg, seed, disturbance).run()
 
 
@@ -620,8 +618,8 @@ def _run_forked(cfg: RunConfig, disturbance: list[float], workers: int) -> dict[
     return {seed: results[seed] for seed in cfg.seeds}
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Run every configured seed; optionally write metrics files.
+def run_experiment(cfg: RunConfig, out_dir: str) -> RunResult:
+    """Run every configured seed and write its metrics files and the summary into out_dir.
 
     Seeds run in parallel, one forked worker per CPU this process may use
     (`taskset -c 0` gives a serial run). A diverged seed is marked in the
@@ -637,14 +635,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     else:
         results = _run_forked(cfg, disturbance, workers)
 
-    metrics_paths: dict[int, str] = {}
-    summary_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for seed, result in results.items():
-            path = os.path.join(out_dir, metrics_filename(cfg, seed))
-            write_metrics(result.records, path)
-            metrics_paths[seed] = path
-        summary_path = os.path.join(out_dir, "summary.csv")
-        write_summary(results, cfg, summary_path)
+    os.makedirs(out_dir, exist_ok=True)
+    metrics_paths = {}
+    for seed, result in results.items():
+        path = os.path.join(out_dir, metrics_filename(cfg, seed))
+        write_metrics(result.records, path)
+        metrics_paths[seed] = path
+    summary_path = os.path.join(out_dir, "summary.csv")
+    write_summary(results, cfg, summary_path)
     return RunResult(results=results, metrics_paths=metrics_paths, summary_path=summary_path)

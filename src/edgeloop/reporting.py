@@ -69,8 +69,9 @@ def compare(records_a: list[MetricsRecord], records_b: list[MetricsRecord]) -> l
     return out
 
 
-def render_table(comparisons: list[MetricComparison], label_a: str = "a", label_b: str = "b") -> str:
-    header = f"{'metric':<22} {label_a:>14} {label_b:>14} {'delta':>9}  note"
+def render_table(comparisons: list[MetricComparison]) -> str:
+    """Run A's and baseline run B's means, A's delta and whether it improves, one metric a row."""
+    header = f"{'metric':<22} {'run_a':>14} {'run_b':>14} {'delta':>9}  note"
     lines = [header, "-" * len(header)]
     for c in comparisons:
         delta = "n/a" if c.delta_pct is None else f"{c.delta_pct:+.1f}%"

@@ -49,7 +49,7 @@ class Event(NamedTuple):  # heaped as is: seq is unique, so body is never compar
     time: int
     seq: int
     target: int
-    body: Any = None
+    body: Any
 
 
 # The handler reacts to every delivered event and sends its messages itself
@@ -62,7 +62,7 @@ class Kernel:
     """Single-stream event kernel. One instance per simulation run."""
 
     def __init__(self, links: dict[tuple[int, int], tuple[int, int]], handler: Handler,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator):
         # per link: the lowest delay, the number of delays, and the rejection
         # threshold (2**32 - span) % span of numpy's bounded-integer rule
         self._routes = {}
@@ -76,14 +76,12 @@ class Kernel:
         self._seq = 0
         self._queue: list[Event] = []
 
-    def schedule(self, time: int, target: int, body: Any = None) -> Event:
+    def schedule(self, time: int, target: int, body: Any = None) -> None:
         """Queue an event for target at time, which must not precede the clock."""
-        event = Event(time, self._seq, target, body)
+        heappush(self._queue, Event(time, self._seq, target, body))
         self._seq += 1
-        heappush(self._queue, event)
-        return event
 
-    def send(self, src: int, dst: int, body: Any = None, depart_delay_ms: int = 0) -> Event:
+    def send(self, src: int, dst: int, body: Any, depart_delay_ms: int = 0) -> None:
         """Schedule delivery of a payload over the src->dst link.
 
         The delivery time is now + depart_delay_ms (not negative) + drawn
@@ -97,10 +95,8 @@ class Kernel:
             while m & 0xFFFFFFFF < threshold:
                 m = (self._words or self._refill()).pop() * span
             delay = low + (m >> 32)
-        event = Event(self.clock + depart_delay_ms + delay, self._seq, dst, body)
+        heappush(self._queue, Event(self.clock + depart_delay_ms + delay, self._seq, dst, body))
         self._seq += 1
-        heappush(self._queue, event)
-        return event
 
     def _refill(self) -> list[int]:
         words = self.rng.integers(0, 2**32, size=CHUNK, dtype=np.uint64).tolist()
@@ -108,12 +104,11 @@ class Kernel:
         self._words = words
         return words
 
-    def step(self) -> Event:
+    def step(self) -> None:
         """Process the next event, of a non-empty queue: advance the clock and hand it on."""
         event = heappop(self._queue)
         self.clock = event.time
         self.handler(event)
-        return event
 
     def run(self) -> None:
         """Drain the queue completely."""

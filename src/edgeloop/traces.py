@@ -14,8 +14,11 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .simcore import CONTROL_PERIOD_MS, MS_PER_SECOND
+
 EXPECTED_HEADER = ["timestamp", "sensor_id", "value", "unit"]
 KNOWN_UNITS = frozenset({"C", "K", "%", "V", "kPa"})
+PERIOD_S = CONTROL_PERIOD_MS // MS_PER_SECOND  # the resampling grid: the control period
 
 
 class TraceError(ValueError):
@@ -90,17 +93,15 @@ def read_trace(path) -> SensorTrace:
     return rows
 
 
-def resample(rows: SensorTrace, target_period_s: int = 5) -> SensorTrace:
-    """Zero-order-hold expansion onto a uniform grid per sensor.
+def resample(rows: SensorTrace) -> SensorTrace:
+    """Zero-order-hold expansion onto the PERIOD_S grid per sensor.
 
-    Each reading repeats every target period until the sensor's next
+    Each reading repeats every PERIOD_S seconds until the sensor's next
     sample; the last reading is held for one inferred source period (its
     final timestamp gap), so a 60 s source expands 12x throughout. A
     sensor with a single sample has no inferable period and passes through
     unexpanded. Output is globally sorted by (timestamp, sensor_id).
     """
-    if target_period_s <= 0:
-        raise TraceError(f"target period must be positive, got {target_period_s}")
     by_sensor: dict[str, SensorTrace] = {}
     for row in rows:
         by_sensor.setdefault(row.sensor_id, []).append(row)
@@ -108,12 +109,12 @@ def resample(rows: SensorTrace, target_period_s: int = 5) -> SensorTrace:
     out: SensorTrace = []
     for sensor_rows in by_sensor.values():
         for row, nxt in zip(sensor_rows, sensor_rows[1:]):
-            for ts in range(row.timestamp, nxt.timestamp, target_period_s):
+            for ts in range(row.timestamp, nxt.timestamp, PERIOD_S):
                 out.append(TraceRow(ts, row.sensor_id, row.value, row.unit))
         last = sensor_rows[-1]
         if len(sensor_rows) > 1:
             period = last.timestamp - sensor_rows[-2].timestamp
-            for ts in range(last.timestamp, last.timestamp + period, target_period_s):
+            for ts in range(last.timestamp, last.timestamp + period, PERIOD_S):
                 out.append(TraceRow(ts, last.sensor_id, last.value, last.unit))
         else:
             out.append(last)
@@ -121,9 +122,9 @@ def resample(rows: SensorTrace, target_period_s: int = 5) -> SensorTrace:
     return out
 
 
-def ingest_trace(path, target_period_s: int = 5) -> SensorTrace:
+def ingest_trace(path) -> SensorTrace:
     """Read, validate, and resample a trace file in one step."""
-    return resample(read_trace(path), target_period_s)
+    return resample(read_trace(path))
 
 
 def sensor_values(rows: SensorTrace, sensor_id: str) -> list[float]:

@@ -248,7 +248,7 @@ def brute_force_oracle_action(cfg, state, gamma):
     grid = [boiler.ActuatorCommand(p, v) for p in levels for v in levels]
     values = []
     for cmd in grid:
-        nxt, r, failed = boiler.step(cfg, state, cmd)
+        nxt, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
         if failed:
             follow = -cfg.failure_penalty
         else:

@@ -46,7 +46,7 @@ def test_criterion_1_loop_latency():
     details = []
     for scenario, expected in (("cloud-only", 1500.0), ("edge-collab", 300.0)):
         cfg = dataclasses.replace(pid, scenario=scenario)
-        records = run_seed(cfg, 1).records
+        records = run_seed(cfg, 1, []).records
         samples = sum(r.latency_samples for r in records)
         if samples < 1000:
             failures.append(f"{scenario}: only {samples} zero-jitter samples")
@@ -59,7 +59,7 @@ def test_criterion_1_loop_latency():
         jittered = dataclasses.replace(
             cfg, latency=dataclasses.replace(cfg.latency, jitter=0.1)
         )
-        jrecords = run_seed(jittered, 2).records
+        jrecords = run_seed(jittered, 2, []).records
         total = sum(r.latency_samples for r in jrecords)
         mean = sum(r.mean_latency_ms * r.latency_samples for r in jrecords) / total
         details.append(f"{scenario} {expected:.0f}ms exact, jittered {mean:.1f} over {total}")
@@ -159,13 +159,13 @@ def test_criterion_3_training_gradients():
 
 
 @pytest.fixture(scope="module")
-def training_suite():
+def training_suite(tmp_path_factory):
     cfg = load_config(None)
     t0 = time.monotonic()
-    drl = run_experiment(cfg).results
+    drl = run_experiment(cfg, str(tmp_path_factory.mktemp("drl"))).results
     drl_s = time.monotonic() - t0
     pid_cfg = dataclasses.replace(cfg, controller="pid", episodes=0)
-    pid = run_experiment(pid_cfg).results
+    pid = run_experiment(pid_cfg, str(tmp_path_factory.mktemp("pid"))).results
     total_s = time.monotonic() - t0
     return {"cfg": cfg, "drl": drl, "pid": pid, "drl_s": drl_s, "total_s": total_s}
 
@@ -363,7 +363,7 @@ def test_criterion_8_trace_resampling(tmp_path):
             f.write(f"{minute * 60},boiler-inlet,{90.0 + 0.1 * minute},C\n")
             f.write(f"{minute * 60},feed-flow,{400.0 + 0.5 * minute},kPa\n")
     rows = traces.read_trace(path)
-    resampled = traces.resample(rows, 5)
+    resampled = traces.resample(rows)
     failures = []
     if len(resampled) != 12 * len(rows):
         failures.append(f"{len(resampled)} rows from {len(rows)}, expected 12x")

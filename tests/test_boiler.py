@@ -146,7 +146,7 @@ def test_step_matches_recomputed_equations_over_200_steps():
         cmd = pattern[k % len(pattern)]
         noise = float(twin.normal(0.0, cfg.inlet_noise_std_c))
         want = oracles.boiler_step(cfg, state, cmd, noise=noise, disturbance=0.3)
-        nxt, _, failed = boiler.step(cfg, state, cmd, noise, inlet_disturbance_c=0.3)
+        nxt, _, failed = boiler.step(cfg, state, cmd, noise, 0.3)
         assert nxt.inlet_temp == pytest.approx(want[0], abs=1e-12)
         assert nxt.outlet_temp == pytest.approx(want[1], abs=1e-12)
         assert nxt.water_level == pytest.approx(want[2], abs=1e-12)
@@ -163,7 +163,7 @@ def test_step_mass_balance_is_exact():
     state = boiler.nominal_state(cfg)
     for index in range(N_ACTIONS):
         cmd = boiler.COMMANDS[index]
-        nxt, _, _ = boiler.step(cfg, state, cmd)
+        nxt, _, _ = boiler.step(cfg, state, cmd, 0.0, 0.0)
         outflow = cfg.valve_gain * cmd.valve_level * math.sqrt(
             state.pressure / cfg.pressure_setpoint_kpa
         )
@@ -177,7 +177,7 @@ def test_full_pump_fills_until_high_level_failure():
     cmd = ActuatorCommand(1.0, 0.0)
     prev = state.water_level
     for k in range(100):
-        state, r, failed = boiler.step(cfg, state, cmd)
+        state, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
         assert state.water_level > prev
         prev = state.water_level
         if failed:
@@ -194,7 +194,7 @@ def test_full_drain_empties_until_low_level_failure():
     cmd = ActuatorCommand(0.0, 1.0)
     prev = state.water_level
     for k in range(200):
-        state, r, failed = boiler.step(cfg, state, cmd)
+        state, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
         assert state.water_level < prev
         prev = state.water_level
         if failed:
@@ -211,7 +211,7 @@ def test_holding_centered_actuators_drifts_into_failure():
     cmd = ActuatorCommand(0.5, 0.5)
     failed_at = None
     for k in range(1, 501):
-        state, _, failed = boiler.step(cfg, state, cmd)
+        state, _, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
         if failed:
             failed_at = k
             break
@@ -222,7 +222,7 @@ def test_holding_centered_actuators_drifts_into_failure():
 def test_failure_is_absorbing():
     cfg = BoilerConfig()
     dead = make_state(water_level=0.05)
-    nxt, r, failed = boiler.step(cfg, dead, ActuatorCommand(1.0, 0.0), noise_c=5.0)
+    nxt, r, failed = boiler.step(cfg, dead, ActuatorCommand(1.0, 0.0), 5.0, 0.0)
     assert failed
     assert nxt == dead
     assert r == -cfg.failure_penalty
@@ -232,11 +232,11 @@ def test_step_without_rng_is_deterministic():
     cfg = BoilerConfig()
     state = boiler.nominal_state(cfg)
     # the plant draws nothing itself: equal inputs give equal steps
-    a = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5))
-    b = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5))
+    a = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), 0.0, 0.0)
+    b = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), 0.0, 0.0)
     assert a == b
-    noisy = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), noise_c=-1.5)
-    assert noisy == boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), noise_c=-1.5)
+    noisy = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), -1.5, 0.0)
+    assert noisy == boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), -1.5, 0.0)
     assert noisy[0].inlet_temp == a[0].inlet_temp - 1.5
 
 
@@ -244,7 +244,7 @@ def test_step_reward_charges_failure_penalty_once():
     cfg = BoilerConfig()
     state = make_state(water_level=0.16)
     cmd = ActuatorCommand(0.0, 1.0)
-    nxt, r, failed = boiler.step(cfg, state, cmd)
+    nxt, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
     assert failed
     assert r == pytest.approx(boiler.reward(cfg, state, cmd) - cfg.failure_penalty)
 

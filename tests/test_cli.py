@@ -8,7 +8,7 @@ import json
 import pytest
 
 from edgeloop import dqn
-from edgeloop.allocator import ControlModule, EdgeResource, plan_to_dict, solve_greedy
+from edgeloop.allocator import AffinityWeights, ControlModule, EdgeResource, plan_to_dict, solve_greedy
 from edgeloop.cli import _parse_seeds, main
 from edgeloop.reporting import COMPARED_METRICS
 
@@ -158,7 +158,7 @@ def test_alloc_prints_the_greedy_plan_past_the_size_guard(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out.pop("violations") == []
-    assert out == plan_to_dict(solve_greedy(modules, resources))
+    assert out == plan_to_dict(solve_greedy(modules, resources, AffinityWeights()))
 
 
 def test_alloc_flags_overloaded_instance(tmp_path, capsys):
@@ -264,20 +264,24 @@ def one_error_line(capsys):
 
 
 @pytest.mark.parametrize(
-    "rows, kind, names",
+    "rows, sensor, kind, names",
     [
-        ("0,inlet,100.0,furlong\n", "trace", "line 2: unknown unit 'furlong'"),
-        ("0,outlet,100.0,C\n", "config", "trace_sensor 'inlet' has no rows in"),
-        ("0,inlet,100.0,C\n60,inlet,nan,C\n", "trace", "line 3: value 'nan' is not finite"),
-        ("0,inlet,inf,C\n", "trace", "line 2: value 'inf' is not finite"),
+        ("0,inlet,100.0,furlong\n", "inlet", "trace", "line 2: unknown unit 'furlong'"),
+        ("0,outlet,100.0,C\n", "inlet", "config", "trace_sensor 'inlet' has no rows in"),
+        ("0,inlet,100.0,C\n60,inlet,nan,C\n", "inlet", "trace", "line 3: value 'nan' is not finite"),
+        ("0,inlet,inf,C\n", "inlet", "trace", "line 2: value 'inf' is not finite"),
+        # a header-only trace has no rows for any sensor, named or not
+        ("", "inlet", "config", "trace_file has no rows: "),
+        ("", None, "config", "trace_file has no rows: "),
     ],
-    ids=["unknown-unit", "sensor-without-rows", "nan-value", "infinite-value"],
+    ids=["unknown-unit", "sensor-without-rows", "nan-value", "infinite-value",
+         "empty-trace-named-sensor", "empty-trace"],
 )
-def test_trace_errors_print_one_line_and_return_2(tmp_path, capsys, rows, kind, names):
+def test_trace_errors_print_one_line_and_return_2(tmp_path, capsys, rows, sensor, kind, names):
     trace = tmp_path / "trace.csv"
     trace.write_text("timestamp,sensor_id,value,unit\n" + rows)
     path = tmp_path / "run.yaml"
-    path.write_text(f"trace_file: {json.dumps(str(trace))}\ntrace_sensor: inlet\n"
+    path.write_text(f"trace_file: {json.dumps(str(trace))}\ntrace_sensor: {json.dumps(sensor)}\n"
                     "trace_disturbance_scale: 1.0\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     line = one_error_line(capsys)

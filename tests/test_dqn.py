@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -32,7 +33,7 @@ def random_policy(layer_sizes, seed):
 
 def zero_policy(layer_sizes):
     pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
-    return MlpPolicy(layer_sizes, [np.zeros(pair) for pair in pairs], [np.zeros(b) for _, b in pairs])
+    return MlpPolicy([np.zeros(pair) for pair in pairs], [np.zeros(b) for _, b in pairs])
 
 
 def random_batch(layer_sizes, hp, seed, reward_scale=1.0, all_done=False):
@@ -71,7 +72,7 @@ def test_forward_all_zero_parameters_gives_zero_values():
 
 
 def test_forward_identity_single_layer_passes_input_through():
-    policy = MlpPolicy([4, 4], weights=[np.eye(4)], biases=[np.zeros(4)])
+    policy = MlpPolicy(weights=[np.eye(4)], biases=[np.zeros(4)])
     x = np.array([0.3, -1.2, 0.0, 2.5])
     np.testing.assert_array_equal(policy.forward(x), x)
 
@@ -222,8 +223,8 @@ def test_train_step_zero_error_leaves_parameters_unchanged():
         for k in range(hp.batch_size)
     ]
     before = policy_bytes(policy)
-    loss = train_step(policy, target, as_batch(batch), hp)
-    assert loss == 0.0
+    assert batch_loss(policy, target, batch, hp) == 0.0
+    train_step(policy, target, as_batch(batch), hp)
     assert policy_bytes(policy) == before
 
 
@@ -242,6 +243,18 @@ def fixed_targets(target, batch, gamma):
         next_q = target.forward(t.next_obs)
         out.append(t.reward if t.done else t.reward + gamma * float(np.max(next_q)))
     return out
+
+
+def batch_loss(policy, target, batch, hp):
+    """The mean squared TD error train_step descends, at the policy's present parameters."""
+    layer_sizes = [w.shape[0] for w in policy.weights] + [policy.weights[-1].shape[1]]
+    return oracles.batch_q_loss(
+        layer_sizes,
+        oracles.pack_params(policy.weights, policy.biases),
+        [t.obs for t in batch],
+        [t.action for t in batch],
+        fixed_targets(target, batch, hp.gamma),
+    )
 
 
 def test_train_step_gradient_matches_finite_differences():
@@ -271,12 +284,11 @@ def test_repeated_steps_on_fixed_batch_reduce_loss():
     hp = small_hp(learning_rate=1e-3)
     policy = random_policy(layer_sizes, 5)
     target = random_policy(layer_sizes, 6)
-    batch = as_batch(random_batch(layer_sizes, hp, 7))
-    first = train_step(policy, target, batch, hp)
-    last = first
-    for _ in range(99):
-        last = train_step(policy, target, batch, hp)
-    assert last < first
+    batch = random_batch(layer_sizes, hp, 7)
+    first = batch_loss(policy, target, batch, hp)
+    for _ in range(100):
+        train_step(policy, target, as_batch(batch), hp)
+    assert batch_loss(policy, target, batch, hp) < first
 
 
 def test_unclipped_training_surfaces_divergence():
@@ -302,11 +314,12 @@ def test_clip_bounds_the_gradient_not_the_loss():
     batch = random_batch(layer_sizes, hp_clip, 23, reward_scale=100.0, all_done=True)
 
     clipped = base.copy()
-    loss_clipped = train_step(clipped, target, as_batch(batch), hp_clip)
-    raw = base.copy()
-    loss_raw = train_step(raw, target, as_batch(batch), hp_raw)
-    # reported loss is identical: clipping only touches the gradient
-    assert loss_clipped == loss_raw
+    train_step(clipped, target, as_batch(batch), hp_clip)
+    # the divergence check reads the raw loss: an error whose square
+    # overflows stops training even though the clip bounds its gradient
+    overflowing = [dataclasses.replace(t, reward=1e200) for t in batch]
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        train_step(base.copy(), target, as_batch(overflowing), hp_clip)
 
     # moving each target to within the clip of the prediction reproduces the
     # clipped update exactly on an all-terminal batch
@@ -365,7 +378,8 @@ def test_default_network_weights_after_2000_updates_on_a_wrapped_buffer_are_pinn
         record()
     for _ in range(2000):
         record()
-        assert agent.train() is not None
+        agent.train()
+    assert agent.train_steps == 2000
     assert agent.buffer.inserted == 7000 and len(agent.buffer) == 5000
     digest = hashlib.sha256(policy_bytes(agent.policy) + policy_bytes(agent.target)).hexdigest()
     assert digest == "1d725effff7009138c5540a1262f9198373b13cac43a72797a12ea7288991707"
@@ -399,7 +413,7 @@ def test_agent_syncs_on_schedule_and_target_is_bit_stable_between():
         )
     snapshot = policy_bytes(agent.target)
     for step in range(1, 301):
-        assert agent.train() is not None
+        agent.train()
         assert agent.train_steps == step
         if step % hp.target_update_freq == 0:
             assert policy_bytes(agent.target) == policy_bytes(agent.policy)
@@ -466,9 +480,10 @@ def test_agent_waits_for_warmup_before_training():
     )
     for k in range(9):
         agent.record(make_transition(float(k), dim=2))
-        assert agent.train() is None
+        agent.train()
+        assert agent.train_steps == 0
     agent.record(make_transition(9.0, dim=2))
-    assert agent.train() is not None
+    agent.train()
     assert agent.train_steps == 1
 
 
@@ -484,5 +499,5 @@ def test_agent_greedy_act_does_not_advance_the_schedule():
     obs = np.zeros(2)
     agent.act(obs, greedy=True)
     assert agent.action_steps == 0
-    agent.act(obs)
+    agent.act(obs, greedy=False)
     assert agent.action_steps == 1

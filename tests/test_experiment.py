@@ -108,7 +108,7 @@ def test_oracle_action_avoids_certain_failure():
     cfg = load_config(None).plant
     near_ceiling = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.94)
     cmd = boiler.COMMANDS[oracle_action(cfg, near_ceiling, 0.95)]
-    nxt, _, failed = boiler.step(cfg, near_ceiling, cmd)
+    nxt, _, failed = boiler.step(cfg, near_ceiling, cmd, 0.0, 0.0)
     assert not failed
 
 
@@ -123,7 +123,7 @@ def test_percentile_is_nearest_rank():
 
 
 def test_cloud_only_loop_latency_is_exact_without_jitter():
-    result = run_seed(pid_config(scenario="cloud-only"), seed=1)
+    result = run_seed(pid_config(scenario="cloud-only"), 1, [])
     assert len(result.records) == 2
     for rec in result.records:
         assert rec.mean_latency_ms == 1500.0
@@ -144,7 +144,7 @@ def test_cloud_only_loop_latency_is_exact_without_jitter():
     ids=["edge-served", "cloud-served"],
 )
 def test_edge_collab_loop_latency_is_exact_without_jitter(overrides, expected_ms):
-    result = run_seed(pid_config(scenario="edge-collab", **overrides), seed=1)
+    result = run_seed(pid_config(scenario="edge-collab", **overrides), 1, [])
     for rec in result.records:
         assert rec.mean_latency_ms == expected_ms
         assert rec.p95_latency_ms == expected_ms
@@ -152,7 +152,7 @@ def test_edge_collab_loop_latency_is_exact_without_jitter(overrides, expected_ms
 
 def test_jittered_latency_stays_within_link_bounds():
     cfg = pid_config(scenario="cloud-only", latency={"jitter": 0.1}, max_steps=100)
-    result = run_seed(cfg, seed=3)
+    result = run_seed(cfg, 3, [])
     for rec in result.records:
         assert 1350.0 <= rec.mean_latency_ms <= 1650.0
         assert rec.p95_latency_ms <= 1640.0  # 700*1.1 up + down + 100 compute
@@ -184,7 +184,7 @@ def test_plant_keeps_the_newest_command_when_commands_arrive_out_of_order(monkey
         max_steps=300,
         latency={"preset": "slow-cloud", "jitter": 0.1},
     )
-    records = run_seed(cfg, 1).records
+    records = run_seed(cfg, 1, []).records
     assert counts["overtaken"] > 0
     # every command's latency is still recorded, applied or not
     assert sum(r.latency_samples for r in records) == counts["commands"]
@@ -214,13 +214,13 @@ def test_plan_sees_only_the_loads_the_cloud_has_received(monkeypatch):
 
     monkeypatch.setattr(experiment._SeedRun, "receive_report", recorded_receive)
     monkeypatch.setattr(allocator, "solve", checked_solve)
-    run_seed(cfg, seed=5)
+    run_seed(cfg, 5, [])
     assert len(planned) > 10
     assert all(planned)
 
 
 def test_utilization_is_compute_share_of_the_period():
-    result = run_seed(pid_config(), seed=1)
+    result = run_seed(pid_config(), 1, [])
     for rec in result.records:
         assert rec.utilization == pytest.approx(100 / 5000)
 
@@ -230,8 +230,8 @@ def test_utilization_is_compute_share_of_the_period():
 
 def test_run_seed_is_reproducible():
     cfg = pid_config(scenario="edge-collab", latency={"jitter": 0.2})
-    a = run_seed(cfg, seed=9)
-    b = run_seed(cfg, seed=9)
+    a = run_seed(cfg, 9, [])
+    b = run_seed(cfg, 9, [])
     assert a.records == b.records
 
 
@@ -247,8 +247,8 @@ def test_drl_run_is_reproducible_and_trains():
             "agent": {"hidden_layers": [16], "warmup": 16},
         }
     )
-    a = run_seed(cfg, seed=2)
-    b = run_seed(cfg, seed=2)
+    a = run_seed(cfg, 2, [])
+    b = run_seed(cfg, 2, [])
     assert a.records == b.records
     assert not a.diverged
     assert [r.phase for r in a.records] == ["train", "train", "eval"]
@@ -273,8 +273,8 @@ def test_pid_eval_episodes_replay_the_drl_arms_plants():
     pid_reset = boiler.reset(plant, np.random.default_rng([5, 1, 0]))
     assert drl_reset == pid_reset
     # and the harness actually runs both to completion on that stream
-    assert run_seed(drl_cfg, 5).records[-1].phase == "eval"
-    assert run_seed(pid_cfg, 5).records[-1].phase == "eval"
+    assert run_seed(drl_cfg, 5, []).records[-1].phase == "eval"
+    assert run_seed(pid_cfg, 5, []).records[-1].phase == "eval"
 
 
 def test_plant_steps_apply_the_plant_streams_scalar_draws_in_order(monkeypatch):
@@ -283,7 +283,7 @@ def test_plant_steps_apply_the_plant_streams_scalar_draws_in_order(monkeypatch):
     applied = []
     step = boiler.step
 
-    def recording(config, state, cmd, noise_c, inlet_disturbance_c=0.0):
+    def recording(config, state, cmd, noise_c, inlet_disturbance_c):
         # every call is a plant step: the reference action does not step the plant
         applied.append(noise_c)
         return step(config, state, cmd, noise_c, inlet_disturbance_c)
@@ -294,7 +294,7 @@ def test_plant_steps_apply_the_plant_streams_scalar_draws_in_order(monkeypatch):
         applied.clear()
         cfg = pid_config(episodes=1, max_steps=30, seeds=[7], plant={"inlet_noise_std_c": std})
         expected = []
-        for rec in run_seed(cfg, 7).records:
+        for rec in run_seed(cfg, 7, []).records:
             twin = np.random.default_rng([7, phase_codes[rec.phase], rec.episode])
             boiler.reset(cfg.plant, twin)
             draws = [float(twin.normal(0.0, std)) for _ in range(rec.uninterrupted_steps)]
@@ -314,7 +314,7 @@ def test_failure_ends_the_episode_early_with_the_penalty():
         pid={"level": {"kp": 0.0}, "pressure": {"kp": 0.0}},
         plant={"inlet_noise_std_c": 0.0},
     )
-    result = run_seed(cfg, seed=1)
+    result = run_seed(cfg, 1, [])
     for rec in result.records:
         assert rec.failure_count == 1
         assert rec.uninterrupted_steps < 400
@@ -330,13 +330,13 @@ def test_episode_that_no_command_reaches_reports_zero_latency_over_zero_samples(
         "max_steps": 1, "seeds": [0], "agent": {"hidden_layers": [4]},
         "latency": {"preset": "slow-cloud", "jitter": 0.99, "compute_ms": 4999},
     })
-    (rec,) = run_seed(cfg, 0).records
+    (rec,) = run_seed(cfg, 0, []).records
     assert rec.latency_samples == 0
     assert (rec.mean_latency_ms, rec.p95_latency_ms, rec.action_accuracy) == (0.0, 0.0, 0.0)
 
 
 def test_episode_metrics_record_shape():
-    rec = run_seed(pid_config(), seed=1).records[0]
+    rec = run_seed(pid_config(), 1, []).records[0]
     assert rec.scenario == "edge-collab"
     assert rec.controller == "pid"
     assert rec.phase == "eval"
@@ -348,7 +348,7 @@ def test_episode_metrics_record_shape():
 def test_accuracy_sampling_interval_sets_the_sample_count():
     # steps 0,10,20,30 of a 40-step episode are scored against the oracle
     cfg = pid_config(accuracy_sample_every=10)
-    rec = run_seed(cfg, seed=1).records[0]
+    rec = run_seed(cfg, 1, []).records[0]
     hits = round(rec.action_accuracy * 4)
     assert rec.action_accuracy == pytest.approx(hits / 4)
 
@@ -383,8 +383,8 @@ def test_disturbed_run_differs_from_undisturbed(tmp_path):
     disturbed = dataclasses.replace(
         base, trace_file=str(trace), trace_sensor="t", trace_disturbance_scale=3.0
     )
-    a = run_seed(base, seed=1)
-    b = run_seed(disturbed, seed=1)
+    a = run_seed(base, 1, [])
+    b = run_seed(disturbed, 1, load_disturbance(disturbed))
     assert a.records != b.records
 
 
@@ -393,7 +393,7 @@ def test_disturbed_run_differs_from_undisturbed(tmp_path):
 
 def test_metrics_round_trip_and_filenames(tmp_path):
     cfg = pid_config()
-    result = run_seed(cfg, seed=1)
+    result = run_seed(cfg, 1, [])
     path = tmp_path / metrics_filename(cfg, 1)
     assert path.name == "metrics_edge-collab_pid_seed1.jsonl"
     write_metrics(result.records, path)
@@ -412,13 +412,6 @@ def test_run_experiment_writes_files_per_seed(tmp_path):
     assert summary[0].startswith("seed,scenario,controller,diverged")
     assert len(summary) == 3
     assert all(r.phase == "eval" for r in result.results[1].records + result.results[2].records)
-
-
-def test_run_experiment_without_out_dir_writes_nothing(tmp_path):
-    result = run_experiment(pid_config())
-    assert result.metrics_paths == {}
-    assert result.summary_path is None
-    assert result.results[1].records
 
 
 # -- seeds in forked workers ------------------------------------------------------------
@@ -460,7 +453,7 @@ def test_parallel_sweep_equals_each_seed_run_in_process(monkeypatch, tmp_path, n
     cfg = SWEEPS[name]
     _cpus(monkeypatch, len(cfg.seeds))
     parallel = run_experiment(cfg, str(tmp_path / "parallel"))
-    assert parallel.results == {seed: run_seed(cfg, seed) for seed in cfg.seeds}
+    assert parallel.results == {seed: run_seed(cfg, seed, []) for seed in cfg.seeds}
     assert list(parallel.results) == cfg.seeds
     _cpus(monkeypatch, 1)
     serial = run_experiment(cfg, str(tmp_path / "serial"))
@@ -477,7 +470,7 @@ def test_parallel_sweep_equals_each_seed_run_in_process(monkeypatch, tmp_path, n
 def _flaky_run_seed(failure):
     real = experiment.run_seed
 
-    def run(cfg, seed, disturbance=None):
+    def run(cfg, seed, disturbance):
         if seed == 2:
             failure()
         return real(cfg, seed, disturbance)
@@ -497,13 +490,13 @@ def _raise():
         (lambda: os._exit(3), "worker for seed 2 exited with code 3 before sending"),
     ],
 )
-def test_failing_seed_re_raises_in_the_parent_and_leaves_no_worker(monkeypatch, failure, expected):
+def test_failing_seed_re_raises_in_the_parent_and_leaves_no_worker(monkeypatch, tmp_path, failure, expected):
     before = _children(os.getpid())
     monkeypatch.setattr(experiment, "run_seed", _flaky_run_seed(failure))  # forked workers inherit it
     _cpus(monkeypatch, 3)
     cfg = pid_config(seeds=[1, 2, 3], eval_episodes=20, max_steps=200)
     with pytest.raises(RuntimeError, match=expected):
-        run_experiment(cfg)
+        run_experiment(cfg, str(tmp_path))
     assert multiprocessing.active_children() == []
     assert _children(os.getpid()) <= before
 

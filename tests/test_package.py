@@ -116,3 +116,155 @@ def _unreached_definitions() -> list[str]:
 def test_every_definition_is_reached_from_an_entry_point():
     # surface that only tests call is dead code: delete it or give it a caller
     assert _unreached_definitions() == []
+
+
+def _own_returns(node) -> list[ast.Return]:
+    """The return statements of a function that give a value, not those of functions nested in it."""
+    found, stack = [], list(node.body)
+    while stack:
+        child = stack.pop()
+        if isinstance(child, ast.Return) and child.value is not None:
+            found.append(child)
+        elif not isinstance(child, (*DEFINITIONS, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(child))
+    return found
+
+
+def _test_only_signatures() -> list[str]:
+    """Defaults, parameters and return values of package functions that no caller uses.
+
+    The callers are the calls in the package and in perfbench/; the tests are
+    not uses. `<module>.f(...)` resolves to that edgeloop module's f,
+    `self.f(...)` to the enclosing class's own f when it defines one, and
+    `Cls(...)` to Cls.__init__; any other call counts as a call of every
+    definition with its name. A function that is also referenced without
+    being called (passed as a handler, stored) may be called from anywhere,
+    so it is not judged; an attribute read whose name some package class
+    stores as data is taken to read that data, and an annotation is no use.
+    Of the rest, each function with calls is flagged for:
+
+    - (a) a parameter default that every call overrides (no call relies on it);
+    - (b) a defaulted parameter that no call passes (it is a constant);
+    - (c) a returned value that every call discards.
+
+    A call with *args or **kwargs binds unknown parameters, so its function's
+    defaults are not judged. Dataclass and NamedTuple field defaults are out
+    of scope: the generated __init__ has no definition here, and the config
+    defaults are the product.
+    """
+    trees = [
+        (folder == "src/edgeloop", path.stem, ast.parse(path.read_text(), filename=str(path)))
+        for folder in ("src/edgeloop", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    functions = {}  # qualified name -> (FunctionDef, whether a call binds its first parameter)
+    by_name = collections.defaultdict(list)
+    scopes = {}  # package module -> {top-level name: qualified name}
+    fields = set()  # names stored as data: by attribute assignment or as class-body fields
+    for inside, stem, tree in trees:
+        if not inside:
+            continue
+        scopes[stem] = {}
+        for stmt in tree.body:
+            if not isinstance(stmt, DEFINITIONS):
+                continue
+            scopes[stem][stmt.name] = f"{stem}.{stmt.name}"
+            members = [(f"{stem}.{stmt.name}", stmt, False)]
+            if isinstance(stmt, ast.ClassDef):
+                members = [
+                    (f"{stem}.{stmt.name}.{m.name}", m, "staticmethod" not in _identifiers(m.decorator_list))
+                    for m in stmt.body
+                    if isinstance(m, ast.FunctionDef)
+                ]
+            for qualname, node, bound in members:
+                functions[qualname] = node, bound
+                by_name[node.name].append(qualname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                fields.add(node.target.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                fields.add(node.attr)
+
+    def definitions(qualname: str) -> list[str]:
+        init = f"{qualname}.__init__"  # calling a class calls its __init__
+        return [init if init in functions else qualname]
+
+    calls = collections.defaultdict(list)  # qualified name -> [(Call, whether its result is read)]
+    referenced = set()
+    for inside, stem, tree in trees:
+        names = dict(scopes[stem]) if inside else {}  # name -> package definition it binds
+        aliases = {}  # name -> package module it binds
+        for node in ast.walk(tree):
+            module = getattr(node, "module", None) or ""
+            if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("edgeloop")):
+                module = module.removeprefix("edgeloop").lstrip(".")
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if not module and alias.name in scopes:
+                        aliases[bound] = alias.name
+                    elif alias.name in scopes.get(module, {}):
+                        names[bound] = scopes[module][alias.name]
+
+        def resolve(node, cls) -> list[str]:
+            if isinstance(node, ast.Name):
+                return definitions(names[node.id]) if node.id in names else []
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner in aliases and node.attr in scopes[aliases[owner]]:
+                return definitions(scopes[aliases[owner]][node.attr])
+            if owner == "self" and f"{cls}.{node.attr}" in functions:
+                return [f"{cls}.{node.attr}"]
+            return by_name[node.attr]
+
+        discarded = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+        annotations = {id(a) for n in ast.walk(tree)
+                       for a in (getattr(n, "annotation", None), getattr(n, "returns", None)) if a}
+        callees = set()
+        stack = [(tree, None)]
+        while stack:
+            node, cls = stack.pop()
+            if id(node) in annotations:
+                continue
+            if isinstance(node, ast.ClassDef):
+                cls = f"{stem}.{node.name}"
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callees.add(id(node.func))
+                targets = resolve(node.func, cls)
+                if isinstance(node.func, ast.Name) and not targets:
+                    targets = by_name[node.func.id]  # a name no import binds: any definition of it
+                for qualname in targets:
+                    calls[qualname].append((node, id(node) not in discarded))
+            elif (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in callees and getattr(node, "attr", None) not in fields):
+                referenced.update(resolve(node, cls))
+            stack.extend((child, cls) for child in ast.iter_child_nodes(node))
+
+    found = []
+    for qualname, (node, bound) in sorted(functions.items()):
+        sites = calls[qualname]
+        if qualname in referenced or not sites:
+            continue
+        params = [*node.args.posonlyargs, *node.args.args][1 if bound else 0:]
+        defaulted = list(zip(params[len(params) - len(node.args.defaults):], node.args.defaults))
+        defaulted += [(a, d) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d]
+        starred = any(isinstance(a, ast.Starred) for call, _ in sites for a in call.args) or any(
+            k.arg is None for call, _ in sites for k in call.keywords)
+        for arg, default in [] if starred else defaulted:
+            passing = sum(
+                arg.arg in {k.arg for k in call.keywords}
+                or (arg in params and params.index(arg) < len(call.args))
+                for call, _ in sites
+            )
+            shown = f"{qualname}({arg.arg}={ast.unparse(default)})"
+            if passing == len(sites):
+                found.append(f"{shown}: every call passes it")
+            elif passing == 0:
+                found.append(f"{shown}: no call passes it")
+        if _own_returns(node) and not any(read for _, read in sites):
+            found.append(f"{qualname}: every call discards the returned value")
+    return found
+
+
+def test_no_default_parameter_or_return_value_serves_only_tests():
+    # a default every caller overrides, a parameter no caller sets, or a result
+    # no caller reads is surface for tests only: make it required, a constant, or gone
+    assert _test_only_signatures() == []

@@ -133,7 +133,7 @@ def test_level_step_settles_within_two_percent_inside_100_steps():
     band = 0.02 * cfg.level_setpoint
     in_band_from = None
     for step in range(1, 101):
-        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)])
+        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)], 0.0, 0.0)
         assert not failed
         if abs(state.water_level - cfg.level_setpoint) <= band:
             if in_band_from is None:
@@ -150,7 +150,7 @@ def test_controller_regulates_the_drifting_plant_long_term():
     ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
     state = boiler.nominal_state(cfg)
     for _ in range(2000):
-        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)])
+        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)], 0.0, 0.0)
         assert not failed
     assert abs(state.water_level - cfg.level_setpoint) <= 0.05
 

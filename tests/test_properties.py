@@ -179,7 +179,7 @@ class _CheckedEpisode(experiment._Episode):
 def test_runs_keep_their_invariants_on_jittered_and_slow_routes(data):
     cfg = config_from_dict(data)
     with mock.patch.object(experiment, "_Episode", _CheckedEpisode):
-        run_seed(cfg, cfg.seeds[0])
+        run_seed(cfg, cfg.seeds[0], [])
 
 
 @st.composite
@@ -289,4 +289,4 @@ def test_reset_and_step_keep_the_state_in_bounds(drawn):
         assert _in_bounds(boiler.reset(plant, np.random.default_rng(0)))
     for cmd in boiler.COMMANDS:
         for noise in (0.0, 1e6, -1e6):
-            assert _in_bounds(boiler.step(cfg, state, cmd, noise)[0]), (cmd, noise)
+            assert _in_bounds(boiler.step(cfg, state, cmd, noise, 0.0)[0]), (cmd, noise)

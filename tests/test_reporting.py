@@ -111,9 +111,9 @@ def test_compare_rejects_empty_sides():
 def test_render_table_formats_deltas():
     a = [make_record(cumulative_reward=890.0, failure_count=2)]
     b = [make_record(cumulative_reward=750.0, failure_count=0)]
-    table = render_table(compare(a, b), label_a="drl", label_b="pid")
+    table = render_table(compare(a, b))
     lines = table.splitlines()
-    assert "metric" in lines[0] and "drl" in lines[0] and "pid" in lines[0]
+    assert "metric" in lines[0] and "run_a" in lines[0] and "run_b" in lines[0]
     reward_line = next(l for l in lines if l.startswith("cumulative_reward"))
     assert "+18.7%" in reward_line
     assert "better" in reward_line

@@ -35,34 +35,31 @@ def test_link_delay_bounds_are_rounded_inward():
         assert type(low) is int and type(high) is int
 
 
-def ignore(event):
-    pass
-
-
-def one_link(delays, rng=None):
-    """A kernel over the single link 0 -> 1 with the closed delay range `delays`."""
-    return Kernel({(0, 1): delays}, ignore, rng)
-
-
-def delays(kernel, n):
-    """Link delays of n sends from node 0 at a clock that stays at 0."""
-    return [kernel.send(0, 1).time for _ in range(n)]
+def delays(link, n, rng):
+    """Link delays of n sends, in send order, over the single link 0 -> 1 whose
+    closed delay range is `link`; every send leaves at clock 0."""
+    delivered = []
+    kernel = Kernel({(0, 1): link}, delivered.append, rng)
+    for index in range(n):
+        kernel.send(0, 1, index)
+    kernel.run()
+    return [event.time for event in sorted(delivered, key=lambda event: event.body)]
 
 
 def test_link_sample_zero_jitter_is_exact_and_needs_no_rng():
-    assert delays(one_link((250, 250)), 3) == [250, 250, 250]
+    assert delays((250, 250), 3, None) == [250, 250, 250]
 
 
 def test_single_delay_jittered_link_takes_no_word():
     # jitter 0.3 of a 1 ms base leaves 1 ms as the only delay, as numpy's integers(1, 2) would
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    assert delays(one_link(delay_range(1, 0.3), rng), 5) == [1] * 5
+    assert delays(delay_range(1, 0.3), 5, rng) == [1] * 5
     assert rng.bit_generator.state == before
 
 
 def test_link_sample_stays_in_bounds():
-    draws = set(delays(one_link(delay_range(100, 0.1), np.random.default_rng(5)), 2000))
+    draws = set(delays(delay_range(100, 0.1), 2000, np.random.default_rng(5)))
     assert min(draws) >= 90
     assert max(draws) <= 110
     assert {90, 110} <= draws  # the closed range is actually reachable
@@ -77,10 +74,9 @@ def test_kernel_delays_equal_scalar_generator_integers(monkeypatch, span):
     monkeypatch.setattr(simcore, "CHUNK", 7)
     low = 3
     for seed in range(5):
-        kernel = one_link((low, low + span - 1), np.random.default_rng(seed))
         reference = np.random.default_rng(seed)
         expected = [int(reference.integers(low, low + span)) for _ in range(500)]
-        assert delays(kernel, 500) == expected, (span, seed)
+        assert delays((low, low + span - 1), 500, np.random.default_rng(seed)) == expected, (span, seed)
 
 
 # delay_range states its precondition and trusts it; the run config enforces it on every leg
@@ -114,7 +110,7 @@ def test_simultaneous_events_dispatch_in_scheduling_order():
     for bodies in (["first", "second", "third"], [{"step": 2}, {"step": 1}, {}, {"step": 3}]):
         links, sensor = star_topology()
         seen = []
-        kernel = Kernel(links, lambda ev: seen.append(ev.body))
+        kernel = Kernel(links, lambda ev: seen.append(ev.body), None)
         kernel.schedule(60, sensor, bodies[0])
         for body in bodies:
             kernel.schedule(50, sensor, body)
@@ -130,11 +126,11 @@ def test_send_timing_is_departure_plus_link_delay():
     def handler(ev):
         dispatched.append(ev)
         if ev.target == sensor:
-            kernel.send(sensor, 0, depart_delay_ms=100)
+            kernel.send(sensor, 0, None, depart_delay_ms=100)
         else:
             arrivals.append(kernel.clock)
 
-    kernel = Kernel(links, handler)
+    kernel = Kernel(links, handler, None)
     kernel.schedule(1000, sensor)
     kernel.run()
     assert len(dispatched) == 2
@@ -144,11 +140,12 @@ def test_send_timing_is_departure_plus_link_delay():
 def test_step_dispatches_one_event_at_a_time():
     links, sensor = star_topology()
     seen = []
-    kernel = Kernel(links, lambda ev: seen.append(ev.time))
+    kernel = Kernel(links, lambda ev: seen.append(ev.time), None)
     for t in (40, 10, 30, 20):
         kernel.schedule(t, sensor)
-    assert kernel.step().time == 10
-    assert kernel.step().time == 20
+    kernel.step()
+    assert seen == [10]
+    kernel.step()
     assert seen == [10, 20]
     assert kernel.clock == 20
     kernel.run()

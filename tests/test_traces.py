@@ -122,14 +122,14 @@ def minute_rows(sensor, count, start=0, base=100.0):
 
 def test_minute_trace_expands_twelve_fold():
     rows = minute_rows("t", 5)
-    out = resample(rows, target_period_s=5)
+    out = resample(rows)
     assert len(out) == 5 * 12
     assert as_tuples(out) == oracles.repeat_expand(rows, 60, 5)
 
 
 def test_last_sample_held_for_the_inferred_period():
     rows = [TraceRow(0, "t", 1.0, "C"), TraceRow(90, "t", 2.0, "C")]
-    out = resample(rows, target_period_s=5)
+    out = resample(rows)
     # first sample held for its actual 90 s gap, last for the inferred 90 s
     assert len(out) == 18 + 18
     assert out[-1].timestamp == 90 + 85
@@ -143,10 +143,10 @@ def test_single_sample_sensor_passes_through():
 
 def test_multi_sensor_output_is_globally_sorted():
     rows = minute_rows("b", 3) + minute_rows("a", 3, base=50.0)
-    out = resample(rows, target_period_s=30)
+    out = resample(rows)
     keys = [(r.timestamp, r.sensor_id) for r in out]
     assert keys == sorted(keys)
-    assert len(out) == 2 * 3 * 2
+    assert len(out) == 2 * 3 * 12
 
 
 def test_uneven_gaps_hold_each_reading_until_the_next():
@@ -155,18 +155,13 @@ def test_uneven_gaps_hold_each_reading_until_the_next():
         TraceRow(20, "t", 2.0, "C"),
         TraceRow(80, "t", 3.0, "C"),
     ]
-    out = resample(rows, target_period_s=5)
+    out = resample(rows)
     held = {r.timestamp: r.value for r in out}
     assert held[0] == 1.0 and held[15] == 1.0
     assert held[20] == 2.0 and held[75] == 2.0
     # last gap was 60 s, so the final value holds for 60 more seconds
     assert held[80] == 3.0 and held[135] == 3.0
     assert 140 not in held
-
-
-def test_resample_rejects_bad_period():
-    with pytest.raises(TraceError):
-        resample([], target_period_s=0)
 
 
 def test_ingest_reads_and_resamples(tmp_path):
