@@ -3,8 +3,10 @@
 The problem is a small generalized assignment: each module may run on at
 most one server, servers have finite capacity headroom, and the objective
 is the summed affinity of the chosen placements. Instances stay tiny (a
-handful of servers and modules), so an exact enumerator with feasibility
-pruning is affordable; a greedy heuristic covers anything larger.
+handful of servers and modules), so an exact branch and bound is
+affordable; a greedy heuristic covers anything larger. The scores do not
+depend on load, so prepare builds them once per instance and the solvers
+take them with the current headrooms.
 
 A plan is the choice vector both solvers build, one resource index (or -1)
 per module, so no module can be placed twice; the binary placement matrix
@@ -138,15 +140,6 @@ def validate(
     return violations
 
 
-def _affinity_matrix(
-    modules: list[ControlModule],
-    resources: list[EdgeResource],
-    weights: AffinityWeights,
-) -> list[list[float]]:
-    max_bw = max(r.bandwidth_mbps for r in resources)
-    return [[affinity(m, r, weights, max_bw) for m in modules] for r in resources]
-
-
 def check_instance(modules: list[ControlModule], resources: list[EdgeResource]) -> None:
     """Reject an instance with no resources or with duplicate ids."""
     if not resources:
@@ -157,29 +150,77 @@ def check_instance(modules: list[ControlModule], resources: list[EdgeResource]) 
         raise AllocationError("duplicate module ids")
 
 
-def solve_exact(
+@dataclass(frozen=True)
+class ScoredInstance:
+    """The part of an instance that does not depend on load, built by prepare.
+
+    score[i][j] is the affinity of module j on resource i; ranked[j] lists
+    the resources by descending score[i][j], lower index first on equal
+    scores, and best[j] is the first of those scores. greedy_order is the
+    heaviest-first module order, load ties by module id.
+    """
+
+    resource_ids: tuple[str, ...]
+    module_ids: tuple[str, ...]
+    loads: tuple[float, ...]
+    score: tuple[tuple[float, ...], ...]
+    ranked: tuple[tuple[int, ...], ...]
+    best: tuple[float, ...]
+    greedy_order: tuple[int, ...]
+
+
+def prepare(
     modules: list[ControlModule],
     resources: list[EdgeResource],
     weights: AffinityWeights,
-) -> AssignmentPlan:
-    """Enumerate all (n+1)^m placements, prune on capacity, return the best plan.
+) -> ScoredInstance:
+    """Score an instance once; between re-solves only the headrooms change."""
+    max_bw = max(r.bandwidth_mbps for r in resources)
+    score = tuple(tuple(affinity(m, r, weights, max_bw) for m in modules) for r in resources)
+    ranked = tuple(
+        tuple(sorted(range(len(resources)), key=lambda i: (-score[i][j], i)))
+        for j in range(len(modules))
+    )
+    return ScoredInstance(
+        resource_ids=tuple(r.id for r in resources),
+        module_ids=tuple(m.id for m in modules),
+        loads=tuple(m.load for m in modules),
+        score=score,
+        ranked=ranked,
+        best=tuple(score[order[0]][j] for j, order in enumerate(ranked)),
+        greedy_order=tuple(sorted(range(len(modules)), key=lambda j: (-modules[j].load, modules[j].id))),
+    )
 
-    Ties on the objective resolve to the lexicographically smallest
-    row-major placement matrix, which keeps the result unique.
+
+def solve_exact(scored: ScoredInstance, headroom: list[float]) -> AssignmentPlan:
+    """The best plan over all (n+1)^m placements, by branch and bound.
+
+    headroom[i] is resource i's capacity minus its current load. Ties on the
+    objective resolve to the lexicographically smallest row-major placement
+    matrix, which keeps the result unique.
+
+    Each module tries its servers best first, then no server. A branch is
+    cut when its bound, the running total plus each remaining module's best
+    score added left to right, is below the best leaf so far. Float addition
+    is monotone, so the bound is at least every leaf total under it: no tied
+    leaf is cut, and the plan and objective equal full enumeration's.
     """
-    n, m = len(resources), len(modules)
-    score = _affinity_matrix(modules, resources, weights)
-    headroom = [r.headroom for r in resources]
+    n, m = len(scored.resource_ids), len(scored.module_ids)
+    loads, score, ranked, best = scored.loads, scored.score, scored.ranked, scored.best
+    limit = [h + CAPACITY_SLACK for h in headroom]
 
-    # choice[j] = resource index for module j, or -1 for unassigned
+    # choice[j] = resource index for module j, or -1 for unassigned; used[i]
+    # is restored, not decremented, so it is the path's loads summed in
+    # module order, as full enumeration sums them
     best_score = float("-inf")
     best_choice: list[int] = []
     choice = [-1] * m
+    used = [0.0] * n
 
     def flat_key(ch: list[int]) -> tuple[int, ...]:
         return tuple(1 if ch[j] == i else 0 for i in range(n) for j in range(m))
 
-    def descend(j: int, used: list[float], total: float) -> None:
+    def descend(j: int, total: float) -> None:
         nonlocal best_score, best_choice
         if j == m:
             # the first leaf always beats -inf; the matrix key only breaks ties
@@ -189,62 +230,51 @@ def solve_exact(
                 best_score = total
                 best_choice = choice.copy()
             return
-        choice[j] = -1
-        descend(j + 1, used, total)
-        for i in range(n):
-            if used[i] + modules[j].load <= headroom[i] + CAPACITY_SLACK:
+        bound = total
+        for b in best[j:]:
+            bound += b
+        if bound < best_score:
+            return
+        load = loads[j]
+        for i in ranked[j]:
+            before = used[i]
+            if before + load <= limit[i]:
                 choice[j] = i
-                used[i] += modules[j].load
-                descend(j + 1, used, total + score[i][j])
-                used[i] -= modules[j].load
+                used[i] = before + load
+                descend(j + 1, total + score[i][j])
+                used[i] = before
         choice[j] = -1
+        descend(j + 1, total)
 
-    descend(0, [0.0] * n, 0.0)
-    ids = tuple(r.id for r in resources), tuple(mod.id for mod in modules)
-    return AssignmentPlan(*ids, tuple(best_choice), best_score)
+    descend(0, 0.0)
+    return AssignmentPlan(scored.resource_ids, scored.module_ids, tuple(best_choice), best_score)
 
 
-def solve_greedy(
-    modules: list[ControlModule],
-    resources: list[EdgeResource],
-    weights: AffinityWeights,
-) -> AssignmentPlan:
+def solve_greedy(scored: ScoredInstance, headroom: list[float]) -> AssignmentPlan:
     """Place heaviest modules first, each on its best feasible server.
 
     Load ties fall back to module id; among feasible servers the highest
     affinity wins, earliest in instance order on ties.
     """
-    score = _affinity_matrix(modules, resources, weights)
-    headroom = [r.headroom for r in resources]
-    order = sorted(range(len(modules)), key=lambda j: (-modules[j].load, modules[j].id))
-
-    choice = [-1] * len(modules)
-    used = [0.0] * len(resources)
+    choice = [-1] * len(scored.module_ids)
+    used = [0.0] * len(scored.resource_ids)
     total = 0.0
-    for j in order:
-        best_i = -1
-        for i in range(len(resources)):
-            if used[i] + modules[j].load > headroom[i] + CAPACITY_SLACK:
-                continue
-            if best_i < 0 or score[i][j] > score[best_i][j]:
-                best_i = i
-        if best_i >= 0:
-            choice[j] = best_i
-            used[best_i] += modules[j].load
-            total += score[best_i][j]
-    ids = tuple(r.id for r in resources), tuple(m.id for m in modules)
-    return AssignmentPlan(*ids, tuple(choice), total)
+    for j in scored.greedy_order:
+        load = scored.loads[j]
+        for i in scored.ranked[j]:
+            if used[i] + load <= headroom[i] + CAPACITY_SLACK:
+                choice[j] = i
+                used[i] += load
+                total += scored.score[i][j]
+                break
+    return AssignmentPlan(scored.resource_ids, scored.module_ids, tuple(choice), total)
 
 
-def solve(
-    modules: list[ControlModule],
-    resources: list[EdgeResource],
-    weights: AffinityWeights,
-) -> AssignmentPlan:
+def solve(scored: ScoredInstance, headroom: list[float]) -> AssignmentPlan:
     """Exact when the enumeration guard allows it, greedy otherwise."""
-    if (len(resources) + 1) ** len(modules) > EXACT_SEARCH_LIMIT:
-        return solve_greedy(modules, resources, weights)
-    return solve_exact(modules, resources, weights)
+    if (len(scored.resource_ids) + 1) ** len(scored.module_ids) > EXACT_SEARCH_LIMIT:
+        return solve_greedy(scored, headroom)
+    return solve_exact(scored, headroom)
 
 
 def instance_from_dict(data: dict) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:

@@ -101,7 +101,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_alloc(args) -> int:
     modules, resources, weights = allocator.load_instance(args.instance)
-    plan = allocator.solve(modules, resources, weights)
+    plan = allocator.solve(allocator.prepare(modules, resources, weights), [r.headroom for r in resources])
     violations = allocator.validate(plan, modules, resources)
     out = allocator.plan_to_dict(plan)
     out["violations"] = violations

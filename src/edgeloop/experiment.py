@@ -394,7 +394,9 @@ class _SeedRun:
             self.pid = BoilerPid(cfg.plant, cfg.pid.level, cfg.pid.pressure)
 
         self.drift_rng = np.random.default_rng([seed, _STREAM_DRIFT])
-        self.modules = [cfg.allocator.control_module(), *cfg.allocator.background_modules]
+        # the control module comes first, so a plan's choice[0] places it
+        modules = [cfg.allocator.control_module(), *cfg.allocator.background_modules]
+        self.scored = allocator.prepare(modules, cfg.allocator.edges, cfg.allocator.weights)
         # each edge's own drifting load, and the last load the cloud has received from it
         self.edge_loads = {e.id: e.current_load for e in cfg.allocator.edges}
         self.reported_loads = dict(self.edge_loads)
@@ -402,12 +404,6 @@ class _SeedRun:
         self.serving = CLOUD_NODE
 
     # -- allocation ----------------------------------------------------------
-
-    def _resources(self) -> list[allocator.EdgeResource]:
-        return [
-            dataclasses.replace(e, current_load=self.reported_loads[e.id])
-            for e in self.cfg.allocator.edges
-        ]
 
     def serving_node(self) -> int:
         """The node that serves the next reading; a stale plan is re-solved first.
@@ -417,9 +413,8 @@ class _SeedRun:
         """
         if self.plan_stale:
             self.plan_stale = False
-            plan = allocator.solve(self.modules, self._resources(), self.cfg.allocator.weights)
-            # the control module is self.modules[0], so the plan's choice[0] places it
-            edge = plan.choice[0]
+            headroom = [e.capacity - self.reported_loads[e.id] for e in self.cfg.allocator.edges]
+            edge = allocator.solve(self.scored, headroom).choice[0]
             self.serving = CLOUD_NODE if edge < 0 else self.edge_nodes[edge]
         return self.serving
 

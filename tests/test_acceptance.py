@@ -85,7 +85,7 @@ def test_criterion_2_allocation_optimality():
     worst_gap = 0.0
     for case in range(200):
         modules, resources, weights = test_allocator.random_instance(rng)
-        plan = allocator.solve_exact(modules, resources, weights)
+        plan = test_allocator.solved(allocator.solve_exact, modules, resources, weights)
         score = test_allocator.score_matrix(modules, resources, weights)
         choice, objective = oracles.brute_force_assignment(modules, resources, score)
         want_x = tuple(
@@ -98,7 +98,7 @@ def test_criterion_2_allocation_optimality():
         if allocator.validate(plan, modules, resources):
             failures.append(f"case {case}: exact plan violates constraints")
             continue
-        greedy = allocator.solve_greedy(modules, resources, weights)
+        greedy = test_allocator.solved(allocator.solve_greedy, modules, resources, weights)
         if allocator.validate(greedy, modules, resources):
             failures.append(f"case {case}: greedy plan violates constraints")
         elif greedy.objective > plan.objective + 1e-9:

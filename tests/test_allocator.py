@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from edgeloop.allocator import (
     instance_from_dict,
     load_instance,
     plan_to_dict,
+    prepare,
     solve,
     solve_exact,
     solve_greedy,
@@ -50,6 +52,11 @@ def random_instance(rng, max_resources=3, max_modules=3):
         cpu=round(float(rng.uniform(0.1, 1.0)), 2),
     )
     return modules, resources, weights
+
+
+def solved(solver, modules, resources, weights):
+    """A solver's plan for the instance at its resources' current headroom."""
+    return solver(prepare(modules, resources, weights), [r.headroom for r in resources])
 
 
 def score_matrix(modules, resources, weights):
@@ -120,7 +127,7 @@ def test_exact_solver_matches_brute_force_on_seeded_instances():
     rng = np.random.default_rng(420)
     for case in range(60):
         modules, resources, weights = random_instance(rng)
-        plan = solve_exact(modules, resources, weights)
+        plan = solved(solve_exact, modules, resources, weights)
         score = score_matrix(modules, resources, weights)
         choice, objective = oracles.brute_force_assignment(modules, resources, score)
         want_x = tuple(
@@ -140,7 +147,7 @@ def test_exact_tie_break_is_lexicographic_on_the_matrix():
         EdgeResource("r0", capacity=4.0, bandwidth_mbps=100.0, compute_rating=1.0),
         EdgeResource("r1", capacity=4.0, bandwidth_mbps=100.0, compute_rating=1.0),
     ]
-    plan = solve_exact(modules, resources, AffinityWeights())
+    plan = solved(solve_exact, modules, resources, AffinityWeights())
     assert plan.x == ((0,), (1,))
 
 
@@ -157,7 +164,7 @@ def test_exact_tie_break_matches_brute_force_when_many_leaves_tie():
                 ]
                 modules = [ControlModule(f"m{j}", load=1.0, intensity=0.4) for j in range(m)]
                 weights = AffinityWeights(0.5, 0.5)
-                plan = solve_exact(modules, resources, weights)
+                plan = solved(solve_exact, modules, resources, weights)
                 score = score_matrix(modules, resources, weights)
                 choice, objective = oracles.brute_force_assignment(modules, resources, score)
                 want_x = tuple(
@@ -167,16 +174,59 @@ def test_exact_tie_break_matches_brute_force_when_many_leaves_tie():
                 assert plan.objective == objective
 
 
+def test_exact_keeps_a_tie_at_large_weights():
+    # both (1, 0, 1, 0, 0) and (0, 0, 1, 0, 1) score 58684648096150.98 here;
+    # a bound with an absolute slack cut the first and returned the second,
+    # because at this magnitude 1e-9 is below one ulp of the totals
+    weights = AffinityWeights(6265308139876.466, 4406253865323.9795)
+    resources = [
+        EdgeResource(f"r{i}", capacity=c, bandwidth_mbps=bw, compute_rating=rating)
+        for i, (c, bw, rating) in enumerate([(3.0, 81.4313, 0.4006), (2.0, 67.241285, 0.615),
+                                             (3.0, 45.11726, 0.5)])
+    ]
+    modules = [
+        ControlModule(f"m{j}", load=1.0, intensity=intensity)
+        for j, intensity in enumerate([0.4, 0.92, 0.195295, 0.44, 0.4])
+    ]
+    plan = solved(solve_exact, modules, resources, weights)
+    choice, objective = oracles.brute_force_assignment(
+        modules, resources, score_matrix(modules, resources, weights)
+    )
+    assert plan.choice == tuple(choice) == (1, 0, 1, 0, 0)
+    assert plan.objective.hex() == objective.hex()
+
+
+def test_exact_matches_brute_force_at_the_churn_shape_with_tight_headroom():
+    # up to 4 servers and 3 to 5 modules, about what alloc-churn re-solves, and
+    # current loads that leave room for only some of the modules in most cases
+    rng = np.random.default_rng(2024)
+    for case in range(100):
+        modules = []
+        while len(modules) < 3:
+            modules, resources, weights = random_instance(rng, max_resources=4, max_modules=5)
+        resources = [
+            dataclasses.replace(r, current_load=round(r.capacity * float(rng.uniform(0.2, 0.8)), 3))
+            for r in resources
+        ]
+        plan = solved(solve_exact, modules, resources, weights)
+        choice, objective = oracles.brute_force_assignment(
+            modules, resources, score_matrix(modules, resources, weights)
+        )
+        assert plan.choice == tuple(choice), f"case {case}"
+        assert plan.objective.hex() == objective.hex(), f"case {case}"
+        assert validate(plan, modules, resources) == []
+
+
 def test_exact_leaves_unplaceable_modules_unassigned():
     modules = [ControlModule("m0", load=10.0)]
     resources = [EdgeResource("r0", capacity=2.0)]
-    plan = solve_exact(modules, resources, AffinityWeights())
+    plan = solved(solve_exact, modules, resources, AffinityWeights())
     assert plan.unassigned() == ["m0"]
     assert plan.objective == 0.0
 
 
 def test_exact_handles_empty_module_list():
-    plan = solve_exact([], [EdgeResource("r0", capacity=1.0)], AffinityWeights())
+    plan = solved(solve_exact, [], [EdgeResource("r0", capacity=1.0)], AffinityWeights())
     assert plan.x == ((),)
     assert plan.objective == 0.0
 
@@ -185,8 +235,8 @@ def test_exact_guard_rejects_oversized_instances():
     resources = [EdgeResource(f"r{i}", capacity=100.0) for i in range(9)]
     modules = [ControlModule(f"m{j}", load=0.1) for j in range(8)]
     # (9 + 1)^8 placements pass the enumeration limit, so solve hands them to greedy
-    fallback = solve(modules, resources, AffinityWeights())
-    assert fallback == solve_greedy(modules, resources, AffinityWeights())
+    fallback = solved(solve, modules, resources, AffinityWeights())
+    assert fallback == solved(solve_greedy, modules, resources, AffinityWeights())
     assert validate(fallback, modules, resources) == []
     assert fallback.unassigned() == []
 
@@ -210,8 +260,8 @@ def test_scaling_both_weights_preserves_the_argmax():
     for _ in range(25):
         modules, resources, weights = random_instance(rng)
         scaled = AffinityWeights(weights.bandwidth * 7.5, weights.cpu * 7.5)
-        a = solve_exact(modules, resources, weights)
-        b = solve_exact(modules, resources, scaled)
+        a = solved(solve_exact, modules, resources, weights)
+        b = solved(solve_exact, modules, resources, scaled)
         assert a.x == b.x
         assert b.objective == pytest.approx(7.5 * a.objective)
 
@@ -223,8 +273,8 @@ def test_greedy_is_feasible_and_never_beats_exact():
     rng = np.random.default_rng(31)
     for _ in range(60):
         modules, resources, weights = random_instance(rng)
-        greedy = solve_greedy(modules, resources, weights)
-        exact = solve_exact(modules, resources, weights)
+        greedy = solved(solve_greedy, modules, resources, weights)
+        exact = solved(solve_exact, modules, resources, weights)
         assert validate(greedy, modules, resources) == []
         assert greedy.objective <= exact.objective + 1e-9
 
@@ -238,7 +288,7 @@ def test_greedy_places_heaviest_first_and_prefers_best_server():
         ControlModule("light", load=1.0, intensity=0.5),
         ControlModule("heavy", load=3.0, intensity=0.5),
     ]
-    plan = solve_greedy(modules, resources, AffinityWeights())
+    plan = solved(solve_greedy, modules, resources, AffinityWeights())
     # heavy goes first and takes the best server it fits on ("small" at 3.0);
     # light then only fits on "big"
     assert plan.assignment() == {"heavy": "small", "light": "big"}
@@ -249,7 +299,7 @@ def test_greedy_tie_on_equal_affinity_takes_instance_order():
         EdgeResource("first", capacity=2.0, bandwidth_mbps=80.0, compute_rating=0.9),
         EdgeResource("second", capacity=2.0, bandwidth_mbps=80.0, compute_rating=0.9),
     ]
-    plan = solve_greedy([ControlModule("m", load=1.0)], resources, AffinityWeights())
+    plan = solved(solve_greedy, [ControlModule("m", load=1.0)], resources, AffinityWeights())
     assert plan.assignment() == {"m": "first"}
 
 
@@ -263,13 +313,13 @@ def test_rebalance_moves_load_off_a_withdrawn_server():
         EdgeResource("r0", capacity=4.0, bandwidth_mbps=100.0, compute_rating=1.0),
         EdgeResource("r1", capacity=4.0, bandwidth_mbps=10.0, compute_rating=0.2),
     ]
-    plan = solve_exact(modules, resources, AffinityWeights())
+    plan = solved(solve_exact, modules, resources, AffinityWeights())
     assert plan.assignment() == {"m0": "r0"}
     withdrawn = [
         EdgeResource("r0", capacity=0.0, bandwidth_mbps=100.0, compute_rating=1.0),
         resources[1],
     ]
-    assert solve(modules, withdrawn, AffinityWeights()).assignment() == {"m0": "r1"}
+    assert solved(solve, modules, withdrawn, AffinityWeights()).assignment() == {"m0": "r1"}
 
 
 def test_capacity_zero_server_never_receives_load():
@@ -277,7 +327,7 @@ def test_capacity_zero_server_never_receives_load():
     for _ in range(20):
         modules, resources, weights = random_instance(rng)
         dead = [EdgeResource(r.id, 0.0, 0.0, r.bandwidth_mbps, r.compute_rating) for r in resources]
-        plan = solve_exact(modules, dead, weights)
+        plan = solved(solve_exact, modules, dead, weights)
         assert plan.unassigned() == [m.id for m in modules]
 
 
@@ -325,7 +375,7 @@ def test_instance_and_plan_round_trip(tmp_path):
     del data["weights"]
     assert instance_from_dict(data)[2] == AffinityWeights()
 
-    plan = solve_exact(modules, resources, weights)
+    plan = solved(solve_exact, modules, resources, weights)
     # m1 (more intense) takes the better server, m0 the other, m2 fits nowhere
     assert json.loads(json.dumps(plan_to_dict(plan))) == {
         "resource_ids": ["r0", "r1"],

@@ -3,12 +3,20 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from edgeloop import dqn
-from edgeloop.allocator import AffinityWeights, ControlModule, EdgeResource, plan_to_dict, solve_greedy
+from edgeloop.allocator import (
+    AffinityWeights,
+    ControlModule,
+    EdgeResource,
+    plan_to_dict,
+    prepare,
+    solve_greedy,
+)
 from edgeloop.cli import _parse_seeds, main
 from edgeloop.reporting import COMPARED_METRICS
 
@@ -158,7 +166,8 @@ def test_alloc_prints_the_greedy_plan_past_the_size_guard(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out.pop("violations") == []
-    assert out == plan_to_dict(solve_greedy(modules, resources, AffinityWeights()))
+    scored = prepare(modules, resources, AffinityWeights())
+    assert out == plan_to_dict(solve_greedy(scored, [r.headroom for r in resources]))
 
 
 def test_alloc_flags_overloaded_instance(tmp_path, capsys):
@@ -182,6 +191,65 @@ def test_alloc_flags_overloaded_instance(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["violations"]
     assert "over capacity" in out["violations"][0]
+
+
+def _edge(i, capacity, load, bandwidth, rating):
+    return {"id": f"r{i}", "capacity": capacity, "current_load": load,
+            "bandwidth_mbps": bandwidth, "compute_rating": rating}
+
+
+ALLOC_GOLDEN = {
+    # two equal servers and three equal modules: every plan that places all three ties
+    "tie": (
+        {"resources": [_edge(0, 2.5, 0.5, 80.0, 0.7), _edge(1, 2.5, 0.5, 80.0, 0.7)],
+         "modules": [{"id": f"m{j}", "load": 1.0, "intensity": 0.4} for j in range(3)],
+         "weights": {"bandwidth": 0.5, "cpu": 0.5}},
+        0,
+        "7e3bb069b727f104f091b31b9e2005cfd164625aa246e5fe02ad30837644b49e",
+    ),
+    # m2 fits on no server and stays at the cloud
+    "unplaceable": (
+        {"resources": [_edge(0, 3.0, 0.5, 100.0, 1.0), _edge(1, 2.0, 0.0, 60.0, 0.6)],
+         "modules": [{"id": "m0", "load": 1.2, "intensity": 0.9},
+                     {"id": "m1", "load": 0.8, "intensity": 0.3},
+                     {"id": "m2", "load": 4.0, "intensity": 1.0}],
+         "weights": {"bandwidth": 0.3, "cpu": 0.7}},
+        0,
+        "b021139e8f54523173f92780161dc680f5490124603328934ab24f5df3701e5d",
+    ),
+    # a withdrawn server (capacity 0) that still carries load: nothing is placed
+    # on it, and its overload is reported with exit status 1
+    "capacity-zero": (
+        {"resources": [_edge(0, 0.0, 0.25, 150.0, 1.0), _edge(1, 3.0, 1.0, 40.0, 0.5)],
+         "modules": [{"id": "m0", "load": 1.0, "intensity": 0.5},
+                     {"id": "m1", "load": 1.5, "intensity": 0.8}]},
+        1,
+        "b2c614562dd67c378507e8e0ed3d483a28dda189344f14461e2b278923a54070",
+    ),
+    # (9+1)^8 placements pass the exact search guard, so the greedy plan prints
+    "greedy-fallback": (
+        {"resources": [_edge(i, 0.5 + 0.25 * i, 0.1 * (i % 3), 10.0 + 7 * i, 0.3 + 0.07 * i)
+                       for i in range(9)],
+         "modules": [{"id": f"m{j}", "load": 0.4 + 0.15 * j, "intensity": 0.1 + 0.1 * j}
+                     for j in range(8)],
+         "weights": {"bandwidth": 0.6, "cpu": 0.4}},
+        0,
+        "ce51f6a59b8c12a5fef9a21ed52eece989b251ff93377837d2f5974b0a54e763",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ALLOC_GOLDEN))
+def test_alloc_output_bytes_are_pinned(tmp_path, capsys, name):
+    # sha256 of the stdout earlier solver code printed: a solver change that
+    # moves any plan, objective bit or output byte fails here
+    instance, status, stdout_sha256 = ALLOC_GOLDEN[name]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["alloc", "--instance", str(path)]) == status
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
 
 
 def test_plot_data_writes_series(run_outputs, tmp_path, capsys):

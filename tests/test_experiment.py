@@ -208,9 +208,9 @@ def test_plan_sees_only_the_loads_the_cloud_has_received(monkeypatch):
         received[report.edge] = report.load
         return receive_report(self, report)
 
-    def checked_solve(modules, resources, weights):
-        planned.append({r.id: r.current_load for r in resources} == received)
-        return solve(modules, resources, weights)
+    def checked_solve(scored, headroom):
+        planned.append(headroom == [e.capacity - received[e.id] for e in cfg.allocator.edges])
+        return solve(scored, headroom)
 
     monkeypatch.setattr(experiment._SeedRun, "receive_report", recorded_receive)
     monkeypatch.setattr(allocator, "solve", checked_solve)
