@@ -152,14 +152,16 @@ def reset(config: BoilerConfig, rng: np.random.Generator) -> BoilerState:
     state = nominal_state(config)
     if scale == 0.0:
         return state
-    level = float(np.clip(state.water_level + rng.normal(0.0, 0.03 * scale), 0.30, 0.70))
-    pressure = float(
-        np.clip(state.pressure + rng.normal(0.0, 20.0 * scale), 700.0, 1300.0)
-    )
-    outlet = float(np.clip(state.outlet_temp + rng.normal(0.0, 8.0 * scale), 240.0, 360.0))
-    inlet = float(np.clip(state.inlet_temp + rng.normal(0.0, 3.0 * scale), 80.0, 120.0))
+    level = state.water_level + rng.normal(0.0, 0.03 * scale)
+    pressure = state.pressure + rng.normal(0.0, 20.0 * scale)
+    outlet = state.outlet_temp + rng.normal(0.0, 8.0 * scale)
+    inlet = state.inlet_temp + rng.normal(0.0, 3.0 * scale)
     return replace(
-        state, water_level=level, pressure=pressure, outlet_temp=outlet, inlet_temp=inlet
+        state,
+        water_level=0.30 if level < 0.30 else (0.70 if level > 0.70 else level),
+        pressure=700.0 if pressure < 700.0 else (1300.0 if pressure > 1300.0 else pressure),
+        outlet_temp=240.0 if outlet < 240.0 else (360.0 if outlet > 360.0 else outlet),
+        inlet_temp=80.0 if inlet < 80.0 else (120.0 if inlet > 120.0 else inlet),
     )
 
 

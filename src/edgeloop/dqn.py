@@ -67,8 +67,7 @@ class Hyperparams:
             raise ValueError("td_error_clip must be positive when set")
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     obs: np.ndarray
     action: int
     reward: float
@@ -77,11 +76,23 @@ class Transition:
 
 
 class MlpPolicy:
-    """Fully connected Q-network: ReLU hidden layers, identity output."""
+    """Fully connected Q-network: ReLU hidden layers, identity output.
+
+    Every weight and bias is a view into one flat float64 vector, `params`
+    (W0, b0, W1, b1, ...); `grad` holds train_step's gradient in that layout.
+    """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights  # float64 (fan_in, fan_out) per layer
-        self.biases = biases
+        self.params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+        self.grad = np.empty_like(self.params)
+        self.weights, self.biases, self.grad_weights, self.grad_biases = [], [], [], []
+        end = 0
+        for w in weights:  # (fan_in, fan_out) per layer
+            start, mid, end = end, end + w.size, end + w.size + w.shape[1]
+            self.weights.append(self.params[start:mid].reshape(w.shape))
+            self.biases.append(self.params[mid:end])
+            self.grad_weights.append(self.grad[start:mid].reshape(w.shape))
+            self.grad_biases.append(self.grad[mid:end])
 
     @classmethod
     def initialize(cls, layer_sizes: Sequence[int], rng: np.random.Generator) -> "MlpPolicy":
@@ -94,7 +105,7 @@ class MlpPolicy:
         return cls(weights, biases)
 
     def copy(self) -> "MlpPolicy":
-        return MlpPolicy([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpPolicy(self.weights, self.biases)
 
     def activations(self, x: np.ndarray) -> list[np.ndarray]:
         """Input and every layer's output, for one float64 observation or a batch of rows."""
@@ -129,45 +140,41 @@ class Batch(NamedTuple):
 
 
 class ReplayBuffer:
-    """Bounded FIFO transition store with uniform seeded sampling; a Batch row per slot."""
+    """Bounded FIFO transition store with uniform seeded sampling; obs and next_obs share one array."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, width: int):
         self.capacity = capacity
-        self._store: Batch | None = None
-        self._size = 0
-        self._next = 0
+        self._obs_pairs = np.empty((2, capacity, width))  # [0] obs, [1] next_obs
+        self._actions = np.empty(capacity, np.intp)
+        self._rewards = np.empty(capacity)
+        self._dones = np.empty(capacity)
         self.inserted = 0
 
     def __len__(self) -> int:
-        return self._size
+        return min(self.inserted, self.capacity)
 
-    def add(self, transition: Transition) -> None:
-        if self._store is None:  # the first add fixes the observation width
-            n, width = self.capacity, len(transition.obs)
-            obs, next_obs = np.empty((n, width)), np.empty((n, width))
-            self._store = Batch(obs, np.empty(n, np.intp), np.empty(n), next_obs, np.empty(n))
-        i = self._next
-        self._store.obs[i] = transition.obs
-        self._store.actions[i] = transition.action
-        self._store.rewards[i] = transition.reward
-        self._store.next_obs[i] = transition.next_obs
-        self._store.dones[i] = transition.done
-        self._next = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+    def add(self, obs: np.ndarray, action: int, reward: float, next_obs: np.ndarray, done: bool) -> None:
+        i = self.inserted % self.capacity
+        self._obs_pairs[0, i] = obs
+        self._obs_pairs[1, i] = next_obs
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._dones[i] = done
         self.inserted += 1
 
     def _rows(self, idx: np.ndarray) -> Batch:
-        return Batch(*(column.take(idx, axis=0) for column in self._store))
+        pairs = self._obs_pairs.take(idx, axis=1)  # indexing it costs less than unpacking it
+        return Batch(
+            pairs[0], self._actions.take(idx), self._rewards.take(idx), pairs[1], self._dones.take(idx)
+        )
 
     def items(self) -> list[Transition]:
         """Stored transitions in insertion order, oldest first."""
-        if self._store is None:
-            return []
-        rows = self._rows(np.arange(self._next - self._size, self._next) % self.capacity)
+        rows = self._rows(np.arange(self.inserted - len(self), self.inserted) % self.capacity)
         return [Transition(o, int(a), float(r), n, bool(d)) for o, a, r, n, d in zip(*rows)]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        return self._rows(rng.choice(self._size, size=batch_size, replace=False))
+        return self._rows(rng.choice(len(self), size=batch_size, replace=False))
 
 
 def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> None:
@@ -190,35 +197,27 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss: {loss}")
 
-    # d(loss)/d(q) is nonzero only at the taken actions
-    grad_err = err
     if hp.td_error_clip is not None:
         # two bare ufuncs cost less than a clip call and give its bits on finite errors
-        grad_err = np.minimum(np.maximum(err, -hp.td_error_clip), hp.td_error_clip)
-    grad_out = np.zeros(q.shape)
-    grad_out[batch_idx, batch.actions] = 2.0 * grad_err / hp.batch_size
+        err = np.minimum(np.maximum(err, -hp.td_error_clip), hp.td_error_clip)
+    # d(loss)/d(q) is nonzero only at the taken actions
+    delta = np.zeros(q.shape)
+    delta[batch_idx, batch.actions] = 2.0 * err / hp.batch_size
 
-    grads_w = [None] * len(policy.weights)
-    grads_b = [None] * len(policy.biases)
-    delta = grad_out
     for i in range(len(policy.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=policy.grad_weights[i])
+        np.add.reduce(delta, axis=0, out=policy.grad_biases[i])
         if i > 0:
             delta = delta @ policy.weights[i].T
             delta = delta * (activations[i] > 0.0)
 
-    for w, b, gw, gb in zip(policy.weights, policy.biases, grads_w, grads_b):
-        w -= hp.learning_rate * gw
-        b -= hp.learning_rate * gb
+    policy.grad *= hp.learning_rate
+    policy.params -= policy.grad
 
 
 def sync_target(policy: MlpPolicy, target: MlpPolicy) -> None:
     """Copy policy parameters into the target network exactly."""
-    for tw, w in zip(target.weights, policy.weights):
-        tw[...] = w
-    for tb, b in zip(target.biases, policy.biases):
-        tb[...] = b
+    target.params[...] = policy.params
 
 
 class DqnAgent:
@@ -237,7 +236,7 @@ class DqnAgent:
         self.epsilon_decay_steps = epsilon_decay_steps
         self.policy = MlpPolicy.initialize(layer_sizes, init_rng)
         self.target = self.policy.copy()
-        self.buffer = ReplayBuffer(hp.buffer_capacity)
+        self.buffer = ReplayBuffer(hp.buffer_capacity, layer_sizes[0])
         self.explore_rng = explore_rng
         self.replay_rng = replay_rng
         self.train_steps = 0
@@ -255,8 +254,8 @@ class DqnAgent:
         frac = min(max(step, 0) / self.epsilon_decay_steps, 1.0)
         return self.hp.epsilon_start + (self.hp.epsilon_end - self.hp.epsilon_start) * frac
 
-    def record(self, transition: Transition) -> None:
-        self.buffer.add(transition)
+    def record(self, obs: np.ndarray, action: int, reward: float, next_obs: np.ndarray, done: bool) -> None:
+        self.buffer.add(obs, action, reward, next_obs, done)
 
     def train(self) -> None:
         """Run one train step if the buffer is warm; sync the target every tau steps."""

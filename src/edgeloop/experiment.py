@@ -315,7 +315,7 @@ class _Episode:
             prev_obs, prev_action = self.ctl_pending
             obs = boiler.observe(self.plant_cfg, state, prev_obs, reward)
             if self.training:
-                agent.record(dqn.Transition(prev_obs, prev_action, reward, obs, done))
+                agent.record(prev_obs, prev_action, reward, obs, done)
                 agent.train()
         if done:
             self.ctl_pending = None
@@ -434,14 +434,12 @@ class _SeedRun:
 
     def emit_report(self, edge_node: int) -> Report:
         """Drift this edge's background load; returns the report for the cloud."""
-        resource = self.cfg.allocator.edges[edge_node - 1]
-        drifted = self.edge_loads[resource.id] + self.drift_rng.normal(
-            0.0, self.cfg.allocator.load_drift
-        )
-        self.edge_loads[resource.id] = float(
-            np.clip(drifted, 0.0, self.cfg.allocator.load_max)
-        )
-        return Report(resource.id, self.edge_loads[resource.id])
+        settings = self.cfg.allocator
+        resource = settings.edges[edge_node - 1]
+        drifted = self.edge_loads[resource.id] + self.drift_rng.normal(0.0, settings.load_drift)
+        load = 0.0 if drifted < 0.0 else (settings.load_max if drifted > settings.load_max else drifted)
+        self.edge_loads[resource.id] = load
+        return Report(resource.id, load)
 
     def receive_report(self, report: Report) -> None:
         """Record the load the cloud received; the next reading re-solves the placement."""

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from edgeloop.dqn import DivergenceError
 from edgeloop.simcore import CONTROL_PERIOD_S
 
 
@@ -286,3 +287,60 @@ class FifoReplay:
     def sample(self, batch_size, rng):
         idx = rng.choice(len(self.slots), size=batch_size, replace=False)
         return [self.slots[i] for i in idx]
+
+
+# -- per-layer DQN update ------------------------------------------------------
+# train_step and sync_target written per layer: one gradient array and one
+# in-place update per weight or bias array. edgeloop.dqn updates one flat
+# parameter vector instead, and must give the same bits.
+
+
+def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> None:
+    """One SGD update on the mean squared TD error over a batch of hp.batch_size samples.
+
+    Only the taken action's value contributes per sample. Raises
+    DivergenceError, before updating, if the loss is not finite. With
+    td_error_clip set, each sample's error is bounded inside the gradient
+    (the loss checked is still computed from the raw errors), which keeps
+    rare large-penalty targets from destabilizing the update.
+    """
+    next_q = target.forward(batch.next_obs)
+    targets = batch.rewards + hp.gamma * next_q.max(axis=1) * (1.0 - batch.dones)
+
+    activations = policy.activations(batch.obs)  # kept for backprop
+    q = activations[-1]
+    batch_idx = np.arange(hp.batch_size)
+    err = q[batch_idx, batch.actions] - targets
+    loss = float((err * err).sum() / hp.batch_size)  # np.mean's arithmetic, less overhead
+    if not math.isfinite(loss):
+        raise DivergenceError(f"non-finite training loss: {loss}")
+
+    # d(loss)/d(q) is nonzero only at the taken actions
+    grad_err = err
+    if hp.td_error_clip is not None:
+        # two bare ufuncs cost less than a clip call and give its bits on finite errors
+        grad_err = np.minimum(np.maximum(err, -hp.td_error_clip), hp.td_error_clip)
+    grad_out = np.zeros(q.shape)
+    grad_out[batch_idx, batch.actions] = 2.0 * grad_err / hp.batch_size
+
+    grads_w = [None] * len(policy.weights)
+    grads_b = [None] * len(policy.biases)
+    delta = grad_out
+    for i in range(len(policy.weights) - 1, -1, -1):
+        grads_w[i] = activations[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ policy.weights[i].T
+            delta = delta * (activations[i] > 0.0)
+
+    for w, b, gw, gb in zip(policy.weights, policy.biases, grads_w, grads_b):
+        w -= hp.learning_rate * gw
+        b -= hp.learning_rate * gb
+
+
+def sync_target(policy: MlpPolicy, target: MlpPolicy) -> None:
+    """Copy policy parameters into the target network exactly."""
+    for tw, w in zip(target.weights, policy.weights):
+        tw[...] = w
+    for tb, b in zip(target.biases, policy.biases):
+        tb[...] = b

@@ -237,7 +237,7 @@ def test_criterion_6_replay_bound_and_target_sync():
     t0 = time.monotonic()
     failures = []
     rng = np.random.default_rng(606)
-    buf = ReplayBuffer(5000)
+    buf = ReplayBuffer(5000, 1)
     mirror = deque(maxlen=5000)
     for i in range(20_000):
         t = Transition(
@@ -247,7 +247,7 @@ def test_criterion_6_replay_bound_and_target_sync():
             np.array([float(i) + 0.5]),
             bool(rng.random() < 0.05),
         )
-        buf.add(t)
+        buf.add(*t)
         mirror.append(t)
         if len(buf) > 5000:
             failures.append(f"buffer grew to {len(buf)} at insertion {i}")
@@ -273,13 +273,11 @@ def test_criterion_6_replay_bound_and_target_sync():
     feed = np.random.default_rng(4)
     for _ in range(60):
         agent.record(
-            Transition(
-                feed.normal(size=3),
-                int(feed.integers(0, 4)),
-                float(feed.normal()),
-                feed.normal(size=3),
-                False,
-            )
+            feed.normal(size=3),
+            int(feed.integers(0, 4)),
+            float(feed.normal()),
+            feed.normal(size=3),
+            False,
         )
     snapshot = test_dqn.policy_bytes(agent.target)
     syncs = 0

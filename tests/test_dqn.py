@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -148,14 +147,14 @@ def make_transition(tag: float, dim: int = 1) -> Transition:
 
 
 def test_buffer_is_bounded_fifo():
-    buf = ReplayBuffer(capacity=7)
+    buf = ReplayBuffer(capacity=7, width=1)
     mirror = collections.deque(maxlen=7)
     rng = np.random.default_rng(8)
     for k in range(100):
         # randomized interleaving: sometimes several inserts per round
         for _ in range(int(rng.integers(1, 4))):
             t = make_transition(float(k + rng.random()))
-            buf.add(t)
+            buf.add(*t)
             mirror.append(t)
             assert len(buf) <= 7
     assert buf.items() == list(mirror)
@@ -163,9 +162,9 @@ def test_buffer_is_bounded_fifo():
 
 
 def test_buffer_sampling_is_seeded_and_without_replacement():
-    buf = ReplayBuffer(capacity=50)
+    buf = ReplayBuffer(capacity=50, width=1)
     for k in range(50):
-        buf.add(make_transition(float(k)))
+        buf.add(*make_transition(float(k)))
     a = buf.sample(10, np.random.default_rng(77))
     b = buf.sample(10, np.random.default_rng(77))
     assert a.rewards.tolist() == b.rewards.tolist()
@@ -177,13 +176,13 @@ def transition_key(t):
 
 
 def test_buffer_matches_list_fifo_reference_after_wraparound():
-    buf = ReplayBuffer(capacity=7)
+    buf = ReplayBuffer(capacity=7, width=3)
     ref = oracles.FifoReplay(7)
     feed = np.random.default_rng(41)
     for k in range(40):
         t = Transition(feed.normal(size=3), int(feed.integers(0, 9)), float(feed.normal()),
                        feed.normal(size=3), bool(feed.random() < 0.3))
-        buf.add(t)
+        buf.add(*t)
         ref.add(t)
         assert len(buf) == len(ref.slots)
         assert [transition_key(x) for x in buf.items()] == [transition_key(x) for x in ref.items()]
@@ -317,7 +316,7 @@ def test_clip_bounds_the_gradient_not_the_loss():
     train_step(clipped, target, as_batch(batch), hp_clip)
     # the divergence check reads the raw loss: an error whose square
     # overflows stops training even though the clip bounds its gradient
-    overflowing = [dataclasses.replace(t, reward=1e200) for t in batch]
+    overflowing = [t._replace(reward=1e200) for t in batch]
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         train_step(base.copy(), target, as_batch(overflowing), hp_clip)
 
@@ -369,10 +368,8 @@ def test_default_network_weights_after_2000_updates_on_a_wrapped_buffer_are_pinn
     def record():
         failed = bool(feed.random() < 0.02)
         reward = -500.0 if failed else -float(feed.exponential(0.5))
-        agent.record(
-            Transition(feed.normal(size=76), int(feed.integers(0, 9)), reward,
-                       feed.normal(size=76), failed)
-        )
+        agent.record(feed.normal(size=76), int(feed.integers(0, 9)), reward,
+                     feed.normal(size=76), failed)
 
     for _ in range(hp.buffer_capacity):
         record()
@@ -407,10 +404,8 @@ def test_agent_syncs_on_schedule_and_target_is_bit_stable_between():
     )
     rng = np.random.default_rng(4)
     for _ in range(60):
-        agent.record(
-            Transition(rng.normal(size=3), int(rng.integers(0, 4)), float(rng.normal()),
-                       rng.normal(size=3), False)
-        )
+        agent.record(rng.normal(size=3), int(rng.integers(0, 4)), float(rng.normal()),
+                     rng.normal(size=3), False)
     snapshot = policy_bytes(agent.target)
     for step in range(1, 301):
         agent.train()
@@ -479,10 +474,10 @@ def test_agent_waits_for_warmup_before_training():
         replay_rng=np.random.default_rng(3),
     )
     for k in range(9):
-        agent.record(make_transition(float(k), dim=2))
+        agent.record(*make_transition(float(k), dim=2))
         agent.train()
         assert agent.train_steps == 0
-    agent.record(make_transition(9.0, dim=2))
+    agent.record(*make_transition(9.0, dim=2))
     agent.train()
     assert agent.train_steps == 1
 
@@ -501,3 +496,32 @@ def test_agent_greedy_act_does_not_advance_the_schedule():
     assert agent.action_steps == 0
     agent.act(obs, greedy=False)
     assert agent.action_steps == 1
+
+
+@pytest.mark.parametrize("hidden", [[], [8], [64, 64], [5, 7, 3]])
+@pytest.mark.parametrize("batch_size", [1, 16, 17])
+@pytest.mark.parametrize("clip", [None, 10.0])
+def test_flat_parameter_updates_match_the_per_layer_reference(hidden, batch_size, clip):
+    layer_sizes = [6, *hidden, 4]
+    hp = small_hp(batch_size=batch_size, warmup=batch_size, td_error_clip=clip, learning_rate=1e-3)
+    policy = random_policy(layer_sizes, 81)
+    target = policy.copy()
+    initial = policy_bytes(target)
+    # the layers tile the one parameter vector, W0, b0, W1, b1, ...; a copy owns its own
+    assert all(np.shares_memory(a, policy.params) for a in policy.weights + policy.biases)
+    assert policy.params.tobytes() == b"".join(
+        a.tobytes() for layer in zip(policy.weights, policy.biases) for a in layer
+    )
+    assert not any(np.shares_memory(a, policy.params) for a in [target.params, *target.weights, *target.biases])
+
+    ref_policy, ref_target = policy.copy(), target.copy()
+    for step in range(50):
+        # large rewards push some errors past the clip
+        batch = as_batch(random_batch(layer_sizes, hp, 1000 + step, reward_scale=20.0))
+        train_step(policy, target, batch, hp)
+        oracles.train_step(ref_policy, ref_target, batch, hp)
+        if step == 24:
+            sync_target(policy, target)
+            oracles.sync_target(ref_policy, ref_target)
+    assert policy_bytes(target) == policy_bytes(ref_target) != initial  # the sync moved both targets
+    assert policy_bytes(policy) == policy_bytes(ref_policy)
