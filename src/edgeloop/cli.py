@@ -90,6 +90,9 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     a = phase_records(reporting.read_metrics(args.metrics_a), args.phase)
     b = phase_records(reporting.read_metrics(args.metrics_b), args.phase)
+    if not a or not b:
+        print("no records matched", file=sys.stderr)
+        return 1
     comparisons = reporting.compare(a, b)
     print(reporting.render_table(comparisons))
     if args.json_out:
@@ -136,6 +139,8 @@ def main(argv=None) -> int:
         kind, message = "trace", str(exc)
     except allocator.AllocationError as exc:  # from the alloc command's instance file
         kind, message = "instance", str(exc)
+    except reporting.MetricsError as exc:  # from a metrics file compare or plot-data reads
+        kind, message = "metrics", str(exc)
     print(f"edgeloop: {kind}: {' '.join(message.split())}", file=sys.stderr)
     return 2
 

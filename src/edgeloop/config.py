@@ -295,10 +295,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         if data is not None and not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-    config = config_from_dict(data)
-    if config.trace_file is not None and not os.path.exists(config.trace_file):
-        raise ConfigError(f"trace_file does not exist: {config.trace_file}")
-    return config
+    return config_from_dict(data)
 
 
 def resolve_out_dir(cli_value: str | None, config: RunConfig) -> str:

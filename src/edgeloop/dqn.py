@@ -251,7 +251,7 @@ class DqnAgent:
 
     def epsilon_at(self, step: int) -> float:
         """Linear schedule from epsilon_start to epsilon_end over epsilon_decay_steps."""
-        frac = min(max(step, 0) / self.epsilon_decay_steps, 1.0)
+        frac = min(step / self.epsilon_decay_steps, 1.0)
         return self.hp.epsilon_start + (self.hp.epsilon_end - self.hp.epsilon_start) * frac
 
     def record(self, obs: np.ndarray, action: int, reward: float, next_obs: np.ndarray, done: bool) -> None:

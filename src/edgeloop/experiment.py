@@ -25,6 +25,7 @@ seed order, so the files are the same bytes for any number of workers.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -178,22 +179,20 @@ def _percentile(sorted_values: list[int], fraction: float) -> float:
 
 
 def load_disturbance(config: RunConfig) -> list[float]:
-    """Inlet-temperature offsets replayed from the configured sensor trace.
-
-    The resampled readings of one sensor become per-step offsets relative
-    to that sensor's first reading, scaled by trace_disturbance_scale.
-    """
-    if config.trace_file is None or config.trace_disturbance_scale == 0.0:
+    """Per-step inlet-temperature offsets: one trace sensor's held readings, up to an
+    episode's steps, less its first reading and scaled by trace_disturbance_scale.
+    An unset trace_sensor means the sensor sampled first (the smaller id on a tie)."""
+    if config.trace_file is None:
         return []
-    rows = traces.ingest_trace(config.trace_file)
-    if not rows:
+    sensors = traces.ingest_trace(config.trace_file)
+    if not sensors:
         raise ConfigError(f"trace_file has no rows: {config.trace_file}")
-    sensor = config.trace_sensor or rows[0].sensor_id
-    values = traces.sensor_values(rows, sensor)
-    if not values:
+    sensor = config.trace_sensor or min(sensors, key=lambda s: (sensors[s][0][0], s))
+    if sensor not in sensors:
         raise ConfigError(f"trace_sensor {sensor!r} has no rows in {config.trace_file}")
-    base = values[0]
-    return [config.trace_disturbance_scale * (v - base) for v in values]
+    base = sensors[sensor][0][1]
+    held = itertools.islice(traces.held_values(sensors[sensor]), config.steps_per_episode)
+    return [config.trace_disturbance_scale * (v - base) for v in held]
 
 
 class _Episode:

@@ -23,17 +23,25 @@ COMPARED_METRICS = [
 MOVING_AVERAGE_WINDOW = 50
 
 
+class MetricsError(ValueError):
+    """Unreadable or malformed metrics file; message names the file and line."""
+
+
 def read_metrics(path) -> list[MetricsRecord]:
     records = []
-    with open(path) as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise MetricsError(f"{path}: {exc.strerror or exc}") from exc
+    with f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 records.append(MetricsRecord(**json.loads(line)))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ValueError(f"{path} line {line_no}: bad metrics row: {exc}") from exc
+            except (ValueError, TypeError) as exc:  # bad JSON or UTF-8, or not a record's fields
+                raise MetricsError(f"{path} line {line_no}: bad metrics row: {exc}") from exc
     return records
 
 

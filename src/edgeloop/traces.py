@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from itertools import repeat
 
 from .simcore import CONTROL_PERIOD_MS, MS_PER_SECOND
 
@@ -20,24 +21,15 @@ EXPECTED_HEADER = ["timestamp", "sensor_id", "value", "unit"]
 KNOWN_UNITS = frozenset({"C", "K", "%", "V", "kPa"})
 PERIOD_S = CONTROL_PERIOD_MS // MS_PER_SECOND  # the resampling grid: the control period
 
+Samples = list[tuple[int, float]]  # one sensor's (timestamp, value) readings in file order
+
 
 class TraceError(ValueError):
     """Malformed trace file; message carries the offending file line."""
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    timestamp: int
-    sensor_id: str
-    value: float
-    unit: str
-
-
-SensorTrace = list[TraceRow]
-
-
-def read_trace(path) -> SensorTrace:
-    """Parse and validate a trace CSV.
+def ingest_trace(path) -> dict[str, Samples]:
+    """Parse and validate a trace CSV into each sensor's samples, sensors in file order.
 
     Rejects unknown units, non-integer timestamps, non-finite values, and
     per-sensor timestamps that fail to strictly increase, naming the file line.
@@ -56,8 +48,7 @@ def read_trace(path) -> SensorTrace:
             raise TraceError(
                 f"{path} line 1: expected header {','.join(EXPECTED_HEADER)}"
             )
-        rows: SensorTrace = []
-        last_seen: dict[str, int] = {}
+        sensors: dict[str, Samples] = {}
         for line_no, raw in enumerate(reader, start=2):
             if not raw:
                 continue
@@ -83,50 +74,28 @@ def read_trace(path) -> SensorTrace:
                     f"{path} line {line_no}: unknown unit {unit!r} "
                     f"(known: {', '.join(sorted(KNOWN_UNITS))})"
                 )
-            if sensor_id in last_seen and timestamp <= last_seen[sensor_id]:
+            samples = sensors.setdefault(sensor_id, [])
+            if samples and timestamp <= samples[-1][0]:
                 raise TraceError(
                     f"{path} line {line_no}: timestamp {timestamp} for sensor "
-                    f"{sensor_id!r} does not increase (previous {last_seen[sensor_id]})"
+                    f"{sensor_id!r} does not increase (previous {samples[-1][0]})"
                 )
-            last_seen[sensor_id] = timestamp
-            rows.append(TraceRow(timestamp, sensor_id, value, unit))
-    return rows
+            samples.append((timestamp, value))
+    return sensors
 
 
-def resample(rows: SensorTrace) -> SensorTrace:
-    """Zero-order-hold expansion onto the PERIOD_S grid per sensor.
+def held_values(samples: Samples) -> Iterator[float]:
+    """One sensor's readings on the PERIOD_S grid, by zero-order hold.
 
     Each reading repeats every PERIOD_S seconds until the sensor's next
     sample; the last reading is held for one inferred source period (its
     final timestamp gap), so a 60 s source expands 12x throughout. A
-    sensor with a single sample has no inferable period and passes through
-    unexpanded. Output is globally sorted by (timestamp, sensor_id).
+    sensor with a single sample has no inferable period and is yielded once.
     """
-    by_sensor: dict[str, SensorTrace] = {}
-    for row in rows:
-        by_sensor.setdefault(row.sensor_id, []).append(row)
-
-    out: SensorTrace = []
-    for sensor_rows in by_sensor.values():
-        for row, nxt in zip(sensor_rows, sensor_rows[1:]):
-            for ts in range(row.timestamp, nxt.timestamp, PERIOD_S):
-                out.append(TraceRow(ts, row.sensor_id, row.value, row.unit))
-        last = sensor_rows[-1]
-        if len(sensor_rows) > 1:
-            period = last.timestamp - sensor_rows[-2].timestamp
-            for ts in range(last.timestamp, last.timestamp + period, PERIOD_S):
-                out.append(TraceRow(ts, last.sensor_id, last.value, last.unit))
-        else:
-            out.append(last)
-    out.sort(key=lambda r: (r.timestamp, r.sensor_id))
-    return out
-
-
-def ingest_trace(path) -> SensorTrace:
-    """Read, validate, and resample a trace file in one step."""
-    return resample(read_trace(path))
-
-
-def sensor_values(rows: SensorTrace, sensor_id: str) -> list[float]:
-    """Readings of one sensor in timestamp order."""
-    return [r.value for r in rows if r.sensor_id == sensor_id]
+    for (t, value), (end, _) in zip(samples, samples[1:]):
+        yield from repeat(value, len(range(t, end, PERIOD_S)))
+    if len(samples) > 1:
+        (prev, _), (last, value) = samples[-2:]
+        yield from repeat(value, len(range(last, last + (last - prev), PERIOD_S)))
+    else:
+        yield samples[0][1]

@@ -179,11 +179,9 @@ def repeat_expand(rows, period_s, target_period_s):
     resampler must reproduce on uniformly sampled traces.
     """
     out = []
-    for row in rows:
+    for timestamp, sensor_id, value, unit in rows:
         for k in range(period_s // target_period_s):
-            out.append(
-                (row.timestamp + k * target_period_s, row.sensor_id, row.value, row.unit)
-            )
+            out.append((timestamp + k * target_period_s, sensor_id, value, unit))
     out.sort(key=lambda r: (r[0], r[1]))
     return out
 

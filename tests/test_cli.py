@@ -273,6 +273,15 @@ def test_plot_data_exits_when_nothing_matches(run_outputs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_exits_when_nothing_matches(run_outputs, tmp_path, capsys):
+    metrics = run_outputs / "metrics_cloud-only_pid_seed1.jsonl"
+    json_out = tmp_path / "cmp.json"
+    rc = main(["compare", str(metrics), str(metrics), "--phase", "train", "--json", str(json_out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "no records matched\n")
+    assert not json_out.exists()
+
+
 def test_parse_seeds():
     assert _parse_seeds("1,2,3") == [1, 2, 3]
     assert _parse_seeds("7") == [7]
@@ -393,21 +402,55 @@ def test_alloc_bad_instance_prints_one_line_and_returns_2(tmp_path, capsys, text
 
 @pytest.mark.parametrize(
     "command, kind",
-    [("run", "config"), ("alloc", "instance"), ("trace", "trace")],
-    ids=["run-config", "alloc-instance", "trace-file-is-a-directory"],
+    [("run", "config"), ("alloc", "instance"), ("trace", "trace"), ("missing-trace", "trace"),
+     ("compare", "metrics"), ("plot-data", "metrics")],
+    ids=["run-config", "alloc-instance", "trace-file-is-a-directory", "missing-trace-file",
+         "compare-metrics", "plot-data-metrics"],
 )
-def test_unreadable_input_files_print_one_line_and_return_2(tmp_path, capsys, command, kind):
+def test_unreadable_input_files_print_one_line_and_return_2(run_outputs, tmp_path, capsys, command, kind):
     missing = tmp_path / "nope"
     if command == "run":
         argv = ["run", "--config", str(missing), "--out", str(tmp_path / "out")]
     elif command == "alloc":
         argv = ["alloc", "--instance", str(missing)]
-    else:  # the config's existence check passes a directory; reading it fails
-        missing.mkdir()
+    elif command == "compare":
+        argv = ["compare", str(run_outputs / "metrics_cloud-only_pid_seed1.jsonl"), str(missing)]
+    elif command == "plot-data":
+        argv = ["plot-data", str(missing), "--out", str(tmp_path / "out")]
+    else:  # the run reads its trace file, even at the default disturbance scale of 0
         path = tmp_path / "run.yaml"
-        path.write_text(f"trace_file: {json.dumps(str(missing))}\ntrace_disturbance_scale: 1.0\n")
+        if command == "trace":
+            missing.mkdir()
+            path.write_text(f"trace_file: {json.dumps(str(missing))}\ntrace_disturbance_scale: 1.0\n")
+        else:
+            path.write_text(f"trace_file: {json.dumps(str(missing))}\n")
         argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     line = one_error_line(capsys)
     assert line.startswith(f"edgeloop: {kind}: {missing}: "), line
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "plot-data"])
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        (b"not json\n", "line 1: bad metrics row: Expecting value"),
+        (b'\n{"episode": 1}\n', "line 2: bad metrics row: "),
+        (b'\n\n[1, 2]\n', "line 3: bad metrics row: "),
+        (b"\xff\n", "line 1: bad metrics row: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["invalid-json", "missing-fields", "not-an-object", "not-utf-8"],
+)
+def test_bad_metrics_files_print_one_line_and_return_2(tmp_path, capsys, command, text, names):
+    path = tmp_path / "metrics.jsonl"
+    path.write_bytes(text)
+    out = tmp_path / "out.csv"
+    if command == "compare":
+        argv = ["compare", str(path), str(path), "--json", str(out)]
+    else:
+        argv = ["plot-data", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    line = one_error_line(capsys)
+    assert line.startswith(f"edgeloop: metrics: {path} ") and names in line, line
+    assert not out.exists()

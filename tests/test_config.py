@@ -194,14 +194,6 @@ def test_invalid_yaml_and_shapes(tmp_path):
         load_config(listy)
 
 
-def test_missing_trace_file_rejected(tmp_path):
-    path = tmp_path / "run.yaml"
-    path.write_text("trace_file: /nope/missing.csv\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config(path)
-    assert "trace_file" in str(exc.value)
-
-
 def test_latency_preset_resolution():
     lat = LatencyConfig().resolved()
     assert lat["cloud_uplink_ms"] == 700

@@ -370,6 +370,36 @@ def test_load_disturbance_scales_trace_deviations(tmp_path):
     assert offsets[12:] == [4.0] * 12
 
 
+@pytest.mark.parametrize(
+    "b_first_ts",
+    [10, 0],
+    ids=["earliest-first-sample", "equal-first-samples-take-the-smaller-id"],
+)
+def test_unset_trace_sensor_uses_the_earliest_sampled_sensor(tmp_path, b_first_ts):
+    # b is listed first; a is sampled earlier, or at the same time with the smaller id
+    trace = tmp_path / "inlet.csv"
+    trace.write_text(
+        "timestamp,sensor_id,value,unit\n"
+        f"{b_first_ts},b,50.0,C\n0,a,100.0,C\n{b_first_ts + 60},b,40.0,C\n60,a,102.0,C\n"
+    )
+
+    def offsets(sensor):
+        return load_disturbance(config_from_dict(
+            {"trace_file": str(trace), "trace_sensor": sensor, "trace_disturbance_scale": 2.0}
+        ))
+
+    assert offsets(None) == offsets("a") == [0.0] * 12 + [4.0] * 12
+    assert offsets("b") == [0.0] * 12 + [-20.0] * 12
+
+
+def test_disturbance_stops_at_the_episode_length(tmp_path):
+    # held in full, the first reading would fill 2 x 10^11 slots
+    trace = tmp_path / "inlet.csv"
+    trace.write_text("timestamp,sensor_id,value,unit\n0,t,100.0,C\n1000000000000,t,102.0,C\n")
+    cfg = pid_config(trace_file=str(trace), trace_disturbance_scale=2.0)
+    assert load_disturbance(cfg) == [0.0] * cfg.steps_per_episode
+
+
 def test_no_trace_means_no_disturbance():
     assert load_disturbance(load_config(None)) == []
 
