@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import allocator, reporting
-from .config import CONTROLLERS, SCENARIOS, ConfigError, load_config, resolve_out_dir
+from .config import CONTROLLERS, SCENARIOS, ConfigError, load_config
 from .experiment import mean, phase_records, run_experiment
 from .traces import TraceError
 
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--controller", choices=CONTROLLERS, default=None)
     run_p.add_argument("--seeds", type=_parse_seeds, default=None, help="comma separated")
     run_p.add_argument("--episodes", type=int, default=None)
-    run_p.add_argument("--out", default=None, help="metrics output directory")
+    run_p.add_argument("--out", default="out", help="metrics output directory")
 
     cmp_p = sub.add_parser("compare", help="compare two metrics files")
     cmp_p.add_argument("metrics_a")
@@ -69,8 +69,7 @@ def _cmd_run(args) -> int:
         overrides["episodes"] = args.episodes
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    out_dir = resolve_out_dir(args.out, cfg)
-    result = run_experiment(cfg, out_dir)
+    result = run_experiment(cfg, args.out)
     for seed in sorted(result.results):
         res = result.results[seed]
         d = res.divergence
@@ -94,10 +93,11 @@ def _cmd_compare(args) -> int:
         print("no records matched", file=sys.stderr)
         return 1
     comparisons = reporting.compare(a, b)
-    print(reporting.render_table(comparisons))
-    if args.json_out:
+    if args.json_out:  # written first, so an unwritable path prints no table
         with open(args.json_out, "w") as f:
             json.dump([dataclasses.asdict(c) for c in comparisons], f, indent=2)
+    print(reporting.render_table(comparisons))
+    if args.json_out:
         print(f"json -> {args.json_out}")
     return 0
 
@@ -141,6 +141,10 @@ def main(argv=None) -> int:
         kind, message = "instance", str(exc)
     except reporting.MetricsError as exc:  # from a metrics file compare or plot-data reads
         kind, message = "metrics", str(exc)
+    except OSError as exc:  # input files raise their own errors above: this is an output path
+        if exc.filename is None:  # not a file's fault
+            raise
+        kind, message = "output", f"{exc.filename}: {exc.strerror}"
     print(f"edgeloop: {kind}: {' '.join(message.split())}", file=sys.stderr)
     return 2
 

@@ -8,7 +8,6 @@ and out-of-range values are load errors naming the offending key path.
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import types
 import typing
@@ -22,7 +21,6 @@ from .dqn import Hyperparams
 from .pid import PidGains
 from .simcore import CONTROL_PERIOD_MS
 
-ENV_OUT_VAR = "EDGELOOP_OUT"
 CONTROL_MODULE_ID = "boiler-control"
 DESK_PRESET_STEPS = 500
 DAY_PRESET_STEPS = 17280  # one simulated day of 5 s periods
@@ -30,27 +28,6 @@ DAY_PRESET_STEPS = 17280  # one simulated day of 5 s periods
 SCENARIOS = ("edge-collab", "cloud-only")
 CONTROLLERS = ("drl", "pid")
 EPISODE_PRESETS = {"desk": DESK_PRESET_STEPS, "day": DAY_PRESET_STEPS}
-
-# one-way link delays and per-decision compute time, milliseconds
-LATENCY_PRESETS = {
-    "default": {
-        "cloud_uplink_ms": 700,
-        "cloud_downlink_ms": 700,
-        "edge_uplink_ms": 100,
-        "edge_downlink_ms": 100,
-        "inter_edge_ms": 100,
-        "compute_ms": 100,
-    },
-    "slow-cloud": {
-        "cloud_uplink_ms": 29950,
-        "cloud_downlink_ms": 29950,
-        "edge_uplink_ms": 100,
-        "edge_downlink_ms": 100,
-        "inter_edge_ms": 100,
-        "compute_ms": 100,
-    },
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
@@ -68,58 +45,35 @@ class PidConfig:
 
 @dataclass(frozen=True)
 class LatencyConfig:
-    """Link delays; unset values fall back to the named preset."""
+    """One-way link delays and per-decision compute time, milliseconds."""
 
-    preset: str = "default"
     jitter: float = 0.0
-    cloud_uplink_ms: int | None = None
-    cloud_downlink_ms: int | None = None
-    edge_uplink_ms: int | None = None
-    edge_downlink_ms: int | None = None
-    inter_edge_ms: int | None = None
-    compute_ms: int | None = None
+    cloud_uplink_ms: int = 700
+    cloud_downlink_ms: int = 700
+    edge_uplink_ms: int = 100
+    edge_downlink_ms: int = 100
+    inter_edge_ms: int = 100
+    compute_ms: int = 100
 
     def __post_init__(self):
-        if self.preset not in LATENCY_PRESETS:
-            raise ConfigError(
-                f"preset must be one of {sorted(LATENCY_PRESETS)}, got {self.preset!r}"
-            )
         if not (0.0 <= self.jitter < 1.0):
             raise ConfigError(f"jitter must be in [0,1), got {self.jitter}")
-        for name in LATENCY_PRESETS[self.preset]:
-            v = getattr(self, name)
+        for f in dataclasses.fields(self)[1:]:  # every field after jitter is a delay
+            v = getattr(self, f.name)
             # the kernel maps 32-bit words to delays: below 2**31 ms a delay
             # range holds fewer than 2**32 values for any jitter below 1
-            if v is not None and not 1 <= v < 2**31:
-                raise ConfigError(f"{name} must be >= 1 ms and < 2**31 ms, got {v}")
-        values = self.resolved()
-        if values["compute_ms"] >= CONTROL_PERIOD_MS:
+            if not 1 <= v < 2**31:
+                raise ConfigError(f"{f.name} must be >= 1 ms and < 2**31 ms, got {v}")
+        if self.compute_ms >= CONTROL_PERIOD_MS:
             # a serving node has no queue: each reading must be served before the next is due
             raise ConfigError(
                 f"compute_ms must be < {CONTROL_PERIOD_MS} (the control period), "
-                f"got {values['compute_ms']}"
+                f"got {self.compute_ms}"
             )
-        for leg in ("uplink", "downlink"):
-            if values[f"cloud_{leg}_ms"] <= values[f"edge_{leg}_ms"]:
-                raise ConfigError(f"cloud_{leg}_ms must exceed edge_{leg}_ms")
-
-    def resolved(self) -> dict[str, int]:
-        """Concrete delays with preset defaults filled in.
-
-        The edge-to-cloud leg is derived so that a reading forwarded from
-        an edge reaches the cloud in exactly the direct sensor-to-cloud
-        time; __post_init__ checks that the cloud legs exceed the edge legs.
-        """
-        values = dict(LATENCY_PRESETS[self.preset])
-        for name in values:
-            override = getattr(self, name)
-            if override is not None:
-                values[name] = override
-        values["edge_cloud_up_ms"] = values["cloud_uplink_ms"] - values["edge_uplink_ms"]
-        values["edge_cloud_down_ms"] = (
-            values["cloud_downlink_ms"] - values["edge_downlink_ms"]
-        )
-        return values
+        if self.cloud_uplink_ms <= self.edge_uplink_ms:
+            raise ConfigError("cloud_uplink_ms must exceed edge_uplink_ms")
+        if self.cloud_downlink_ms <= self.edge_downlink_ms:
+            raise ConfigError("cloud_downlink_ms must exceed edge_downlink_ms")
 
 
 def _default_edges() -> list[EdgeResource]:
@@ -179,7 +133,6 @@ class RunConfig:
     max_steps: int | None = None  # overrides the preset when set
     eval_episodes: int = 20
     accuracy_sample_every: int = 10
-    out_dir: str | None = None
     trace_file: str | None = None
     trace_sensor: str | None = None
     trace_disturbance_scale: float = 0.0  # degrees C per unit trace deviation
@@ -297,14 +250,3 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: top level must be a mapping")
     return config_from_dict(data)
 
-
-def resolve_out_dir(cli_value: str | None, config: RunConfig) -> str:
-    """Output directory precedence: CLI flag, config key, environment, ./out."""
-    if cli_value:
-        return cli_value
-    if config.out_dir:
-        return config.out_dir
-    env = os.environ.get(ENV_OUT_VAR)
-    if env:
-        return env
-    return "out"

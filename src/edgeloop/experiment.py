@@ -214,8 +214,7 @@ class _Episode:
             run.pid.reset()
         self.state = boiler.reset(self.plant_cfg, plant_rng)
         # the rest of the plant stream: every step's inlet noise, drawn at once
-        std, n = self.plant_cfg.inlet_noise_std_c, run.max_steps
-        self.inlet_noise = plant_rng.normal(0.0, std, n) if std > 0.0 else np.zeros(n)
+        self.inlet_noise = plant_rng.normal(0.0, self.plant_cfg.inlet_noise_std_c, run.max_steps)
         self.pending_cmd = ActuatorCommand(self.state.pump_pos, self.state.valve_pos)
         self.cmd_step = -1  # step of the newest command the plant has taken
         self.ctl_pending: tuple[np.ndarray, int] | None = None
@@ -363,9 +362,7 @@ class _SeedRun:
         self.seed = seed
         self.disturbance = disturbance
         self.max_steps = cfg.steps_per_episode
-        latency = cfg.latency.resolved()
-        self.latency = latency
-        self.compute_ms = latency["compute_ms"]
+        self.compute_ms = cfg.latency.compute_ms
 
         self.edge_nodes = list(range(1, len(cfg.allocator.edges) + 1))
         self.sensor_node = len(cfg.allocator.edges) + 1
@@ -446,22 +443,23 @@ class _SeedRun:
         self.plan_stale = True
 
     def _build_links(self) -> dict[tuple[int, int], tuple[int, int]]:
-        lat = self.latency
-        jitter = self.cfg.latency.jitter
+        lat = self.cfg.latency
         sensor, edge = self.sensor_node, self.attached_edge
         delays = {
-            (sensor, CLOUD_NODE): lat["cloud_uplink_ms"],
-            (CLOUD_NODE, sensor): lat["cloud_downlink_ms"],
-            (sensor, edge): lat["edge_uplink_ms"],
-            (edge, sensor): lat["edge_downlink_ms"],
+            (sensor, CLOUD_NODE): lat.cloud_uplink_ms,
+            (CLOUD_NODE, sensor): lat.cloud_downlink_ms,
+            (sensor, edge): lat.edge_uplink_ms,
+            (edge, sensor): lat.edge_downlink_ms,
         }
         for node in self.edge_nodes:
-            delays[node, CLOUD_NODE] = lat["edge_cloud_up_ms"]
-            delays[CLOUD_NODE, node] = lat["edge_cloud_down_ms"]
+            # a reading relayed through an edge reaches the cloud in exactly
+            # the direct sensor-to-cloud time, and a command likewise returns
+            delays[node, CLOUD_NODE] = lat.cloud_uplink_ms - lat.edge_uplink_ms
+            delays[CLOUD_NODE, node] = lat.cloud_downlink_ms - lat.edge_downlink_ms
             for other in self.edge_nodes:
                 if other != node:
-                    delays[node, other] = lat["inter_edge_ms"]
-        return {pair: delay_range(base_ms, jitter) for pair, base_ms in delays.items()}
+                    delays[node, other] = lat.inter_edge_ms
+        return {pair: delay_range(base_ms, lat.jitter) for pair, base_ms in delays.items()}
 
     def disturbance_at(self, step_index: int) -> float:
         if not self.disturbance:
@@ -618,6 +616,7 @@ def run_experiment(cfg: RunConfig, out_dir: str) -> RunResult:
     summary and keeps its completed episodes; remaining seeds still run.
     """
     disturbance = load_disturbance(cfg)
+    os.makedirs(out_dir, exist_ok=True)  # an unusable out_dir fails before any seed runs
     try:
         workers = min(len(cfg.seeds), len(os.sched_getaffinity(0)))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -627,7 +626,6 @@ def run_experiment(cfg: RunConfig, out_dir: str) -> RunResult:
     else:
         results = _run_forked(cfg, disturbance, workers)
 
-    os.makedirs(out_dir, exist_ok=True)
     metrics_paths = {}
     for seed, result in results.items():
         path = os.path.join(out_dir, metrics_filename(cfg, seed))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .experiment import MetricsRecord, mean
 
@@ -21,6 +21,9 @@ COMPARED_METRICS = [
 ]
 
 MOVING_AVERAGE_WINDOW = 50
+
+# the values a MetricsRecord field's annotation admits; a bool is never one
+FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 class MetricsError(ValueError):
@@ -39,9 +42,14 @@ def read_metrics(path) -> list[MetricsRecord]:
             if not line:
                 continue
             try:
-                records.append(MetricsRecord(**json.loads(line)))
+                record = MetricsRecord(**json.loads(line))
+                for field in fields(MetricsRecord):
+                    value = getattr(record, field.name)
+                    if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[field.type]):
+                        raise TypeError(f"{field.name} must be {field.type}, got {value!r}")
             except (ValueError, TypeError) as exc:  # bad JSON or UTF-8, or not a record's fields
                 raise MetricsError(f"{path} line {line_no}: bad metrics row: {exc}") from exc
+            records.append(record)
     return records
 
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from edgeloop import dqn
+from edgeloop import dqn, experiment
 from edgeloop.allocator import (
     AffinityWeights,
     ControlModule,
@@ -76,6 +76,13 @@ def test_run_applies_cli_overrides(tmp_path, capsys):
     assert "seed 3:" in captured
     assert "summary ->" in captured
     assert (out / "metrics_edge-collab_pid_seed3.jsonl").exists()
+
+
+def test_run_without_out_writes_to_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(RUN_YAML)
+    assert main(["run", "--config", "run.yaml", "--seeds", "1"]) == 0
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_run_prints_where_and_why_a_seed_diverged(tmp_path, capsys, monkeypatch):
@@ -431,6 +438,17 @@ def test_unreadable_input_files_print_one_line_and_return_2(run_outputs, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def metrics_row(**fields) -> bytes:
+    """One metrics row of valid values, but for the given fields."""
+    row = {
+        "seed": 1, "scenario": "cloud-only", "controller": "pid", "phase": "eval",
+        "episode": 0, "uninterrupted_steps": 20, "failure_count": 0,
+        "cumulative_reward": -1.0, "mean_latency_ms": 1500.0, "p95_latency_ms": 1500.0,
+        "latency_samples": 20, "control_loss": 0.5, "action_accuracy": 1.0, "utilization": 0.02,
+    }
+    return json.dumps({**row, **fields}).encode() + b"\n"
+
+
 @pytest.mark.parametrize("command", ["compare", "plot-data"])
 @pytest.mark.parametrize(
     "text, names",
@@ -439,8 +457,12 @@ def test_unreadable_input_files_print_one_line_and_return_2(run_outputs, tmp_pat
         (b'\n{"episode": 1}\n', "line 2: bad metrics row: "),
         (b'\n\n[1, 2]\n', "line 3: bad metrics row: "),
         (b"\xff\n", "line 1: bad metrics row: 'utf-8' codec can't decode byte 0xff"),
+        (metrics_row(cumulative_reward="x"), "line 1: bad metrics row: cumulative_reward must be float, got 'x'"),
+        (metrics_row(episode=True), "line 1: bad metrics row: episode must be int, got True"),
+        (metrics_row(phase=3), "line 1: bad metrics row: phase must be str, got 3"),
     ],
-    ids=["invalid-json", "missing-fields", "not-an-object", "not-utf-8"],
+    ids=["invalid-json", "missing-fields", "not-an-object", "not-utf-8",
+         "string-for-float", "bool-for-int", "int-for-str"],
 )
 def test_bad_metrics_files_print_one_line_and_return_2(tmp_path, capsys, command, text, names):
     path = tmp_path / "metrics.jsonl"
@@ -454,3 +476,27 @@ def test_bad_metrics_files_print_one_line_and_return_2(tmp_path, capsys, command
     line = one_error_line(capsys)
     assert line.startswith(f"edgeloop: metrics: {path} ") and names in line, line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "plot-data"])
+def test_unwritable_output_paths_print_one_line_and_return_2(run_outputs, tmp_path, capsys, monkeypatch, command):
+    metrics = str(run_outputs / "metrics_cloud-only_pid_seed1.jsonl")
+    if command == "run":  # an existing file where the output directory should be
+        out = tmp_path / "out"
+        out.write_text("")
+        (tmp_path / "run.yaml").write_text(RUN_YAML)
+        argv = ["run", "--config", str(tmp_path / "run.yaml"), "--seeds", "1", "--out", str(out)]
+
+        def no_seed_runs(*args):
+            raise AssertionError("a seed ran before the output directory was made")
+
+        monkeypatch.setattr(experiment, "run_seed", no_seed_runs)
+    elif command == "compare":  # a file in a missing directory
+        out = tmp_path / "missing" / "cmp.json"
+        argv = ["compare", metrics, metrics, "--json", str(out)]
+    else:
+        out = tmp_path / "missing" / "series.csv"
+        argv = ["plot-data", metrics, "--out", str(out)]
+    assert main(argv) == 2
+    line = one_error_line(capsys)
+    assert line.startswith(f"edgeloop: output: {out}: "), line

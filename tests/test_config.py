@@ -10,7 +10,6 @@ from edgeloop.config import (
     RunConfig,
     config_from_dict,
     load_config,
-    resolve_out_dir,
 )
 from edgeloop.dqn import Hyperparams
 
@@ -52,6 +51,10 @@ def test_run_defaults():
     assert cfg.episodes == 300
     assert cfg.steps_per_episode == 500
     assert cfg.eval_episodes == 20
+    assert cfg.latency == LatencyConfig(
+        jitter=0.0, cloud_uplink_ms=700, cloud_downlink_ms=700, edge_uplink_ms=100,
+        edge_downlink_ms=100, inter_edge_ms=100, compute_ms=100,
+    )
 
 
 def test_episode_presets_and_override():
@@ -194,28 +197,6 @@ def test_invalid_yaml_and_shapes(tmp_path):
         load_config(listy)
 
 
-def test_latency_preset_resolution():
-    lat = LatencyConfig().resolved()
-    assert lat["cloud_uplink_ms"] == 700
-    assert lat["edge_uplink_ms"] == 100
-    assert lat["edge_cloud_up_ms"] == 600
-    assert lat["edge_cloud_down_ms"] == 600
-    slow = LatencyConfig(preset="slow-cloud").resolved()
-    assert slow["cloud_uplink_ms"] == 29950
-    assert slow["edge_cloud_up_ms"] == 29850
-
-
-def test_latency_overrides_and_consistency():
-    lat = LatencyConfig(cloud_uplink_ms=900).resolved()
-    assert lat["edge_cloud_up_ms"] == 800
-    with pytest.raises(ConfigError):
-        LatencyConfig(cloud_uplink_ms=100).resolved()
-    with pytest.raises(ConfigError):
-        LatencyConfig(preset="warp")
-    with pytest.raises(ConfigError):
-        LatencyConfig(jitter=1.0)
-
-
 def test_cloud_leg_not_longer_than_edge_leg_fails_when_built():
     # caught while building the config, not when a seed starts running
     with pytest.raises(ConfigError, match="latency: cloud_uplink_ms must exceed"):
@@ -233,14 +214,3 @@ def test_scenario_and_controller_validation():
         config_from_dict({"seeds": []})
     with pytest.raises(ConfigError):
         config_from_dict({"episodes": -1})
-
-
-def test_out_dir_precedence(monkeypatch, tmp_path):
-    cfg = load_config(None)
-    monkeypatch.delenv("EDGELOOP_OUT", raising=False)
-    assert resolve_out_dir(None, cfg) == "out"
-    monkeypatch.setenv("EDGELOOP_OUT", "/env/dir")
-    assert resolve_out_dir(None, cfg) == "/env/dir"
-    with_cfg = dataclasses.replace(cfg, out_dir="/cfg/dir")
-    assert resolve_out_dir(None, with_cfg) == "/cfg/dir"
-    assert resolve_out_dir("/cli/dir", with_cfg) == "/cli/dir"

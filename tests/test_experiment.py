@@ -27,6 +27,9 @@ from edgeloop.reporting import read_metrics
 
 import oracles
 
+# the two cloud legs of a 60 s cloud round trip, past the 5 s control period
+SLOW_CLOUD = {"cloud_uplink_ms": 29950, "cloud_downlink_ms": 29950}
+
 
 def pid_config(**overrides):
     base = {
@@ -140,8 +143,10 @@ def test_cloud_only_loop_latency_is_exact_without_jitter():
         # the module fits on no edge, so the cloud serves through the entry
         # edge: sensor -> edge -> cloud -> edge -> sensor
         ({"allocator": {"control_module_load": 7.0}}, 1500.0),
+        # the relay legs follow the cloud legs: 900 up + 700 down + 100 compute
+        ({"latency": {"cloud_uplink_ms": 900}, "allocator": {"control_module_load": 7.0}}, 1700.0),
     ],
-    ids=["edge-served", "cloud-served"],
+    ids=["edge-served", "cloud-served", "cloud-served-longer-uplink"],
 )
 def test_edge_collab_loop_latency_is_exact_without_jitter(overrides, expected_ms):
     result = run_seed(pid_config(scenario="edge-collab", **overrides), 1, [])
@@ -182,7 +187,7 @@ def test_plant_keeps_the_newest_command_when_commands_arrive_out_of_order(monkey
         scenario="cloud-only",
         eval_episodes=3,
         max_steps=300,
-        latency={"preset": "slow-cloud", "jitter": 0.1},
+        latency={**SLOW_CLOUD, "jitter": 0.1},
     )
     records = run_seed(cfg, 1, []).records
     assert counts["overtaken"] > 0
@@ -197,7 +202,7 @@ def test_plan_sees_only_the_loads_the_cloud_has_received(monkeypatch):
     cfg = pid_config(
         scenario="edge-collab",
         max_steps=60,
-        latency={"preset": "slow-cloud", "jitter": 0.3},
+        latency={**SLOW_CLOUD, "jitter": 0.3},
         allocator={"rebalance_interval_steps": 3, "load_drift": 0.8, "load_max": 3.0},
     )
     received = {e.id: e.current_load for e in cfg.allocator.edges}
@@ -328,7 +333,7 @@ def test_episode_that_no_command_reaches_reports_zero_latency_over_zero_samples(
     cfg = config_from_dict({
         "controller": "drl", "scenario": "cloud-only", "episodes": 1, "eval_episodes": 0,
         "max_steps": 1, "seeds": [0], "agent": {"hidden_layers": [4]},
-        "latency": {"preset": "slow-cloud", "jitter": 0.99, "compute_ms": 4999},
+        "latency": {**SLOW_CLOUD, "jitter": 0.99, "compute_ms": 4999},
     })
     (rec,) = run_seed(cfg, 0, []).records
     assert rec.latency_samples == 0

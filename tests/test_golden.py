@@ -66,7 +66,7 @@ CONFIGS = {
         "episodes": 0,
         "eval_episodes": 2,
         "max_steps": 60,
-        "latency": {"preset": "slow-cloud", "jitter": 0.3},
+        "latency": {"cloud_uplink_ms": 29950, "cloud_downlink_ms": 29950, "jitter": 0.3},
         "allocator": {
             "control_module_load": 4.0,
             "rebalance_interval_steps": 3,

@@ -46,7 +46,8 @@ def run_configs(draw):
         "max_steps": draw(st.sampled_from([1, 40, 2, 17])),
         "accuracy_sample_every": draw(st.sampled_from([1, 3, 10])),
         "latency": {
-            "preset": draw(st.sampled_from(["slow-cloud", "default"])),
+            # a 60 s cloud round trip, or the default 1.4 s
+            **draw(st.sampled_from([{"cloud_uplink_ms": 29950, "cloud_downlink_ms": 29950}, {}])),
             "jitter": draw(st.sampled_from([0.99, 0.0, 0.1, 0.5])),
             "compute_ms": draw(st.sampled_from([4999, 1, 100])),
         },

@@ -89,7 +89,7 @@ def test_link_rejects_delay_ranges_past_32_bit_words():
         config_from_dict({"latency": {"cloud_uplink_ms": 2**31}})
     jitter = math.nextafter(1.0, 0.0)
     latency = config_from_dict({"latency": {"jitter": jitter, "cloud_uplink_ms": 2**31 - 1}}).latency
-    low, high = delay_range(latency.resolved()["cloud_uplink_ms"], latency.jitter)
+    low, high = delay_range(latency.cloud_uplink_ms, latency.jitter)
     assert high - low + 1 < 2**32
 
 
