@@ -8,6 +8,7 @@ build that produced it (numpy 2.4, OpenBLAS 0.3.31); matrix products may
 round differently elsewhere.
 """
 
+import csv
 import hashlib
 
 import numpy as np
@@ -15,7 +16,20 @@ import pytest
 
 from edgeloop import allocator
 from edgeloop.config import config_from_dict
-from edgeloop.experiment import run_experiment
+from edgeloop.experiment import Divergence, run_experiment
+
+# two tight edges, fast drift and a report every 5 steps
+TIGHT_EDGES = {
+    "edges": [
+        {"id": "edge-0", "capacity": 3.0, "current_load": 1.0,
+         "bandwidth_mbps": 50.0, "compute_rating": 0.5},
+        {"id": "edge-1", "capacity": 3.0, "current_load": 1.0,
+         "bandwidth_mbps": 90.0, "compute_rating": 0.9},
+    ],
+    "rebalance_interval_steps": 5,
+    "load_drift": 0.6,
+    "load_max": 2.5,
+}
 
 CONFIGS = {
     # acceptance criterion 7's config: no load report falls inside 30 steps
@@ -44,17 +58,7 @@ CONFIGS = {
         "episodes": 0,
         "eval_episodes": 2,
         "max_steps": 40,
-        "allocator": {
-            "edges": [
-                {"id": "edge-0", "capacity": 3.0, "current_load": 1.0,
-                 "bandwidth_mbps": 50.0, "compute_rating": 0.5},
-                {"id": "edge-1", "capacity": 3.0, "current_load": 1.0,
-                 "bandwidth_mbps": 90.0, "compute_rating": 0.9},
-            ],
-            "rebalance_interval_steps": 5,
-            "load_drift": 0.6,
-            "load_max": 2.5,
-        },
+        "allocator": TIGHT_EDGES,
     },
     # slow cloud, jitter and drifting loads: readings are served by the
     # entry edge, relayed to the other edge, or relayed to the cloud, and a
@@ -74,7 +78,69 @@ CONFIGS = {
             "load_max": 3.0,
         },
     },
+    # load reports fall inside the episodes and the plan moves between the
+    # cloud and both edges while a learner trains and is evaluated
+    "drl-edge-rebalance": {
+        "seeds": [3],
+        "episodes": 2,
+        "eval_episodes": 1,
+        "max_steps": 60,
+        "agent": {"hidden_layers": [16], "warmup": 16},
+        "latency": {"jitter": 0.1},
+        "allocator": TIGHT_EDGES,
+    },
+    # an unclipped learner at a huge learning rate diverges on its own, in
+    # train episode 1: the records stop there and the summary marks the seed
+    "drl-cloud-diverges": {
+        "scenario": "cloud-only",
+        "seeds": [4],
+        "episodes": 3,
+        "eval_episodes": 1,
+        "max_steps": 40,
+        "agent": {"hidden_layers": [16], "warmup": 16, "td_error_clip": None, "learning_rate": 5.0},
+    },
+    # a trace disturbs the inlet, and 12 modules on 3 edges and the cloud
+    # (4**12 placements) are past EXACT_SEARCH_LIMIT, so the greedy solver serves
+    "pid-greedy-trace": {
+        "scenario": "edge-collab",
+        "controller": "pid",
+        "seeds": [6],
+        "episodes": 0,
+        "eval_episodes": 2,
+        "max_steps": 60,
+        "latency": {"jitter": 0.1},
+        "trace_file": "inlet.csv",  # INLET_TRACE, written beside the outputs
+        "trace_sensor": "inlet",
+        "trace_disturbance_scale": 1.3,
+        "allocator": {
+            "edges": [
+                {"id": "edge-0", "capacity": 2.5, "current_load": 0.8,
+                 "bandwidth_mbps": 50.0, "compute_rating": 0.5},
+                {"id": "edge-1", "capacity": 2.5, "current_load": 0.8,
+                 "bandwidth_mbps": 70.0, "compute_rating": 0.7},
+                {"id": "edge-2", "capacity": 2.5, "current_load": 0.8,
+                 "bandwidth_mbps": 90.0, "compute_rating": 0.9},
+            ],
+            "background_modules": [
+                {"id": f"bg-{k}", "load": (0.2, 0.25, 0.3, 0.35)[k % 4], "intensity": 0.3 + k / 20}
+                for k in range(11)
+            ],
+            "rebalance_interval_steps": 4,
+            "load_drift": 0.5,
+            "load_max": 2.0,
+        },
+    },
 }
+
+# one inlet-temperature sensor, sampled once a minute over a 60-step episode
+INLET_TRACE = """timestamp,sensor_id,value,unit
+0,inlet,100.000,C
+60,inlet,105.830,C
+120,inlet,111.660,C
+180,inlet,101.990,C
+240,inlet,107.820,C
+300,inlet,98.150,C
+"""
 
 GOLDEN = {
     "drl-edge-jitter": {
@@ -121,6 +187,36 @@ GOLDEN = {
             "f1e14cee3d64f17bf91617752726c75c"
         ),
     },
+    "drl-cloud-diverges": {
+        "metrics_cloud-only_drl_seed4.jsonl": (
+            "be291a9a7555cd61e91591028378d313"
+            "49fa23236fdc8f34c9fe0b854203b8c6"
+        ),
+        "summary.csv": (
+            "fdf81dd390289700c238480b8e66bc7e"
+            "4d166e3f92061b1f8a0fae0a2810a5b7"
+        ),
+    },
+    "drl-edge-rebalance": {
+        "metrics_edge-collab_drl_seed3.jsonl": (
+            "be5b58402328196c56c66db489264e65"
+            "d32e980b7703e11bb651f77c5ac88545"
+        ),
+        "summary.csv": (
+            "3b77de8cf5b510418501dedd2063ab34"
+            "41828a01a658c6ea778235c944653bf0"
+        ),
+    },
+    "pid-greedy-trace": {
+        "metrics_edge-collab_pid_seed6.jsonl": (
+            "4c79c739ef2bd45ff53de120ea87d527"
+            "514372e4f31d9347fcc7e64d8e4bac4b"
+        ),
+        "summary.csv": (
+            "4c2603df41edf7b5deefeb1e455dc50e"
+            "76ae1337955eae5d31d97b092a7453f2"
+        ),
+    },
 }
 
 
@@ -129,11 +225,56 @@ def _sha256(path) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def _run(name, tmp_path):
+    """Run a pinned config into tmp_path/out, with INLET_TRACE written to tmp_path if it reads one."""
+    settings = CONFIGS[name]
+    if "trace_file" in settings:
+        trace = tmp_path / settings["trace_file"]
+        trace.write_text(INLET_TRACE)
+        settings = {**settings, "trace_file": str(trace)}
+    return run_experiment(config_from_dict(settings), str(tmp_path / "out"))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_hashes(name, tmp_path):
-    result = run_experiment(config_from_dict(CONFIGS[name]), str(tmp_path))
-    got = {path.name: _sha256(path) for path in sorted(tmp_path.iterdir())}
+    _run(name, tmp_path)
+    got = {path.name: _sha256(path) for path in sorted((tmp_path / "out").iterdir())}
     assert got == GOLDEN[name]
+
+
+def test_diverging_config_stops_where_its_learner_diverged(tmp_path):
+    result = _run("drl-cloud-diverges", tmp_path)
+    assert result.results[4].divergence == Divergence("non-finite training loss: inf", "train", 1, 37)
+    assert [(r.phase, r.episode) for r in result.results[4].records] == [("train", 0)]
+    with open(result.summary_path) as f:
+        assert next(csv.DictReader(f))["diverged"] == "1"
+
+
+def test_drl_rebalance_config_moves_the_plan_between_cloud_and_both_edges(monkeypatch, tmp_path):
+    solve = allocator.solve
+    served = []
+
+    def recorded(*args):
+        plan = solve(*args)
+        served.append(plan.choice[0])
+        return plan
+
+    monkeypatch.setattr(allocator, "solve", recorded)
+    _run("drl-edge-rebalance", tmp_path)
+    assert set(served) == {-1, 0, 1}
+
+
+def test_greedy_trace_config_is_past_the_exact_search_limit(monkeypatch, tmp_path):
+    greedy = allocator.solve_greedy
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(allocator, "solve_greedy", counted)
+    _run("pid-greedy-trace", tmp_path)
+    assert len(calls) > 10
 
 
 def test_rebalance_config_moves_the_control_module(tmp_path):
