@@ -306,15 +306,16 @@ OBSERVATION_LENGTH = N_STATE_FEATURES + HISTORY_LENGTH * (N_STATE_FEATURES + 1)
 def observe(
     config: BoilerConfig,
     current: BoilerState,
-    prev_obs: np.ndarray | None = None,
-    reward: float = 0.0,
+    prev_obs: np.ndarray | None,
+    reward: float | None,
 ) -> np.ndarray:
     """Fixed-length observation: current features plus the last 10 (state, reward) pairs.
 
     The window is laid out most recent first. The previous observation
     already holds the previous state's features and its window, so the new
     window is that shifted by one slot, headed by the previous state and the
-    reward earned since. Without a previous observation the window is zeros.
+    reward earned since. Without a previous observation the window is zeros
+    and the reward is not read.
     """
     obs = np.zeros(OBSERVATION_LENGTH, dtype=np.float64)
     obs[:N_STATE_FEATURES] = state_features(config, current)

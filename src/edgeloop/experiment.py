@@ -195,8 +195,32 @@ def load_disturbance(config: RunConfig) -> list[float]:
     return [config.trace_disturbance_scale * (v - base) for v in held]
 
 
+class _Learner:
+    """The seed's DQN agent over one episode, with the episode's last served (obs, action)."""
+
+    def __init__(self, agent: dqn.DqnAgent, plant_cfg: boiler.BoilerConfig, training: bool):
+        self.agent = agent
+        self.plant_cfg = plant_cfg
+        self.training = training
+        self.pending: tuple[np.ndarray | None, int] = (None, -1)  # no obs before the first reading
+
+    def decide(self, reading: Reading) -> int | None:
+        """Learn from the transition a served reading closes, then act on it; None when done."""
+        prev_obs, prev_action = self.pending
+        obs = boiler.observe(self.plant_cfg, reading.state, prev_obs, reading.reward)
+        # only the first served reading closes no transition; later ones carry a reward
+        if self.training and prev_obs is not None:
+            self.agent.record(prev_obs, prev_action, reading.reward, obs, reading.done)
+            self.agent.train()
+        if reading.done:
+            return None
+        action = self.agent.act(obs, greedy=not self.training)
+        self.pending = (obs, action)
+        return action
+
+
 class _Episode:
-    """One episode's mutable state plus the event handler that drives it."""
+    """One episode's plant and network state plus the event handler that drives it."""
 
     def __init__(self, run: "_SeedRun", phase_code: int, phase_name: str, index: int):
         self.run = run
@@ -204,21 +228,18 @@ class _Episode:
         self.plant_cfg = run.cfg.plant
         self.phase_name = phase_name
         self.index = index
-        self.training = phase_code == PHASE_TRAIN
+        self.controller = run.new_controller(phase_code == PHASE_TRAIN)
 
         plant_rng = np.random.default_rng([run.seed, phase_code, index])
         jitter_rng = np.random.default_rng([run.seed, _STREAM_JITTER + phase_code, index])
         self.kernel = Kernel(run.links, self.handle, jitter_rng)
 
-        if run.pid is not None:
-            run.pid.reset()
         self.state = boiler.reset(self.plant_cfg, plant_rng)
         # the rest of the plant stream: every step's inlet noise, drawn at once
         self.inlet_noise = plant_rng.normal(0.0, self.plant_cfg.inlet_noise_std_c, run.max_steps)
         self.pending_cmd = ActuatorCommand(self.state.pump_pos, self.state.valve_pos)
         self.cmd_step = -1  # step of the newest command the plant has taken
-        self.ctl_pending: tuple[np.ndarray, int] | None = None
-        self.ctl_last_step = -1
+        self.ctl_last_step = -1  # step of the newest reading served
 
         self.steps = 0
         self.failed = False
@@ -246,7 +267,8 @@ class _Episode:
                     self.pending_cmd = COMMANDS[body.action]
             else:  # the period tick, carrying its step
                 self._tick(body)
-        elif body is None:  # an edge's report tick
+        elif body is None:  # an edge's report tick, which queues the edge's next one first
+            self._schedule_report(node, self.kernel.clock)
             self.kernel.send(node, CLOUD_NODE, run.emit_report(node))
         elif isinstance(body, Report):
             run.receive_report(body)
@@ -286,12 +308,11 @@ class _Episode:
         if step <= self.ctl_last_step:
             return  # stale reading overtaken en route
         self.ctl_last_step = step
-        state = reading.state
-        action = self._decide(state, reading.reward, reading.done, step)
+        action = self.controller.decide(reading)
         if action is None:
             return
         if step % self.cfg.accuracy_sample_every == 0:
-            reference = oracle_action(self.plant_cfg, state, self.cfg.agent.gamma)
+            reference = oracle_action(self.plant_cfg, reading.state, self.cfg.agent.gamma)
             self.acc_n += 1
             self.acc_hits += 1 if action == reference else 0
         run = self.run
@@ -300,34 +321,22 @@ class _Episode:
         command = Command(step, action, reading.emit_ms)
         self.kernel.send(node, dst, command, depart_delay_ms=run.compute_ms)
 
-    def _decide(self, state: BoilerState, reward, done: bool, step: int):
-        agent = self.run.agent
-        if agent is None:
-            if done:
-                return None
-            return self.run.pid.act(state)
-        # only the first served reading has no pending decision; later ones carry a reward
-        if self.ctl_pending is None:
-            obs = boiler.observe(self.plant_cfg, state)
-        else:
-            prev_obs, prev_action = self.ctl_pending
-            obs = boiler.observe(self.plant_cfg, state, prev_obs, reward)
-            if self.training:
-                agent.record(prev_obs, prev_action, reward, obs, done)
-                agent.train()
-        if done:
-            self.ctl_pending = None
-            return None
-        action = agent.act(obs, greedy=not self.training)
-        self.ctl_pending = (obs, action)
-        return action
+    def _schedule_report(self, node: int, after_ms: int) -> None:
+        """Queue an edge's report tick one interval after after_ms, unless past the last step's."""
+        t = after_ms + self.cfg.allocator.rebalance_interval_steps * CONTROL_PERIOD_MS
+        if t <= self.run.max_steps * CONTROL_PERIOD_MS + CONTROL_PERIOD_MS // 2:
+            self.kernel.schedule(t, node)
 
     # -- driving -------------------------------------------------------------
 
     def run_to_completion(self) -> MetricsRecord:
         kernel = self.kernel
         kernel.schedule(0, self.run.sensor_node, 0)
-        self.run.schedule_reports(kernel)
+        if self.cfg.scenario == "edge-collab":
+            for node in self.run.edge_nodes:
+                # each edge's first report tick, offset into the period so reports
+                # never share a timestamp with control traffic emission
+                self._schedule_report(node, CONTROL_PERIOD_MS // 2)
         kernel.run()
         # the kernel's handler refers back to this episode: breaking the cycle
         # frees both now, not at the cyclic collector's next full pass
@@ -372,6 +381,7 @@ class _SeedRun:
 
         self.links = self._build_links()
 
+        self.agent = None
         if cfg.controller == "drl":
             total_actions = cfg.episodes * self.max_steps
             decay = max(1, round(cfg.agent.epsilon_decay_fraction * total_actions))
@@ -384,10 +394,6 @@ class _SeedRun:
                 explore_rng=np.random.default_rng([seed, _STREAM_EXPLORE]),
                 replay_rng=np.random.default_rng([seed, _STREAM_REPLAY]),
             )
-            self.pid = None
-        else:
-            self.agent = None
-            self.pid = BoilerPid(cfg.plant, cfg.pid.level, cfg.pid.pressure)
 
         self.drift_rng = np.random.default_rng([seed, _STREAM_DRIFT])
         # the control module comes first, so a plan's choice[0] places it
@@ -398,6 +404,12 @@ class _SeedRun:
         self.reported_loads = dict(self.edge_loads)
         self.plan_stale = cfg.scenario == "edge-collab"
         self.serving = CLOUD_NODE
+
+    def new_controller(self, training: bool):
+        """An episode's controller: the seed's learner, or a PID from zero loop state."""
+        if self.agent is None:
+            return BoilerPid(self.cfg.plant, self.cfg.pid.level, self.cfg.pid.pressure)
+        return _Learner(self.agent, self.cfg.plant, training)
 
     # -- allocation ----------------------------------------------------------
 
@@ -413,20 +425,6 @@ class _SeedRun:
             edge = allocator.solve(self.scored, headroom).choice[0]
             self.serving = CLOUD_NODE if edge < 0 else self.edge_nodes[edge]
         return self.serving
-
-    def schedule_reports(self, kernel: Kernel) -> None:
-        """Queue the per-edge load-report ticks for one episode."""
-        if self.cfg.scenario != "edge-collab":
-            return
-        interval_ms = self.cfg.allocator.rebalance_interval_steps * CONTROL_PERIOD_MS
-        horizon_ms = self.max_steps * CONTROL_PERIOD_MS
-        t = interval_ms
-        while t <= horizon_ms:
-            for node in self.edge_nodes:
-                # offset into the period so reports never share a timestamp
-                # with control traffic emission
-                kernel.schedule(t + CONTROL_PERIOD_MS // 2, node)
-            t += interval_ms
 
     def emit_report(self, edge_node: int) -> Report:
         """Drift this edge's background load; returns the report for the cloud."""
@@ -470,17 +468,18 @@ class _SeedRun:
 
     def run(self) -> SeedResult:
         records: list[MetricsRecord] = []
-        phases = [(PHASE_TRAIN, "train", self.cfg.episodes)]
-        if self.cfg.eval_episodes > 0:
-            phases.append((PHASE_EVAL, "eval", self.cfg.eval_episodes))
-        for phase_code, phase_name, count in phases:
-            for index in range(count):
-                episode = _Episode(self, phase_code, phase_name, index)
-                try:
-                    records.append(episode.run_to_completion())
-                except dqn.DivergenceError as exc:
-                    divergence = Divergence(str(exc), phase_name, index, episode.ctl_last_step)
-                    return SeedResult(self.seed, records, divergence)
+        phases = [(PHASE_TRAIN, "train", self.cfg.episodes),
+                  (PHASE_EVAL, "eval", self.cfg.eval_episodes)]
+        # a diverging learner is reported once, by its Divergence, not also by numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for phase_code, phase_name, count in phases:
+                for index in range(count):
+                    episode = _Episode(self, phase_code, phase_name, index)
+                    try:
+                        records.append(episode.run_to_completion())
+                    except dqn.DivergenceError as exc:
+                        divergence = Divergence(str(exc), phase_name, index, episode.ctl_last_step)
+                        return SeedResult(self.seed, records, divergence)
         return SeedResult(self.seed, records)
 
 

@@ -86,9 +86,9 @@ class BoilerPid:
         self.level_state = PidState()
         self.pressure_state = PidState()
 
-    def reset(self) -> None:
-        self.level_state = PidState()
-        self.pressure_state = PidState()
+    def decide(self, reading) -> int | None:
+        """The action for a served experiment.Reading, or None on the episode's done reading."""
+        return None if reading.done else self.act(reading.state)
 
     def act(self, state: BoilerState) -> int:
         cfg = self.config

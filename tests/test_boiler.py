@@ -271,7 +271,7 @@ def test_state_features_are_normalized_deviations():
 
 def test_observe_pads_empty_history_with_zeros():
     cfg = BoilerConfig()
-    obs = boiler.observe(cfg, boiler.nominal_state(cfg))
+    obs = boiler.observe(cfg, boiler.nominal_state(cfg), None, None)
     assert obs.shape == (OBSERVATION_LENGTH,)
     np.testing.assert_array_equal(obs, np.zeros(OBSERVATION_LENGTH))
 
@@ -280,7 +280,7 @@ def test_observe_orders_history_most_recent_first():
     cfg = BoilerConfig()
     older = make_state(water_level=0.40)
     newer = make_state(water_level=0.60)
-    obs = boiler.observe(cfg, older)
+    obs = boiler.observe(cfg, older, None, None)
     obs = boiler.observe(cfg, newer, obs, -1.0)
     obs = boiler.observe(cfg, boiler.nominal_state(cfg), obs, -2.0)
     span = N_STATE_FEATURES + 1
@@ -296,7 +296,7 @@ def test_observe_orders_history_most_recent_first():
 def test_observe_keeps_only_the_latest_window():
     cfg = BoilerConfig()
     states = [make_state(water_level=0.30 + 0.02 * k) for k in range(15)]
-    obs = boiler.observe(cfg, states[0])
+    obs = boiler.observe(cfg, states[0], None, None)
     for k, state in enumerate(states[1:] + [boiler.nominal_state(cfg)]):
         obs = boiler.observe(cfg, state, obs, float(k))
     span = N_STATE_FEATURES + 1
@@ -324,7 +324,7 @@ def test_chained_observe_matches_from_scratch_layout():
             valve_pos=float(rng.choice(ACTUATOR_LEVELS)),
         )
         if obs is None:
-            obs = boiler.observe(cfg, current)
+            obs = boiler.observe(cfg, current, None, None)
         else:
             obs = boiler.observe(cfg, current, obs, history[-1][1])
         want = oracles.observation_layout(cfg, current, history, HISTORY_LENGTH)

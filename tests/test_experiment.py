@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import edgeloop
-from edgeloop import allocator, boiler, experiment
+from edgeloop import allocator, boiler, dqn, experiment, simcore
 from edgeloop.boiler import ActuatorCommand
 from edgeloop.config import config_from_dict, load_config
 from edgeloop.experiment import (
@@ -23,6 +23,7 @@ from edgeloop.experiment import (
     run_seed,
     write_metrics,
 )
+from edgeloop.pid import BoilerPid, PidState
 from edgeloop.reporting import read_metrics
 
 import oracles
@@ -356,6 +357,91 @@ def test_accuracy_sampling_interval_sets_the_sample_count():
     rec = run_seed(cfg, 1, []).records[0]
     hits = round(rec.action_accuracy * 4)
     assert rec.action_accuracy == pytest.approx(hits / 4)
+
+
+def test_report_ticks_keep_the_event_queue_bounded_and_outlast_the_plant(monkeypatch):
+    # each edge's report tick queues that edge's next one, so the queue holds
+    # a few events at a report every step; the ticks still run to the
+    # horizon after the plant fails at step 3
+    peak = [0]
+    step = simcore.Kernel.step
+
+    def watched(self):
+        peak[0] = max(peak[0], len(self._queue))
+        return step(self)
+
+    reports = []
+    emit_report = experiment._SeedRun.emit_report
+
+    def counted(self, node):
+        reports.append(node)
+        return emit_report(self, node)
+
+    monkeypatch.setattr(simcore.Kernel, "step", watched)
+    monkeypatch.setattr(experiment._SeedRun, "emit_report", counted)
+    cfg = pid_config(
+        scenario="edge-collab",
+        eval_episodes=1,
+        max_steps=2000,
+        plant={"pump_gain": 1.0},
+        allocator={"rebalance_interval_steps": 1},
+    )
+    (rec,) = run_seed(cfg, 1, []).records
+    assert rec.uninterrupted_steps < 10
+    assert len(reports) == 2 * 2000
+    assert peak[0] <= 8
+
+
+# -- the controllers -------------------------------------------------------------------------
+
+
+def test_learner_records_each_closed_transition_and_acts_on_each_open_reading(monkeypatch):
+    log = []  # per served reading: (phase is training, done, [agent calls it made])
+    decide = experiment._Learner.decide
+
+    def served(self, reading):
+        log.append((self.training, reading.done, []))
+        return decide(self, reading)
+
+    monkeypatch.setattr(experiment._Learner, "decide", served)
+    for name in ("record", "train", "act"):
+        def called(self, *args, _name=name, _real=getattr(dqn.DqnAgent, name), **kwargs):
+            log[-1][2].append((_name, args[4]) if _name == "record" else _name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(dqn.DqnAgent, name, called)
+    cfg = config_from_dict({
+        "controller": "drl", "scenario": "cloud-only", "episodes": 1, "eval_episodes": 1,
+        "max_steps": 30, "seeds": [3], "agent": {"hidden_layers": [8], "warmup": 4, "batch_size": 4},
+    })
+    records = run_seed(cfg, 3, []).records
+    assert [r.phase for r in records] == ["train", "eval"]
+    train = [calls for training, _, calls in log if training]
+    evals = [calls for training, _, calls in log if not training]
+    assert [done for _, done, _ in log] == ([False] * 30 + [True]) * 2
+    # the first reading closes no transition, and the done reading closes one but gets no action
+    assert train[0] == ["act"]
+    assert train[1:-1] == [[("record", False), "train", "act"]] * 29
+    assert train[-1] == [("record", True), "train"]
+    assert evals == [["act"]] * 30 + [[]]
+
+
+def test_each_episode_starts_its_pid_from_zero_loop_state(monkeypatch):
+    # the default gains are proportional only, so the loop state moves no
+    # outcome; an integral gain makes it carry from one reading to the next
+    first_states = {}  # controller -> the loop states of its first act
+    act = BoilerPid.act
+
+    def recorded(self, state):
+        first_states.setdefault(self, (self.level_state, self.pressure_state))
+        return act(self, state)
+
+    monkeypatch.setattr(BoilerPid, "act", recorded)
+    cfg = pid_config(eval_episodes=3, max_steps=20, pid={"level": {"kp": 70.0, "ki": 0.5}})
+    run_seed(cfg, 1, [])
+    assert len(first_states) == 3
+    assert all(states == (PidState(), PidState()) for states in first_states.values())
+    assert all(ctl.level_state.integral != 0.0 for ctl in first_states)
 
 
 # -- disturbance wiring -----------------------------------------------------------------------

@@ -10,13 +10,21 @@ round differently elsewhere.
 
 import csv
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edgeloop import allocator
 from edgeloop.config import config_from_dict
-from edgeloop.experiment import Divergence, run_experiment
+from edgeloop.experiment import Divergence, run_experiment, run_seed
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # two tight edges, fast drift and a report every 5 steps
 TIGHT_EDGES = {
@@ -242,12 +250,46 @@ def test_outputs_match_golden_hashes(name, tmp_path):
     assert got == GOLDEN[name]
 
 
+DIVERGED_AT = Divergence("non-finite training loss: inf", "train", 1, 37)
+
+
 def test_diverging_config_stops_where_its_learner_diverged(tmp_path):
     result = _run("drl-cloud-diverges", tmp_path)
-    assert result.results[4].divergence == Divergence("non-finite training loss: inf", "train", 1, 37)
+    assert result.results[4].divergence == DIVERGED_AT
     assert [(r.phase, r.episode) for r in result.results[4].records] == [("train", 0)]
     with open(result.summary_path) as f:
         assert next(csv.DictReader(f))["diverged"] == "1"
+
+
+def test_diverging_seed_is_reported_only_by_its_divergence():
+    # numpy's overflow warnings from the diverging update would otherwise
+    # print before the run's own DIVERGED line
+    errors = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_seed(config_from_dict(CONFIGS["drl-cloud-diverges"]), 4, [])
+    assert result.divergence == DIVERGED_AT
+    assert np.geterr() == errors
+
+
+def test_drl_pin_has_the_same_bytes_under_a_forced_blas_core(tmp_path):
+    # numpy's OpenBLAS picks its kernels by CPU when it loads, and
+    # OPENBLAS_CORETYPE forces one; the learner's products may round
+    # differently per kernel, but no action and so no metric may change
+    script = (
+        "import json, sys\n"
+        "from edgeloop.config import config_from_dict\n"
+        "from edgeloop.experiment import run_experiment\n"
+        "run_experiment(config_from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": path}
+    forced = tmp_path / "forced"
+    argv = [sys.executable, "-c", script, json.dumps(CONFIGS["drl-edge-jitter"]), str(forced)]
+    subprocess.run(argv, env=env, check=True, timeout=300)
+    _run("drl-edge-jitter", tmp_path)
+    for name in GOLDEN["drl-edge-jitter"]:
+        assert (forced / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
 
 def test_drl_rebalance_config_moves_the_plan_between_cloud_and_both_edges(monkeypatch, tmp_path):

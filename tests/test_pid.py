@@ -157,27 +157,14 @@ def test_controller_regulates_the_drifting_plant_long_term():
 
 def test_controller_responds_in_the_right_direction():
     cfg = BoilerConfig()
-    ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
-    low = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.2)
-    assert boiler.COMMANDS[ctl.act(low)].pump_level == 1.0
-    ctl.reset()
-    high = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.9)
-    assert boiler.COMMANDS[ctl.act(high)].pump_level == 0.0
-    ctl.reset()
-    over_pressure = dataclasses.replace(boiler.nominal_state(cfg), pressure=1500.0)
-    assert boiler.COMMANDS[ctl.act(over_pressure)].valve_level == 1.0
 
+    def fresh_command(**displaced):
+        ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
+        return boiler.COMMANDS[ctl.act(dataclasses.replace(boiler.nominal_state(cfg), **displaced))]
 
-def test_reset_clears_loop_state():
-    cfg = BoilerConfig()
-    ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
-    state = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.3)
-    first = ctl.act(state)
-    ctl.act(dataclasses.replace(state, water_level=0.45))
-    ctl.reset()
-    assert ctl.level_state == PidState()
-    assert ctl.pressure_state == PidState()
-    assert ctl.act(state) == first
+    assert fresh_command(water_level=0.2).pump_level == 1.0
+    assert fresh_command(water_level=0.9).pump_level == 0.0
+    assert fresh_command(pressure=1500.0).valve_level == 1.0
 
 
 def test_act_returns_the_command_index():
