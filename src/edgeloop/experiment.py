@@ -405,7 +405,7 @@ class _SeedRun:
         self.plan_stale = cfg.scenario == "edge-collab"
         self.serving = CLOUD_NODE
 
-    def new_controller(self, training: bool):
+    def new_controller(self, training: bool) -> BoilerPid | _Learner:
         """An episode's controller: the seed's learner, or a PID from zero loop state."""
         if self.agent is None:
             return BoilerPid(self.cfg.plant, self.cfg.pid.level, self.cfg.pid.pressure)
