@@ -8,6 +8,7 @@ Everything is numpy; there is no framework dependency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -122,11 +123,12 @@ class MlpPolicy:
         return self.activations(obs)[-1]
 
 
-def select_action(values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy over action values; greedy ties go to the lowest index."""
+def select_action(policy: MlpPolicy, obs: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy over the policy's values for obs, drawn first: only exploiting runs the
+    forward pass, and its ties go to the lowest index."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(0, len(values)))
-    return int(np.argmax(values))
+        return int(rng.integers(0, policy.biases[-1].size))
+    return int(np.argmax(policy.forward(obs)))
 
 
 class Batch(NamedTuple):
@@ -177,6 +179,14 @@ class ReplayBuffer:
         return self._rows(rng.choice(len(self), size=batch_size, replace=False))
 
 
+@functools.cache
+def _rows(n: int) -> np.ndarray:
+    """np.arange(n), built once per batch size and read-only, as every train_step shares it."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
+
+
 def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> None:
     """One SGD update on the mean squared TD error over a batch of hp.batch_size samples.
 
@@ -187,13 +197,14 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
     rare large-penalty targets from destabilizing the update.
     """
     next_q = target.forward(batch.next_obs)
-    targets = batch.rewards + hp.gamma * next_q.max(axis=1) * (1.0 - batch.dones)
+    # bare ufunc reductions: the bits of .max() and .sum(), less overhead
+    targets = batch.rewards + hp.gamma * np.maximum.reduce(next_q, axis=1) * (1.0 - batch.dones)
 
     activations = policy.activations(batch.obs)  # kept for backprop
     q = activations[-1]
-    batch_idx = np.arange(hp.batch_size)
+    batch_idx = _rows(hp.batch_size)
     err = q[batch_idx, batch.actions] - targets
-    loss = float((err * err).sum() / hp.batch_size)  # np.mean's arithmetic, less overhead
+    loss = float(np.add.reduce(err * err) / hp.batch_size)  # np.mean's arithmetic
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss: {loss}")
 
@@ -243,11 +254,10 @@ class DqnAgent:
         self.action_steps = 0
 
     def act(self, obs: np.ndarray, greedy: bool) -> int:
-        values = self.policy.forward(obs)
         epsilon = 0.0 if greedy else self.epsilon_at(self.action_steps)
         if not greedy:
             self.action_steps += 1
-        return select_action(values, epsilon, self.explore_rng)
+        return select_action(self.policy, obs, epsilon, self.explore_rng)
 
     def epsilon_at(self, step: int) -> float:
         """Linear schedule from epsilon_start to epsilon_end over epsilon_decay_steps."""

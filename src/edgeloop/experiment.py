@@ -14,8 +14,9 @@ Everything is seeded and integer-timed: per-episode generator streams are
 derived from (seed, phase, episode), so a PID arm replays the exact reset
 states and process noise of a learning arm's evaluation episodes, and two
 runs of the same config produce byte-identical metrics files. An episode
-draws its plant stream up front: the reset, then the inlet noise of every
-step in one call.
+draws its plant stream in order: the reset up front, then the inlet noise
+CHUNK steps at a time as the steps reach it, so an episode's memory does
+not grow with its step limit.
 
 Seeds share nothing, so a sweep runs each seed in its own forked process,
 as many at once as the process may use CPUs; the results are collected in
@@ -38,7 +39,7 @@ from . import allocator, boiler, dqn, traces
 from .boiler import COMMANDS, ActuatorCommand, BoilerState
 from .config import ConfigError, RunConfig
 from .pid import BoilerPid
-from .simcore import CONTROL_PERIOD_MS, Kernel, delay_range
+from .simcore import CHUNK, CONTROL_PERIOD_MS, Kernel, delay_range
 
 CLOUD_NODE = 0
 
@@ -230,13 +231,13 @@ class _Episode:
         self.index = index
         self.controller = run.new_controller(phase_code == PHASE_TRAIN)
 
-        plant_rng = np.random.default_rng([run.seed, phase_code, index])
         jitter_rng = np.random.default_rng([run.seed, _STREAM_JITTER + phase_code, index])
         self.kernel = Kernel(run.links, self.handle, jitter_rng)
 
-        self.state = boiler.reset(self.plant_cfg, plant_rng)
-        # the rest of the plant stream: every step's inlet noise, drawn at once
-        self.inlet_noise = plant_rng.normal(0.0, self.plant_cfg.inlet_noise_std_c, run.max_steps)
+        # the plant stream: the reset, then the steps' inlet noise (see _draw_noise)
+        self.plant_rng = np.random.default_rng([run.seed, phase_code, index])
+        self.state = boiler.reset(self.plant_cfg, self.plant_rng)
+        self.inlet_noise: list[float] = []  # drawn inlet noise, the next step's last
         self.pending_cmd = ActuatorCommand(self.state.pump_pos, self.state.valve_pos)
         self.cmd_step = -1  # step of the newest command the plant has taken
         self.ctl_last_step = -1  # step of the newest reading served
@@ -257,8 +258,8 @@ class _Episode:
     # entry node. Only edges get report ticks, only the cloud gets reports,
     # and only the entry edge gets commands to forward.
 
-    def handle(self, event):
-        node, body, run = event.target, event.body, self.run
+    def handle(self, node: int, body):
+        run = self.run
         if node == run.sensor_node:
             if isinstance(body, Command):
                 self.latencies.append(self.kernel.clock - body.emit_ms)
@@ -287,7 +288,7 @@ class _Episode:
                 self.plant_cfg,
                 self.state,
                 self.pending_cmd,
-                self.inlet_noise.item(step - 1),
+                (self.inlet_noise or self._draw_noise()).pop(),
                 inlet_disturbance_c=disturbance,
             )
             self.steps = step
@@ -302,6 +303,12 @@ class _Episode:
         if not self.done:
             self.kernel.schedule(clock + CONTROL_PERIOD_MS, run.sensor_node, step + 1)
         self.kernel.send(run.sensor_node, run.entry_node, reading)
+
+    def _draw_noise(self) -> list[float]:
+        """The next CHUNK steps' inlet noise; chunked draws give one long draw's bits."""
+        noise = self.plant_rng.normal(0.0, self.plant_cfg.inlet_noise_std_c, CHUNK).tolist()
+        self.inlet_noise = noise[::-1]  # pop() takes them in drawn order
+        return self.inlet_noise
 
     def _serve(self, node: int, reading: Reading):
         step = reading.step

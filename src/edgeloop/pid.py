@@ -49,10 +49,13 @@ def pid_step(
     """
     error = setpoint - measurement
     integral = state.integral + error * CONTROL_PERIOD_S
-    integral = min(max(integral, -gains.integral_limit), gains.integral_limit)
+    # comparisons, not min()/max(), here and below: the same bits, no builtin call
+    lim = gains.integral_limit
+    integral = -lim if integral < -lim else (lim if integral > lim else integral)
     derivative = 0.0 if not state.initialized else (error - state.prev_error) / CONTROL_PERIOD_S
     output = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    output = min(max(output, gains.out_lo), gains.out_hi)
+    lo, hi = gains.out_lo, gains.out_hi
+    output = lo if output < lo else (hi if output > hi else output)
     return output, PidState(integral, error, True)
 
 
@@ -102,6 +105,8 @@ class BoilerPid:
             state.pressure / cfg.pressure_setpoint_kpa,
         )
         # above-setpoint pressure yields a negative loop output, opening the valve
-        pump_u = min(max(0.5 + level_out, 0.0), 1.0)
-        valve_u = min(max(0.5 - pressure_out, 0.0), 1.0)
+        pump_u = 0.5 + level_out
+        pump_u = 0.0 if pump_u < 0.0 else (1.0 if pump_u > 1.0 else pump_u)
+        valve_u = 0.5 - pressure_out
+        valve_u = 0.0 if valve_u < 0.0 else (1.0 if valve_u > 1.0 else valve_u)
         return pid_to_action(pump_u, valve_u)

@@ -3,11 +3,14 @@
 Time is integer milliseconds. Events are totally ordered by (time, seq),
 where seq is a monotone counter issued at scheduling time, so simultaneous
 events replay in scheduling order and runs are bit-reproducible for a
-fixed link table, seed, and initial schedule. The table maps each directed
-(src, dst) link to its closed delay range (min_ms, max_ms). One handler
-serves every node: the kernel hands it each event and never reads the
-body. The kernel checks nothing it is given: the run config enforces
-delay_range's precondition, and the episode builds the schedule.
+fixed link table, seed, and initial schedule. The queue holds plain
+(time, seq, target, body) tuples, heaped as they are: seq is unique, so a
+body is never compared. The table maps each directed (src, dst) link to
+its closed delay range (min_ms, max_ms). One handler serves every node:
+the kernel calls handler(target, body) for each event, with the clock set
+to the event's time, and never reads the body. The kernel checks nothing
+it is given: the run config enforces delay_range's precondition, and the
+episode builds the schedule.
 
 Jittered link delays come from the kernel's rng, which only links read.
 The kernel draws it CHUNK raw 32-bit words at a time and maps each word
@@ -25,14 +28,14 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
 MS_PER_SECOND = 1000
 CONTROL_PERIOD_MS = 5 * MS_PER_SECOND  # control cadence: one command every 5 s
 CONTROL_PERIOD_S = CONTROL_PERIOD_MS / MS_PER_SECOND  # the plant and PID step
-CHUNK = 512  # jitter words drawn per refill of the kernel's word list
+CHUNK = 512  # draws per refill: the kernel's jitter words, an episode's inlet noise
 
 
 def delay_range(base_ms: int, jitter: float) -> tuple[int, int]:
@@ -45,24 +48,14 @@ def delay_range(base_ms: int, jitter: float) -> tuple[int, int]:
     return math.ceil(base_ms * (1.0 - jitter)), math.floor(base_ms * (1.0 + jitter))
 
 
-class Event(NamedTuple):  # heaped as is: seq is unique, so body is never compared
-    time: int
-    seq: int
-    target: int
-    body: Any
-
-
-# The handler reacts to every delivered event and sends its messages itself
-# with Kernel.send. It owns the node state; the kernel owns time, ordering,
-# and delivery.
-Handler = Callable[[Event], None]
-
-
 class Kernel:
-    """Single-stream event kernel. One instance per simulation run."""
+    """Single-stream event kernel. One instance per simulation run.
 
-    def __init__(self, links: dict[tuple[int, int], tuple[int, int]], handler: Handler,
-                 rng: np.random.Generator):
+    The handler owns the node state and sends its messages itself with send.
+    """
+
+    def __init__(self, links: dict[tuple[int, int], tuple[int, int]],
+                 handler: Callable[[int, Any], None], rng: np.random.Generator):
         # per link: the lowest delay, the number of delays, and the rejection
         # threshold (2**32 - span) % span of numpy's bounded-integer rule
         self._routes = {}
@@ -74,11 +67,11 @@ class Kernel:
         self._words: list[int] = []  # drawn jitter words, the next one last
         self.clock = 0
         self._seq = 0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[int, int, int, Any]] = []  # (time, seq, target, body)
 
     def schedule(self, time: int, target: int, body: Any = None) -> None:
         """Queue an event for target at time, which must not precede the clock."""
-        heappush(self._queue, Event(time, self._seq, target, body))
+        heappush(self._queue, (time, self._seq, target, body))
         self._seq += 1
 
     def send(self, src: int, dst: int, body: Any, depart_delay_ms: int = 0) -> None:
@@ -95,7 +88,7 @@ class Kernel:
             while m & 0xFFFFFFFF < threshold:
                 m = (self._words or self._refill()).pop() * span
             delay = low + (m >> 32)
-        heappush(self._queue, Event(self.clock + depart_delay_ms + delay, self._seq, dst, body))
+        heappush(self._queue, (self.clock + depart_delay_ms + delay, self._seq, dst, body))
         self._seq += 1
 
     def _refill(self) -> list[int]:
@@ -106,9 +99,8 @@ class Kernel:
 
     def step(self) -> None:
         """Process the next event, of a non-empty queue: advance the clock and hand it on."""
-        event = heappop(self._queue)
-        self.clock = event.time
-        self.handler(event)
+        self.clock, _, target, body = heappop(self._queue)
+        self.handler(target, body)
 
     def run(self) -> None:
         """Drain the queue completely."""

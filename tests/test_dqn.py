@@ -35,6 +35,12 @@ def zero_policy(layer_sizes):
     return MlpPolicy([np.zeros(pair) for pair in pairs], [np.zeros(b) for _, b in pairs])
 
 
+def valued(values):
+    """A policy whose action values are `values` for every observation, and an observation."""
+    values = np.asarray(values, dtype=np.float64)
+    return MlpPolicy([np.zeros((1, len(values)))], [values]), np.zeros(1)
+
+
 def random_batch(layer_sizes, hp, seed, reward_scale=1.0, all_done=False):
     rng = np.random.default_rng(seed)
     batch = []
@@ -111,24 +117,38 @@ def test_initialize_respects_bound_and_seed():
 
 
 def test_greedy_selection_is_argmax_and_draws_nothing():
-    values = np.array([0.1, 2.0, -1.0])
     rng = np.random.default_rng(0)
     twin = np.random.default_rng(0)
-    assert select_action(values, 0.0, rng) == 1
+    assert select_action(*valued([0.1, 2.0, -1.0]), 0.0, rng) == 1
     assert rng.random() == twin.random()  # no stream consumed at epsilon 0
 
 
 def test_greedy_ties_go_to_lowest_index():
-    assert select_action(np.array([1.0, 3.0, 3.0]), 0.0, np.random.default_rng(0)) == 1
-    assert select_action(np.array([2.0, 2.0, 2.0]), 0.0, np.random.default_rng(0)) == 0
+    assert select_action(*valued([1.0, 3.0, 3.0]), 0.0, np.random.default_rng(0)) == 1
+    assert select_action(*valued([2.0, 2.0, 2.0]), 0.0, np.random.default_rng(0)) == 0
+
+
+def test_exploring_runs_no_forward_pass(monkeypatch):
+    policy, obs = valued([0.0, 1.0, 0.0])
+    calls = []
+    forward = policy.forward
+    monkeypatch.setattr(policy, "forward", lambda x: calls.append(x) or forward(x))
+    rng = np.random.default_rng(3)
+    twin = np.random.default_rng(3)
+    for _ in range(20):
+        twin.random()  # the exploration draw, always under epsilon 1
+        assert select_action(policy, obs, 1.0, rng) == int(twin.integers(0, 3))
+    assert calls == []
+    assert select_action(policy, obs, 0.0, rng) == 1
+    assert len(calls) == 1
 
 
 def test_full_exploration_is_uniform():
     n, draws = 9, 100_000
     rng = np.random.default_rng(1234)
-    values = np.linspace(0.0, 1.0, n)  # argmax would always pick the last
+    policy, obs = valued(np.linspace(0.0, 1.0, n))  # argmax would always pick the last
     counts = collections.Counter(
-        select_action(values, 1.0, rng) for _ in range(draws)
+        select_action(policy, obs, 1.0, rng) for _ in range(draws)
     )
     expected = draws / n
     sigma = np.sqrt(draws * (1 / n) * (1 - 1 / n))

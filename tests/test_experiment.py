@@ -171,11 +171,11 @@ def test_plant_keeps_the_newest_command_when_commands_arrive_out_of_order(monkey
     counts = {"commands": 0, "overtaken": 0}
     handle = experiment._Episode.handle
 
-    def checked(self, event):
-        out = handle(self, event)
-        if event.target == self.run.sensor_node and isinstance(event.body, experiment.Command):
+    def checked(self, node, body):
+        out = handle(self, node, body)
+        if node == self.run.sensor_node and isinstance(body, experiment.Command):
             counts["commands"] += 1
-            step, action = event.body.step, event.body.action
+            step, action = body.step, body.action
             if step > newest.get(self, (-1, None))[0]:
                 newest[self] = (step, action)
             else:
@@ -308,6 +308,73 @@ def test_plant_steps_apply_the_plant_streams_scalar_draws_in_order(monkeypatch):
         assert applied == expected
         assert all(type(noise) is float for noise in applied)
         assert applied and (set(applied) == {0.0}) == (std == 0.0)
+
+
+def test_inlet_noise_drawn_in_chunks_equals_one_long_draw(monkeypatch):
+    # the episode draws CHUNK steps of noise at a time; across the chunk
+    # boundaries each step gets the value one draw of every step gives it
+    applied = []
+    step = boiler.step
+
+    def recording(config, state, cmd, noise_c, inlet_disturbance_c):
+        applied.append(noise_c)
+        return step(config, state, cmd, noise_c, inlet_disturbance_c)
+
+    monkeypatch.setattr(boiler, "step", recording)
+    steps = 2 * simcore.CHUNK + 76
+    cfg = pid_config(eval_episodes=1, max_steps=steps, seeds=[7])
+    (rec,) = run_seed(cfg, 7, []).records
+    assert rec.uninterrupted_steps == steps
+    twin = np.random.default_rng([7, experiment.PHASE_EVAL, 0])
+    boiler.reset(cfg.plant, twin)
+    assert applied == twin.normal(0.0, cfg.plant.inlet_noise_std_c, steps).tolist()
+
+
+def test_a_huge_step_limit_holds_nothing_per_step_up_front(tmp_path):
+    # the plant fails within a few steps; a run that drew or kept anything for
+    # each of the ten billion allowed steps would fail under a 2 GiB address space
+    resource = pytest.importorskip("resource")
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "scenario: cloud-only\ncontroller: pid\nseeds: [1]\nepisodes: 0\n"
+        "eval_episodes: 2\nmax_steps: 10000000000\nplant: {pump_gain: 1.0}\n"
+    )
+    src = str(Path(edgeloop.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgeloop.cli", "run", "--config", str(config), "--out", str(out)],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = read_metrics(out / "metrics_cloud-only_pid_seed1.jsonl")
+    assert [r.failure_count for r in records] == [1, 1]
+    assert all(r.uninterrupted_steps < 10 for r in records)
+
+
+def test_served_states_are_never_changed_in_place(monkeypatch):
+    # BoilerState is mutable; every step must build a new one and leave the old alone
+    served = []  # (the state object, its values when served)
+    serve = experiment._Episode._serve
+
+    def recorded(self, node, reading):
+        served.append((reading.state, dataclasses.astuple(reading.state)))
+        serve(self, node, reading)
+
+    monkeypatch.setattr(experiment._Episode, "_serve", recorded)
+    drl = {"controller": "drl", "episodes": 1, "eval_episodes": 1, "max_steps": 40, "seeds": [3],
+           "agent": {"hidden_layers": [8], "warmup": 4, "batch_size": 4}}
+    for cfg in (pid_config(max_steps=60), config_from_dict(drl)):
+        served.clear()
+        run_seed(cfg, 3, [])
+        assert len(served) > 60
+        assert all(dataclasses.astuple(state) == values for state, values in served)
+        states = [state for state, _ in served]
+        assert all(a is not b for a, b in zip(states, states[1:]))
 
 
 # -- episode mechanics ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from edgeloop import boiler
+from edgeloop import boiler, pid
 from edgeloop.boiler import ActuatorCommand, BoilerConfig
 from edgeloop.config import PidConfig
 from edgeloop.pid import BoilerPid, PidGains, PidState, pid_step, pid_to_action
@@ -179,3 +183,53 @@ def test_act_returns_the_command_index():
 def test_default_gains_are_the_documented_tuning():
     assert TUNED.level == PidGains(kp=70.0, ki=0.0, kd=0.0)
     assert TUNED.pressure == PidGains(kp=2.0, ki=0.0, kd=0.0)
+
+
+# -- the clamps: comparisons with min(max())'s bits ---------------------------------
+
+
+def same_bits(a, b):
+    """Equal floats with equal signs, so 0.0 differs from -0.0; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+BOUND = st.floats(allow_nan=False, allow_infinity=True)
+LIMIT = st.floats(min_value=0.0, exclude_min=True, allow_infinity=True)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(x=ANY_FLOAT, lo=BOUND, hi=BOUND, limit=LIMIT)
+# ties at a bound: max() keeps its first argument, min() likewise
+@example(x=-0.0, lo=0.0, hi=1.0, limit=0.5)
+@example(x=0.0, lo=-1.0, hi=-0.0, limit=0.5)
+@example(x=math.nan, lo=-math.inf, hi=math.inf, limit=math.inf)
+@example(x=math.inf, lo=-1.0, hi=1.0, limit=math.inf)
+def test_pid_step_clamps_give_min_max_bits(x, lo, hi, limit):
+    # error -0.0 and a -0.0 derivative leave x unchanged on its way into each clamp
+    if not lo < hi:
+        lo, hi = -math.inf, math.inf
+    _, state = pid_step(PidGains(kp=0.0, ki=0.0, integral_limit=limit), PidState(x, 0.0, False), -0.0, 0.0)
+    assert same_bits(state.integral, min(max(x, -limit), limit))
+    gains = PidGains(kp=0.0, ki=1.0, out_lo=lo, out_hi=hi, integral_limit=math.inf)
+    out, state = pid_step(gains, PidState(x, 0.0, True), -0.0, 0.0)
+    assert same_bits(state.integral, x)
+    assert same_bits(out, min(max(x, lo), hi))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(level=ANY_FLOAT, pressure=ANY_FLOAT)
+@example(level=1.0, pressure=1000.0)  # a loop output of exactly -0.5 puts 0.0 into the pump clamp
+@example(level=math.nan, pressure=-math.inf)
+def test_boiler_pid_clamps_give_min_max_bits(level, pressure):
+    cfg = BoilerConfig()
+    loop = PidGains(kp=1.0, out_lo=-math.inf, out_hi=math.inf)  # the loop outputs reach act's clamps as they are
+    state = dataclasses.replace(boiler.nominal_state(cfg), water_level=level, pressure=pressure)
+    level_out, _ = pid_step(loop, PidState(), cfg.level_setpoint, level)
+    pressure_out, _ = pid_step(loop, PidState(), 1.0, pressure / cfg.pressure_setpoint_kpa)
+    with mock.patch.object(pid, "pid_to_action", lambda pump_u, valve_u: (pump_u, valve_u)):
+        pump_u, valve_u = BoilerPid(cfg, loop, loop).act(state)
+    assert same_bits(pump_u, min(max(0.5 + level_out, 0.0), 1.0))
+    assert same_bits(valve_u, min(max(0.5 - pressure_out, 0.0), 1.0))

@@ -150,16 +150,15 @@ class _CheckedEpisode(experiment._Episode):
         return (run.compute_ms + sum(low for low, _ in ranges),
                 run.compute_ms + sum(high for _, high in ranges))
 
-    def handle(self, event):
-        body = event.body
+    def handle(self, node, body):
         # a tick carries the plant's step (an int) or, at an edge, None
         self.delivered += isinstance(body, MESSAGES)
-        if event.target == self.run.sensor_node and isinstance(body, experiment.Command):
-            latency = event.time - body.emit_ms
+        if node == self.run.sensor_node and isinstance(body, experiment.Command):
+            latency = self.kernel.clock - body.emit_ms
             least, most = self._route_ms(body.step)
             assert least <= latency <= most, (latency, least, most, body)
         before = self.cmd_step
-        super().handle(event)
+        super().handle(node, body)
         if self.cmd_step != before:
             self.applied.append(self.cmd_step)
 

@@ -39,11 +39,11 @@ def delays(link, n, rng):
     """Link delays of n sends, in send order, over the single link 0 -> 1 whose
     closed delay range is `link`; every send leaves at clock 0."""
     delivered = []
-    kernel = Kernel({(0, 1): link}, delivered.append, rng)
+    kernel = Kernel({(0, 1): link}, lambda node, body: delivered.append((body, kernel.clock)), rng)
     for index in range(n):
         kernel.send(0, 1, index)
     kernel.run()
-    return [event.time for event in sorted(delivered, key=lambda event: event.body)]
+    return [time for _, time in sorted(delivered)]
 
 
 def test_link_sample_zero_jitter_is_exact_and_needs_no_rng():
@@ -110,7 +110,7 @@ def test_simultaneous_events_dispatch_in_scheduling_order():
     for bodies in (["first", "second", "third"], [{"step": 2}, {"step": 1}, {}, {"step": 3}]):
         links, sensor = star_topology()
         seen = []
-        kernel = Kernel(links, lambda ev: seen.append(ev.body), None)
+        kernel = Kernel(links, lambda node, body: seen.append(body), None)
         kernel.schedule(60, sensor, bodies[0])
         for body in bodies:
             kernel.schedule(50, sensor, body)
@@ -123,9 +123,9 @@ def test_send_timing_is_departure_plus_link_delay():
     dispatched = []
     arrivals = []
 
-    def handler(ev):
-        dispatched.append(ev)
-        if ev.target == sensor:
+    def handler(node, body):
+        dispatched.append((node, body))
+        if node == sensor:
             kernel.send(sensor, 0, None, depart_delay_ms=100)
         else:
             arrivals.append(kernel.clock)
@@ -140,7 +140,7 @@ def test_send_timing_is_departure_plus_link_delay():
 def test_step_dispatches_one_event_at_a_time():
     links, sensor = star_topology()
     seen = []
-    kernel = Kernel(links, lambda ev: seen.append(ev.time), None)
+    kernel = Kernel(links, lambda node, body: seen.append(kernel.clock), None)
     for t in (40, 10, 30, 20):
         kernel.schedule(t, sensor)
     kernel.step()
@@ -161,17 +161,17 @@ def test_event_conservation_under_random_traffic():
     delivered = []
     dispatched = []
 
-    def chatter(ev):
-        dispatched.append(ev)
-        if ev.body is not None:
-            delivered.append(ev.body)
-        if ev.time > 50_000:
+    def chatter(node, body):
+        dispatched.append((node, body))
+        if body is not None:
+            delivered.append(body)
+        if kernel.clock > 50_000:
             return
         for _ in range(int(traffic_rng.integers(0, 3))):
-            dst = int(traffic_rng.choice([n for n in nodes if n != ev.target]))
-            if (ev.target, dst) in links:
+            dst = int(traffic_rng.choice([n for n in nodes if n != node]))
+            if (node, dst) in links:
                 sent.append(len(sent))
-                kernel.send(ev.target, dst, sent[-1])
+                kernel.send(node, dst, sent[-1])
 
     kernel = Kernel(links, chatter, np.random.default_rng(123))
     scheduled = 5
@@ -189,11 +189,11 @@ def test_identical_seeds_replay_identical_traces():
         hops = iter(range(200))
         trace = []
 
-        def bounce(ev):
-            trace.append((ev.time, ev.seq, ev.target, ev.body))
+        def bounce(node, body):
+            trace.append((kernel.clock, node, body))
             hop = next(hops)
             if hop < 150:
-                kernel.send(ev.target, 0 if ev.target != 0 else 1, hop)
+                kernel.send(node, 0 if node != 0 else 1, hop)
 
         kernel = Kernel(links, bounce, np.random.default_rng(42))
         kernel.schedule(0, sensor)
