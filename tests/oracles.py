@@ -57,17 +57,23 @@ def pack_params(weights, biases):
     return np.array(flat, dtype=np.float64)
 
 
+def layer_outputs(weights, biases, x):
+    """The input and each layer's output, by one `x @ w + b` product per layer, ReLU hidden."""
+    out = [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        x = x @ w + b
+        if i < len(weights) - 1:
+            x = np.maximum(x, 0.0)
+        out.append(x)
+    return out
+
+
 def batch_q_loss(layer_sizes, flat_params, obs_batch, actions, targets):
     """Mean squared TD error at fixed targets, for finite differencing."""
     weights, biases = unpack_params(layer_sizes, flat_params)
     total = 0.0
     for obs, action, target in zip(obs_batch, actions, targets):
-        x = np.asarray(obs, dtype=np.float64)
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            x = x @ w + b
-            if i < len(weights) - 1:
-                x = np.maximum(x, 0.0)
-        err = x[action] - target
+        err = layer_outputs(weights, biases, np.asarray(obs, dtype=np.float64))[-1][action] - target
         total += err * err
     return total / len(obs_batch)
 
@@ -288,9 +294,9 @@ class FifoReplay:
 
 
 # -- per-layer DQN update ------------------------------------------------------
-# train_step and sync_target written per layer: one gradient array and one
-# in-place update per weight or bias array. edgeloop.dqn updates one flat
-# parameter vector instead, and must give the same bits.
+# train_step and sync_target written per layer: their own `@` forward pass, one
+# gradient array and one in-place update per weight or bias array. edgeloop.dqn
+# updates one flat parameter vector instead, and must give the same bits.
 
 
 def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> None:
@@ -302,10 +308,10 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
     (the loss checked is still computed from the raw errors), which keeps
     rare large-penalty targets from destabilizing the update.
     """
-    next_q = target.forward(batch.next_obs)
+    next_q = layer_outputs(target.weights, target.biases, batch.next_obs)[-1]
     targets = batch.rewards + hp.gamma * next_q.max(axis=1) * (1.0 - batch.dones)
 
-    activations = policy.activations(batch.obs)  # kept for backprop
+    activations = layer_outputs(policy.weights, policy.biases, batch.obs)  # kept for backprop
     q = activations[-1]
     batch_idx = np.arange(hp.batch_size)
     err = q[batch_idx, batch.actions] - targets

@@ -1,5 +1,9 @@
 import collections
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +94,17 @@ def test_forward_matches_hand_rolled_network():
         obs = rng.normal(size=6)
         want = oracles.mlp_forward(layer_sizes, policy.weights, policy.biases, obs)
         np.testing.assert_allclose(policy.forward(obs), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("hidden", [[64, 64], [1]])
+def test_forward_has_the_bytes_of_a_product_loop(hidden):
+    layer_sizes = [76, *hidden, 9]
+    policy = random_policy(layer_sizes, 41)
+    rng = np.random.default_rng(43)
+    for obs in (rng.normal(size=76), rng.normal(size=(1, 76)), rng.normal(size=(16, 76))):
+        want = oracles.layer_outputs(policy.weights, policy.biases, obs)[-1]
+        got = policy.forward(obs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_forward_batch_matches_per_row_forward():
@@ -518,7 +533,7 @@ def test_agent_greedy_act_does_not_advance_the_schedule():
     assert agent.action_steps == 1
 
 
-@pytest.mark.parametrize("hidden", [[], [8], [64, 64], [5, 7, 3]])
+@pytest.mark.parametrize("hidden", [[], [8], [64, 64], [5, 7, 3], [1]])
 @pytest.mark.parametrize("batch_size", [1, 16, 17])
 @pytest.mark.parametrize("clip", [None, 10.0])
 def test_flat_parameter_updates_match_the_per_layer_reference(hidden, batch_size, clip):
@@ -545,3 +560,27 @@ def test_flat_parameter_updates_match_the_per_layer_reference(hidden, batch_size
             oracles.sync_target(ref_policy, ref_target)
     assert policy_bytes(target) == policy_bytes(ref_target) != initial  # the sync moved both targets
     assert policy_bytes(policy) == policy_bytes(ref_policy)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_products_keep_the_reference_bytes_under_a_forced_blas_core(core):
+    # numpy's OpenBLAS picks its kernels by CPU when it loads, and
+    # OPENBLAS_CORETYPE forces one: the forward pass and every update must
+    # still give the `@` reference's bytes under it
+    here = Path(__file__).resolve()
+    src = str(here.parent.parent / "src")
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": core,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    checks = [
+        f"{here}::test_forward_has_the_bytes_of_a_product_loop",
+        f"{here}::test_flat_parameter_updates_match_the_per_layer_reference",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *checks],
+        env=env, cwd=here.parent.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "32 passed" in proc.stdout, proc.stdout[-3000:]

@@ -220,16 +220,18 @@ def test_pid_step_clamps_give_min_max_bits(x, lo, hi, limit):
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(level=ANY_FLOAT, pressure=ANY_FLOAT)
-@example(level=1.0, pressure=1000.0)  # a loop output of exactly -0.5 puts 0.0 into the pump clamp
-@example(level=math.nan, pressure=-math.inf)
-def test_boiler_pid_clamps_give_min_max_bits(level, pressure):
+@given(level_out=ANY_FLOAT, pressure_out=ANY_FLOAT)
+@example(level_out=-0.5, pressure_out=0.5)  # both actuator inputs exactly 0.0
+@example(level_out=0.5, pressure_out=-0.5)  # both exactly 1.0
+@example(level_out=-0.25, pressure_out=-0.25)  # 0.25 and 0.75, where the grid rounds down
+@example(level_out=math.nan, pressure_out=-math.inf)
+@example(level_out=-0.0, pressure_out=math.inf)
+def test_boiler_pid_acts_on_the_clamped_loop_outputs(level_out, pressure_out):
+    # act passes the unclamped pair to pid_to_action: its grid must already saturate
+    outputs = iter([level_out, pressure_out])
     cfg = BoilerConfig()
-    loop = PidGains(kp=1.0, out_lo=-math.inf, out_hi=math.inf)  # the loop outputs reach act's clamps as they are
-    state = dataclasses.replace(boiler.nominal_state(cfg), water_level=level, pressure=pressure)
-    level_out, _ = pid_step(loop, PidState(), cfg.level_setpoint, level)
-    pressure_out, _ = pid_step(loop, PidState(), 1.0, pressure / cfg.pressure_setpoint_kpa)
-    with mock.patch.object(pid, "pid_to_action", lambda pump_u, valve_u: (pump_u, valve_u)):
-        pump_u, valve_u = BoilerPid(cfg, loop, loop).act(state)
-    assert same_bits(pump_u, min(max(0.5 + level_out, 0.0), 1.0))
-    assert same_bits(valve_u, min(max(0.5 - pressure_out, 0.0), 1.0))
+    with mock.patch.object(pid, "pid_step", lambda gains, state, *_: (next(outputs), state)):
+        action = BoilerPid(cfg, TUNED.level, TUNED.pressure).act(boiler.nominal_state(cfg))
+    pump_u = min(max(0.5 + level_out, 0.0), 1.0)
+    valve_u = min(max(0.5 - pressure_out, 0.0), 1.0)
+    assert action == pid_to_action(pump_u, valve_u)
