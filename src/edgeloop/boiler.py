@@ -284,18 +284,15 @@ def step(
     return next_state, r, failed
 
 
-def state_features(config: BoilerConfig, state: BoilerState) -> np.ndarray:
-    """Normalized feature vector: deviations from the nominal point, O(1) scale."""
-    return np.array(
-        [
-            state.water_level - config.level_setpoint,
-            (state.pressure - config.pressure_setpoint_kpa) / config.pressure_setpoint_kpa,
-            (state.outlet_temp - config.outlet_setpoint_c) / config.outlet_setpoint_c,
-            (state.inlet_temp - config.inlet_nominal_c) / config.inlet_nominal_c,
-            state.pump_pos - 0.5,
-            state.valve_pos - 0.5,
-        ],
-        dtype=np.float64,
+def state_features(config: BoilerConfig, state: BoilerState) -> tuple[float, ...]:
+    """Normalized features: deviations from the nominal point, O(1) scale."""
+    return (
+        state.water_level - config.level_setpoint,
+        (state.pressure - config.pressure_setpoint_kpa) / config.pressure_setpoint_kpa,
+        (state.outlet_temp - config.outlet_setpoint_c) / config.outlet_setpoint_c,
+        (state.inlet_temp - config.inlet_nominal_c) / config.inlet_nominal_c,
+        state.pump_pos - 0.5,
+        state.valve_pos - 0.5,
     )
 
 
@@ -317,11 +314,13 @@ def observe(
     reward earned since. Without a previous observation the window is zeros
     and the reward is not read.
     """
-    obs = np.zeros(OBSERVATION_LENGTH, dtype=np.float64)
-    obs[:N_STATE_FEATURES] = state_features(config, current)
-    if prev_obs is not None:
+    if prev_obs is None:
+        obs = np.zeros(OBSERVATION_LENGTH)
+    else:  # the slots below fill every entry but the current features
+        obs = np.empty(OBSERVATION_LENGTH)
         head = 2 * N_STATE_FEATURES  # where the newest reward goes
         obs[N_STATE_FEATURES:head] = prev_obs[:N_STATE_FEATURES]
         obs[head] = reward
         obs[head + 1 :] = prev_obs[N_STATE_FEATURES : -N_STATE_FEATURES - 1]
+    obs[:N_STATE_FEATURES] = state_features(config, current)
     return obs

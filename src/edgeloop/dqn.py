@@ -3,7 +3,8 @@
 A fully connected Q-network (ReLU hidden layers, linear output) trained by
 plain stochastic gradient descent on the mean squared TD error, with a
 bounded FIFO experience replay and a periodically synced target network.
-Everything is numpy; there is no framework dependency.
+Everything is numpy; there is no framework dependency. Every matrix product
+is an np.dot call: `@`'s BLAS call and bits, with less dispatch per call.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class MlpPolicy:
             self.biases.append(self.params[mid:end])
             self.grad_weights.append(self.grad[start:mid].reshape(w.shape))
             self.grad_biases.append(self.grad[mid:end])
+        self.hidden = list(zip(self.weights[:-1], self.biases[:-1]))  # the ReLU layers
+        self.output = (self.weights[-1], self.biases[-1])  # the linear one
 
     @classmethod
     def initialize(cls, layer_sizes: Sequence[int], rng: np.random.Generator) -> "MlpPolicy":
@@ -111,11 +114,11 @@ class MlpPolicy:
     def activations(self, x: np.ndarray) -> list[np.ndarray]:
         """Input and every layer's output, for one float64 observation or a batch of rows."""
         out = [x]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < len(self.weights) - 1:
-                x = np.maximum(x, 0.0)
+        for w, b in self.hidden:
+            x = np.maximum(np.dot(x, w) + b, 0.0)
             out.append(x)
+        w, b = self.output
+        out.append(np.dot(x, w) + b)
         return out
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
@@ -128,7 +131,7 @@ def select_action(policy: MlpPolicy, obs: np.ndarray, epsilon: float, rng: np.ra
     forward pass, and its ties go to the lowest index."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, policy.biases[-1].size))
-    return int(np.argmax(policy.forward(obs)))
+    return int(policy.forward(obs).argmax())
 
 
 class Batch(NamedTuple):
@@ -216,10 +219,10 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
     delta[batch_idx, batch.actions] = 2.0 * err / hp.batch_size
 
     for i in range(len(policy.weights) - 1, -1, -1):
-        np.matmul(activations[i].T, delta, out=policy.grad_weights[i])
+        np.dot(activations[i].T, delta, out=policy.grad_weights[i])
         np.add.reduce(delta, axis=0, out=policy.grad_biases[i])
         if i > 0:
-            delta = delta @ policy.weights[i].T
+            delta = np.dot(delta, policy.weights[i].T)
             delta = delta * (activations[i] > 0.0)
 
     policy.grad *= hp.learning_rate

@@ -393,14 +393,12 @@ class _SeedRun:
             total_actions = cfg.episodes * self.max_steps
             decay = max(1, round(cfg.agent.epsilon_decay_fraction * total_actions))
             layers = [boiler.OBSERVATION_LENGTH, *cfg.agent.hidden_layers, boiler.N_ACTIONS]
-            self.agent = dqn.DqnAgent(
-                layers,
-                cfg.agent,
-                epsilon_decay_steps=decay,
-                init_rng=np.random.default_rng([seed, _STREAM_INIT]),
-                explore_rng=np.random.default_rng([seed, _STREAM_EXPLORE]),
-                replay_rng=np.random.default_rng([seed, _STREAM_REPLAY]),
-            )
+            # the init, explore and replay streams, in DqnAgent's order
+            rngs = [np.random.default_rng([seed, s]) for s in (_STREAM_INIT, _STREAM_EXPLORE, _STREAM_REPLAY)]
+            try:
+                self.agent = dqn.DqnAgent(layers, cfg.agent, decay, *rngs)
+            except MemoryError as exc:  # the hidden_layers or buffer_capacity asked for
+                raise ConfigError(f"agent: the learner does not fit in memory: {exc}") from None
 
         self.drift_rng = np.random.default_rng([seed, _STREAM_DRIFT])
         # the control module comes first, so a plan's choice[0] places it

@@ -69,7 +69,8 @@ def _quantize(u: float) -> int:
 
 
 def pid_to_action(pump_output: float, valve_output: float) -> int:
-    """Snap continuous [0,1] outputs onto the discrete actuator grid; returns the action index."""
+    """Snap continuous outputs onto the discrete actuator grid, saturating past [0, 1] (NaN
+    to 1); returns the action index."""
     return 3 * _quantize(pump_output) + _quantize(valve_output)
 
 
@@ -104,9 +105,6 @@ class BoilerPid:
             1.0,
             state.pressure / cfg.pressure_setpoint_kpa,
         )
-        # above-setpoint pressure yields a negative loop output, opening the valve
-        pump_u = 0.5 + level_out
-        pump_u = 0.0 if pump_u < 0.0 else (1.0 if pump_u > 1.0 else pump_u)
-        valve_u = 0.5 - pressure_out
-        valve_u = 0.0 if valve_u < 0.0 else (1.0 if valve_u > 1.0 else valve_u)
-        return pid_to_action(pump_u, valve_u)
+        # above-setpoint pressure yields a negative loop output, opening the valve; the
+        # grid saturates, so the inputs need no clamp to [0, 1]
+        return pid_to_action(0.5 + level_out, 0.5 - pressure_out)

@@ -330,30 +330,51 @@ def test_inlet_noise_drawn_in_chunks_equals_one_long_draw(monkeypatch):
     assert applied == twin.normal(0.0, cfg.plant.inlet_noise_std_c, steps).tolist()
 
 
-def test_a_huge_step_limit_holds_nothing_per_step_up_front(tmp_path):
-    # the plant fails within a few steps; a run that drew or kept anything for
-    # each of the ten billion allowed steps would fail under a 2 GiB address space
+def run_cli_in_2_gib(tmp_path, config_text):
+    """`edgeloop run` on config_text in a child process limited to a 2 GiB address space."""
     resource = pytest.importorskip("resource")
     config = tmp_path / "run.yaml"
-    config.write_text(
-        "scenario: cloud-only\ncontroller: pid\nseeds: [1]\nepisodes: 0\n"
-        "eval_episodes: 2\nmax_steps: 10000000000\nplant: {pump_gain: 1.0}\n"
-    )
+    config.write_text(config_text)
     src = str(Path(edgeloop.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
     def cap_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "edgeloop.cli", "run", "--config", str(config), "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "edgeloop.cli", "run", "--config", str(config), "--out", str(tmp_path / "out")],
         env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_a_huge_step_limit_holds_nothing_per_step_up_front(tmp_path):
+    # the plant fails within a few steps; a run that drew or kept anything for
+    # each of the ten billion allowed steps would fail under a 2 GiB address space
+    proc = run_cli_in_2_gib(
+        tmp_path,
+        "scenario: cloud-only\ncontroller: pid\nseeds: [1]\nepisodes: 0\n"
+        "eval_episodes: 2\nmax_steps: 10000000000\nplant: {pump_gain: 1.0}\n",
+    )
     assert proc.returncode == 0, proc.stderr
-    records = read_metrics(out / "metrics_cloud-only_pid_seed1.jsonl")
+    records = read_metrics(tmp_path / "out" / "metrics_cloud-only_pid_seed1.jsonl")
     assert [r.failure_count for r in records] == [1, 1]
     assert all(r.uninterrupted_steps < 10 for r in records)
+
+
+@pytest.mark.parametrize("seeds", ["[1]", "[1, 2]"])  # two seeds fork on a host with two CPUs or more
+@pytest.mark.parametrize("agent", ["{buffer_capacity: 10000000000000}", "{hidden_layers: [1000000000000]}"])
+def test_a_learner_too_large_to_allocate_is_a_config_error(tmp_path, agent, seeds):
+    # both ask for more than a 47-bit address space, so the allocation fails at
+    # once; the 2 GiB cap keeps any attempt from reserving memory either way
+    proc = run_cli_in_2_gib(
+        tmp_path,
+        f"scenario: cloud-only\ncontroller: drl\nseeds: {seeds}\nepisodes: 1\n"
+        f"eval_episodes: 1\nmax_steps: 10\nagent: {agent}\n",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("edgeloop: config: agent: the learner does not fit in memory: ")
 
 
 def test_served_states_are_never_changed_in_place(monkeypatch):
