@@ -165,102 +165,83 @@ def reset(config: BoilerConfig, rng: np.random.Generator) -> BoilerState:
     )
 
 
-def setpoint_deviations(config: BoilerConfig, state: BoilerState) -> tuple[float, float, float]:
+def setpoint_deviations(
+    config: BoilerConfig, level: float, pressure: float, outlet: float
+) -> tuple[float, float, float]:
     """Level, pressure and outlet-temperature deviations, each relative to its setpoint."""
     return (
-        (state.water_level - config.level_setpoint) / config.level_setpoint,
-        (state.pressure - config.pressure_setpoint_kpa) / config.pressure_setpoint_kpa,
-        (state.outlet_temp - config.outlet_setpoint_c) / config.outlet_setpoint_c,
+        (level - config.level_setpoint) / config.level_setpoint,
+        (pressure - config.pressure_setpoint_kpa) / config.pressure_setpoint_kpa,
+        (outlet - config.outlet_setpoint_c) / config.outlet_setpoint_c,
     )
 
 
-def deviation_cost(config: BoilerConfig, weight: float, value: float, setpoint: float) -> float:
-    """A weighted squared deviation relative to the setpoint, clamped at deviation_clamp."""
-    d = (value - setpoint) / setpoint
-    d2, clamp = d * d, config.deviation_clamp
-    # comparisons, not min()/max(), here and below: same operand, no builtin call
-    return weight * (clamp if clamp < d2 else d2)
+def cost(config: BoilerConfig, dl: float, dp: float, dt: float) -> float:
+    """A state's control cost from its setpoint_deviations: 0 at the setpoint.
 
-
-def combined_cost(config: BoilerConfig, level: float, pressure_cost: float, temp_cost: float) -> float:
-    """A state's cost from its level and its pressure and temperature deviation_cost terms."""
-    level_cost = deviation_cost(config, config.w_level, level, config.level_setpoint)
-    return level_cost + pressure_cost + temp_cost
-
-
-def state_cost(config: BoilerConfig, state: BoilerState) -> float:
-    """Clamped, weighted squared deviations from the setpoints: 0 at the setpoint."""
-    p_cost = deviation_cost(config, config.w_pressure, state.pressure, config.pressure_setpoint_kpa)
-    t_cost = deviation_cost(config, config.w_temp, state.outlet_temp, config.outlet_setpoint_c)
-    return combined_cost(config, state.water_level, p_cost, t_cost)
-
-
-def reward(config: BoilerConfig, state: BoilerState, cmd: ActuatorCommand) -> float:
-    """Dense control cost: 0 at the setpoint with no actuator motion, else negative.
-
-    Each squared normalized deviation is clamped so the reward stays bounded
-    for any in-domain state. The failure penalty is added by step(), not here.
+    Each squared deviation is clamped at deviation_clamp, so the cost stays
+    bounded for any in-domain state.
     """
-    return command_reward(config, state_cost(config, state), state, cmd)
+    clamp = config.deviation_clamp
+    l2, p2, t2 = dl * dl, dp * dp, dt * dt
+    # comparisons, not min(), here and below: same operand, no builtin call
+    return (
+        config.w_level * (clamp if clamp < l2 else l2)
+        + config.w_pressure * (clamp if clamp < p2 else p2)
+        + config.w_temp * (clamp if clamp < t2 else t2)
+    )
 
 
-def command_reward(config: BoilerConfig, cost: float, state: BoilerState, cmd: ActuatorCommand) -> float:
-    """reward() of cmd from a state whose state_cost is cost."""
-    move = (cmd.pump_level - state.pump_pos) ** 2 + (cmd.valve_level - state.valve_pos) ** 2
-    return -(cost + config.w_action * move)
+def landed(config: BoilerConfig, state: BoilerState, pump: float, valve: float) -> tuple[float, float, float]:
+    """The (level, pressure, outlet) step() lands in from state under (pump, valve).
 
-
-def outflow_rate(config: BoilerConfig, valve: float, pressure: float) -> float:
-    """Valve outflow in level fraction per second at the given pressure."""
-    return config.valve_gain * valve * math.sqrt(
+    Noise enters only the inlet temperature, so these are the same with or
+    without it.
+    """
+    pressure = state.pressure
+    outflow = config.valve_gain * valve * math.sqrt(
         (0.0 if pressure < 0.0 else pressure) / config.pressure_setpoint_kpa
     )
-
-
-def landed_level(config: BoilerConfig, level: float, pump: float, outflow: float) -> float:
-    level = level + (config.pump_gain * pump - outflow) * CONTROL_PERIOD_S
-    return 0.0 if level < 0.0 else (1.0 if level > 1.0 else level)
-
-
-def landed_pressure(config: BoilerConfig, state: BoilerState, valve: float) -> float:
+    level = state.water_level + (config.pump_gain * pump - outflow) * CONTROL_PERIOD_S
     p_target = (
         config.pressure_setpoint_kpa
         * (state.outlet_temp / config.outlet_setpoint_c)
         * (1.0 + config.pressure_valve_span * (0.5 - valve))
     )
-    pressure = state.pressure + config.pressure_rate * (p_target - state.pressure) * CONTROL_PERIOD_S
-    return pressure if pressure > 0.0 else 0.0
-
-
-def landed_outlet(config: BoilerConfig, state: BoilerState) -> float:
+    pressure = pressure + config.pressure_rate * (p_target - pressure) * CONTROL_PERIOD_S
     temp_target = state.inlet_temp + config.heat_gain_c - config.level_cooling_c * state.water_level
     outlet = state.outlet_temp + config.temp_rate * (temp_target - state.outlet_temp) * CONTROL_PERIOD_S
-    return 0.0 if outlet < 0.0 else (TEMP_MAX_C if outlet > TEMP_MAX_C else outlet)
+    return (
+        0.0 if level < 0.0 else (1.0 if level > 1.0 else level),
+        pressure if pressure > 0.0 else 0.0,
+        0.0 if outlet < 0.0 else (TEMP_MAX_C if outlet > TEMP_MAX_C else outlet),
+    )
 
 
 def step(
     config: BoilerConfig,
     state: BoilerState,
     cmd: ActuatorCommand,
+    state_cost: float,
     noise_c: float,
     inlet_disturbance_c: float,
 ) -> tuple[BoilerState, float, bool]:
     """Advance the plant one control period.
 
-    The caller supplies the step's inlet-noise draw as noise_c and its
-    trace offset as inlet_disturbance_c. Returns
+    The caller supplies state's cost (see cost), the step's inlet-noise
+    draw as noise_c and its trace offset as inlet_disturbance_c. Returns
     (next_state, reward, failed). Failure is absorbing: stepping an
     envelope-violating state returns it unchanged with the bare penalty.
-    The reward is the control cost of the state the command was issued
-    from, minus the failure penalty when the step ends in failure.
+    The reward is the control reward of the command from state (see the
+    module docstring), minus the failure penalty when the step ends in
+    failure.
     """
-    if config.envelope.violates(state.water_level, state.pressure, state.outlet_temp):
+    envelope = config.envelope
+    if envelope.violates(state.water_level, state.pressure, state.outlet_temp):
         return state, -config.failure_penalty, True
 
-    out = outflow_rate(config, cmd.valve_level, state.pressure)
-    level = landed_level(config, state.water_level, cmd.pump_level, out)
-    pressure = landed_pressure(config, state, cmd.valve_level)
-    outlet = landed_outlet(config, state)
+    pump, valve = cmd.pump_level, cmd.valve_level
+    level, pressure, outlet = landed(config, state, pump, valve)
     inlet = (
         state.inlet_temp
         + config.inlet_rate * (config.inlet_nominal_c - state.inlet_temp) * CONTROL_PERIOD_S
@@ -269,19 +250,11 @@ def step(
     )
     inlet = 0.0 if inlet < 0.0 else (TEMP_MAX_C if inlet > TEMP_MAX_C else inlet)
 
-    next_state = BoilerState(
-        inlet_temp=inlet,
-        outlet_temp=outlet,
-        water_level=level,
-        pressure=pressure,
-        pump_pos=cmd.pump_level,
-        valve_pos=cmd.valve_level,
-    )
-    failed = config.envelope.violates(level, pressure, outlet)
-    r = reward(config, state, cmd)
+    r = -(state_cost + config.w_action * ((pump - state.pump_pos) ** 2 + (valve - state.valve_pos) ** 2))
+    failed = envelope.violates(level, pressure, outlet)
     if failed:
         r -= config.failure_penalty
-    return next_state, r, failed
+    return BoilerState(inlet, outlet, level, pressure, pump, valve), r, failed
 
 
 def state_features(config: BoilerConfig, state: BoilerState) -> tuple[float, ...]:

@@ -25,6 +25,7 @@ seed order, so the files are the same bytes for any number of workers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -142,31 +143,31 @@ def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) ->
     command's value is its reward plus gamma times the best reward from the
     landed state, which holding the command earns (no motion, so it is minus
     the landed state's cost), or minus the failure penalty if it fails. Ties
-    go to the lowest index. Terms the commands share are computed once,
-    through boiler's helpers and in boiler.step's float order, so every value
-    has the same bits as nine plant steps give.
+    go to the lowest index. Each command is landed by boiler.landed and each
+    state costed by boiler.cost, as boiler.step and the episode do, in
+    boiler.step's float order, so every value has the bits nine plant steps
+    give. A command whose reward is no more than the best value so far is
+    not landed: with gamma > 0 and costs >= 0, its value cannot exceed its
+    reward.
     """
     envelope = cfg.envelope
-    if envelope.violates(state.water_level, state.pressure, state.outlet_temp):
+    level, pressure, outlet = state.water_level, state.pressure, state.outlet_temp
+    if envelope.violates(level, pressure, outlet):
         return 0  # every command fails alike from a failed state, so all nine tie
-    cost = boiler.state_cost(cfg, state)
-    outlet = boiler.landed_outlet(cfg, state)
-    temp_cost = boiler.deviation_cost(cfg, cfg.w_temp, outlet, cfg.outlet_setpoint_c)
-    by_valve = []
-    for valve in boiler.ACTUATOR_LEVELS:
-        pressure = boiler.landed_pressure(cfg, state, valve)
-        p_cost = boiler.deviation_cost(cfg, cfg.w_pressure, pressure, cfg.pressure_setpoint_kpa)
-        by_valve.append((boiler.outflow_rate(cfg, valve, state.pressure), pressure, p_cost))
+    cost = boiler.cost(cfg, *boiler.setpoint_deviations(cfg, level, pressure, outlet))
     best_action = 0
     best_value = -math.inf
-    for a, cmd in enumerate(boiler.COMMANDS):
-        out, pressure, p_cost = by_valve[a % 3]
-        level = boiler.landed_level(cfg, state.water_level, cmd.pump_level, out)
-        r = boiler.command_reward(cfg, cost, state, cmd)
+    for a, cmd in enumerate(COMMANDS):
+        pump, valve = cmd.pump_level, cmd.valve_level
+        r = -(cost + cfg.w_action * ((pump - state.pump_pos) ** 2 + (valve - state.valve_pos) ** 2))
+        if r <= best_value:
+            continue  # the value is r less a non-negative term, so it cannot beat the best
+        level, pressure, outlet = boiler.landed(cfg, state, pump, valve)
         if envelope.violates(level, pressure, outlet):
             value = (r - cfg.failure_penalty) + gamma * -cfg.failure_penalty
         else:
-            value = r + gamma * -boiler.combined_cost(cfg, level, p_cost, temp_cost)
+            landed_cost = boiler.cost(cfg, *boiler.setpoint_deviations(cfg, level, pressure, outlet))
+            value = r + gamma * -landed_cost
         if value > best_value:
             best_value = value
             best_action = a
@@ -236,9 +237,14 @@ class _Episode:
 
         # the plant stream: the reset, then the steps' inlet noise (see _draw_noise)
         self.plant_rng = np.random.default_rng([run.seed, phase_code, index])
-        self.state = boiler.reset(self.plant_cfg, self.plant_rng)
+        self.state = state = boiler.reset(self.plant_cfg, self.plant_rng)
+        # the current state's cost, for the step from it; _tick refreshes it with the state
+        self.cost = boiler.cost(
+            self.plant_cfg,
+            *boiler.setpoint_deviations(self.plant_cfg, state.water_level, state.pressure, state.outlet_temp),
+        )
         self.inlet_noise: list[float] = []  # drawn inlet noise, the next step's last
-        self.pending_cmd = ActuatorCommand(self.state.pump_pos, self.state.valve_pos)
+        self.pending_cmd = ActuatorCommand(state.pump_pos, state.valve_pos)
         self.cmd_step = -1  # step of the newest command the plant has taken
         self.ctl_last_step = -1  # step of the newest reading served
 
@@ -283,18 +289,21 @@ class _Episode:
     def _tick(self, step: int):
         reward = None
         if step > 0:
-            disturbance = self.run.disturbance_at(step - 1)
-            self.state, reward, self.failed = boiler.step(
-                self.plant_cfg,
+            cfg = self.plant_cfg
+            state, reward, self.failed = boiler.step(
+                cfg,
                 self.state,
                 self.pending_cmd,
+                self.cost,
                 (self.inlet_noise or self._draw_noise()).pop(),
-                inlet_disturbance_c=disturbance,
+                self.run.disturbance_at(step - 1),
             )
+            self.state = state
             self.steps = step
             self.cumulative_reward += reward
-            dl, dp, dt = boiler.setpoint_deviations(self.plant_cfg, self.state)
+            dl, dp, dt = boiler.setpoint_deviations(cfg, state.water_level, state.pressure, state.outlet_temp)
             self.loss_sum += dl * dl + dp * dp + dt * dt
+            self.cost = boiler.cost(cfg, dl, dp, dt)
             self.done = self.failed or step == self.run.max_steps
         run, clock = self.run, self.kernel.clock
         reading = Reading(step, self.state, reward, self.done, clock, run.serving_node())
@@ -620,15 +629,25 @@ def run_experiment(cfg: RunConfig, out_dir: str) -> RunResult:
     summary and keeps its completed episodes; remaining seeds still run.
     """
     disturbance = load_disturbance(cfg)
+    made, path = [], os.path.abspath(out_dir)  # the directories this run makes, innermost first
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)  # an unusable out_dir fails before any seed runs
     try:
         workers = min(len(cfg.seeds), len(os.sched_getaffinity(0)))
     except AttributeError:  # no sched_getaffinity on this platform
         workers = 1
-    if workers == 1:
-        results = {seed: run_seed(cfg, seed, disturbance) for seed in cfg.seeds}
-    else:
-        results = _run_forked(cfg, disturbance, workers)
+    try:
+        if workers == 1:
+            results = {seed: run_seed(cfg, seed, disturbance) for seed in cfg.seeds}
+        else:
+            results = _run_forked(cfg, disturbance, workers)
+    except BaseException:  # nothing is written yet: take back the directories this run made
+        for path in made:
+            with contextlib.suppress(OSError):  # one that something else wrote into stays
+                os.rmdir(path)
+        raise
 
     metrics_paths = {}
     for seed, result in results.items():

@@ -103,6 +103,8 @@ class Kernel:
         self.handler(target, body)
 
     def run(self) -> None:
-        """Drain the queue completely."""
-        while self._queue:
-            self.step()
+        """Drain the queue completely, one event at a time as step() takes them."""
+        queue, handler = self._queue, self.handler
+        while queue:
+            self.clock, _, target, body = heappop(queue)
+            handler(target, body)

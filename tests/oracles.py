@@ -130,6 +130,27 @@ def boiler_step(cfg, state, cmd, noise=0.0, disturbance=0.0):
     return inlet, outlet, level, pressure
 
 
+def state_cost(cfg, state):
+    """The module docstring's cost: weighted squared setpoint deviations, each
+    clamped at deviation_clamp, summed level, pressure, outlet."""
+    terms = (
+        (cfg.w_level, state.water_level, cfg.level_setpoint),
+        (cfg.w_pressure, state.pressure, cfg.pressure_setpoint_kpa),
+        (cfg.w_temp, state.outlet_temp, cfg.outlet_setpoint_c),
+    )
+    total = 0.0
+    for weight, value, setpoint in terms:
+        d = (value - setpoint) / setpoint
+        total += weight * min(d * d, cfg.deviation_clamp)
+    return total
+
+
+def reward(cfg, state, cmd):
+    """The module docstring's reward of cmd from state: minus its cost and the motion cost."""
+    motion = (cmd.pump_level - state.pump_pos) ** 2 + (cmd.valve_level - state.valve_pos) ** 2
+    return -(state_cost(cfg, state) + cfg.w_action * motion)
+
+
 # -- generalized assignment ----------------------------------------------------
 
 
@@ -245,7 +266,8 @@ def brute_force_oracle_action(cfg, state, gamma):
     The value of action a is its reward plus gamma times the best reward any
     of the 9 follow-up actions earns from the landed state, or minus the
     failure penalty when a fails; ties go to the lowest index. It checks the
-    search, so it uses the package's plant and reward functions.
+    search, so it lands each command with the package's plant step; the
+    rewards come from the docstring's equations (reward above).
     """
     from edgeloop import boiler
 
@@ -253,11 +275,11 @@ def brute_force_oracle_action(cfg, state, gamma):
     grid = [boiler.ActuatorCommand(p, v) for p in levels for v in levels]
     values = []
     for cmd in grid:
-        nxt, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
+        nxt, r, failed = boiler.step(cfg, state, cmd, state_cost(cfg, state), 0.0, 0.0)
         if failed:
             follow = -cfg.failure_penalty
         else:
-            follow = max(boiler.reward(cfg, nxt, b) for b in grid)
+            follow = max(reward(cfg, nxt, b) for b in grid)
         values.append(r + gamma * follow)
     return values.index(max(values))
 

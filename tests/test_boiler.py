@@ -95,22 +95,31 @@ def test_reset_is_seeded_and_safe():
 # -- reward -----------------------------------------------------------------------
 
 
+def package_reward(cfg, state, cmd):
+    """boiler.step's reward for cmd from state, with state's cost from boiler.cost."""
+    deviations = boiler.setpoint_deviations(cfg, state.water_level, state.pressure, state.outlet_temp)
+    return boiler.step(cfg, state, cmd, boiler.cost(cfg, *deviations), 0.0, 0.0)[1]
+
+
 def test_reward_zero_at_setpoint_without_motion():
     cfg = BoilerConfig()
-    assert boiler.reward(cfg, boiler.nominal_state(cfg), ActuatorCommand(0.5, 0.5)) == 0.0
+    nominal, hold = boiler.nominal_state(cfg), ActuatorCommand(0.5, 0.5)
+    assert oracles.reward(cfg, nominal, hold) == 0.0
+    assert package_reward(cfg, nominal, hold) == 0.0
 
 
 def test_reward_motion_cost():
     cfg = BoilerConfig()
     state = boiler.nominal_state(cfg)
-    r = boiler.reward(cfg, state, ActuatorCommand(1.0, 0.0))
+    r = oracles.reward(cfg, state, ActuatorCommand(1.0, 0.0))
     assert r == pytest.approx(-cfg.w_action * (0.25 + 0.25))
+    assert package_reward(cfg, state, ActuatorCommand(1.0, 0.0)) == r
 
 
 def test_reward_decreases_with_each_deviation():
     cfg = BoilerConfig()
     hold = ActuatorCommand(0.5, 0.5)
-    base = boiler.reward(cfg, boiler.nominal_state(cfg), hold)
+    base = oracles.reward(cfg, boiler.nominal_state(cfg), hold)
     for field, values in [
         ("water_level", [0.45, 0.40, 0.35]),
         ("pressure", [1050.0, 1100.0, 1200.0]),
@@ -118,20 +127,26 @@ def test_reward_decreases_with_each_deviation():
     ]:
         prev = base
         for value in values:
-            r = boiler.reward(cfg, make_state(**{field: value}), hold)
+            state = make_state(**{field: value})
+            r = oracles.reward(cfg, state, hold)
             assert r < prev, f"{field}={value} should cost more than the previous point"
+            assert package_reward(cfg, state, hold) == r
             prev = r
 
 
 def test_reward_bounded_by_clamp():
     cfg = BoilerConfig()
     worst = make_state(water_level=0.0, pressure=100000.0, outlet_temp=600.0)
-    r = boiler.reward(cfg, worst, ActuatorCommand(1.0, 0.0))
+    r = oracles.reward(cfg, worst, ActuatorCommand(1.0, 0.0))
     floor = -(
         (cfg.w_level + cfg.w_pressure + cfg.w_temp) * cfg.deviation_clamp
         + cfg.w_action * 2.0
     )
     assert r >= floor
+    # the pressure term alone is past the clamp; the package clamps it alike
+    deviations = boiler.setpoint_deviations(cfg, worst.water_level, worst.pressure, worst.outlet_temp)
+    assert boiler.cost(cfg, *deviations) == oracles.state_cost(cfg, worst)
+    assert boiler.cost(cfg, *deviations) == cfg.w_level + cfg.w_pressure * cfg.deviation_clamp + cfg.w_temp
 
 
 # -- dynamics ----------------------------------------------------------------------
@@ -146,7 +161,7 @@ def test_step_matches_recomputed_equations_over_200_steps():
         cmd = pattern[k % len(pattern)]
         noise = float(twin.normal(0.0, cfg.inlet_noise_std_c))
         want = oracles.boiler_step(cfg, state, cmd, noise=noise, disturbance=0.3)
-        nxt, _, failed = boiler.step(cfg, state, cmd, noise, 0.3)
+        nxt, _, failed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), noise, 0.3)
         assert nxt.inlet_temp == pytest.approx(want[0], abs=1e-12)
         assert nxt.outlet_temp == pytest.approx(want[1], abs=1e-12)
         assert nxt.water_level == pytest.approx(want[2], abs=1e-12)
@@ -163,7 +178,7 @@ def test_step_mass_balance_is_exact():
     state = boiler.nominal_state(cfg)
     for index in range(N_ACTIONS):
         cmd = boiler.COMMANDS[index]
-        nxt, _, _ = boiler.step(cfg, state, cmd, 0.0, 0.0)
+        nxt, _, _ = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), 0.0, 0.0)
         outflow = cfg.valve_gain * cmd.valve_level * math.sqrt(
             state.pressure / cfg.pressure_setpoint_kpa
         )
@@ -177,7 +192,7 @@ def test_full_pump_fills_until_high_level_failure():
     cmd = ActuatorCommand(1.0, 0.0)
     prev = state.water_level
     for k in range(100):
-        state, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
+        state, r, failed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), 0.0, 0.0)
         assert state.water_level > prev
         prev = state.water_level
         if failed:
@@ -194,7 +209,7 @@ def test_full_drain_empties_until_low_level_failure():
     cmd = ActuatorCommand(0.0, 1.0)
     prev = state.water_level
     for k in range(200):
-        state, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
+        state, r, failed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), 0.0, 0.0)
         assert state.water_level < prev
         prev = state.water_level
         if failed:
@@ -211,7 +226,7 @@ def test_holding_centered_actuators_drifts_into_failure():
     cmd = ActuatorCommand(0.5, 0.5)
     failed_at = None
     for k in range(1, 501):
-        state, _, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
+        state, _, failed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), 0.0, 0.0)
         if failed:
             failed_at = k
             break
@@ -222,7 +237,8 @@ def test_holding_centered_actuators_drifts_into_failure():
 def test_failure_is_absorbing():
     cfg = BoilerConfig()
     dead = make_state(water_level=0.05)
-    nxt, r, failed = boiler.step(cfg, dead, ActuatorCommand(1.0, 0.0), 5.0, 0.0)
+    cmd = ActuatorCommand(1.0, 0.0)
+    nxt, r, failed = boiler.step(cfg, dead, cmd, oracles.state_cost(cfg, dead), 5.0, 0.0)
     assert failed
     assert nxt == dead
     assert r == -cfg.failure_penalty
@@ -232,11 +248,12 @@ def test_step_without_rng_is_deterministic():
     cfg = BoilerConfig()
     state = boiler.nominal_state(cfg)
     # the plant draws nothing itself: equal inputs give equal steps
-    a = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), 0.0, 0.0)
-    b = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), 0.0, 0.0)
+    cmd, cost = ActuatorCommand(1.0, 0.5), oracles.state_cost(cfg, state)
+    a = boiler.step(cfg, state, cmd, cost, 0.0, 0.0)
+    b = boiler.step(cfg, state, cmd, cost, 0.0, 0.0)
     assert a == b
-    noisy = boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), -1.5, 0.0)
-    assert noisy == boiler.step(cfg, state, ActuatorCommand(1.0, 0.5), -1.5, 0.0)
+    noisy = boiler.step(cfg, state, cmd, cost, -1.5, 0.0)
+    assert noisy == boiler.step(cfg, state, cmd, cost, -1.5, 0.0)
     assert noisy[0].inlet_temp == a[0].inlet_temp - 1.5
 
 
@@ -244,9 +261,9 @@ def test_step_reward_charges_failure_penalty_once():
     cfg = BoilerConfig()
     state = make_state(water_level=0.16)
     cmd = ActuatorCommand(0.0, 1.0)
-    nxt, r, failed = boiler.step(cfg, state, cmd, 0.0, 0.0)
+    nxt, r, failed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), 0.0, 0.0)
     assert failed
-    assert r == pytest.approx(boiler.reward(cfg, state, cmd) - cfg.failure_penalty)
+    assert r == oracles.reward(cfg, state, cmd) - cfg.failure_penalty
 
 
 # -- features and observation -------------------------------------------------------

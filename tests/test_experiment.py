@@ -2,6 +2,7 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -112,7 +113,8 @@ def test_oracle_action_avoids_certain_failure():
     cfg = load_config(None).plant
     near_ceiling = dataclasses.replace(boiler.nominal_state(cfg), water_level=0.94)
     cmd = boiler.COMMANDS[oracle_action(cfg, near_ceiling, 0.95)]
-    nxt, _, failed = boiler.step(cfg, near_ceiling, cmd, 0.0, 0.0)
+    cost = oracles.state_cost(cfg, near_ceiling)
+    nxt, _, failed = boiler.step(cfg, near_ceiling, cmd, cost, 0.0, 0.0)
     assert not failed
 
 
@@ -289,10 +291,10 @@ def test_plant_steps_apply_the_plant_streams_scalar_draws_in_order(monkeypatch):
     applied = []
     step = boiler.step
 
-    def recording(config, state, cmd, noise_c, inlet_disturbance_c):
+    def recording(config, state, cmd, state_cost, noise_c, inlet_disturbance_c):
         # every call is a plant step: the reference action does not step the plant
         applied.append(noise_c)
-        return step(config, state, cmd, noise_c, inlet_disturbance_c)
+        return step(config, state, cmd, state_cost, noise_c, inlet_disturbance_c)
 
     monkeypatch.setattr(boiler, "step", recording)
     phase_codes = {"train": experiment.PHASE_TRAIN, "eval": experiment.PHASE_EVAL}
@@ -316,9 +318,9 @@ def test_inlet_noise_drawn_in_chunks_equals_one_long_draw(monkeypatch):
     applied = []
     step = boiler.step
 
-    def recording(config, state, cmd, noise_c, inlet_disturbance_c):
+    def recording(config, state, cmd, state_cost, noise_c, inlet_disturbance_c):
         applied.append(noise_c)
-        return step(config, state, cmd, noise_c, inlet_disturbance_c)
+        return step(config, state, cmd, state_cost, noise_c, inlet_disturbance_c)
 
     monkeypatch.setattr(boiler, "step", recording)
     steps = 2 * simcore.CHUNK + 76
@@ -375,6 +377,19 @@ def test_a_learner_too_large_to_allocate_is_a_config_error(tmp_path, agent, seed
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("edgeloop: config: agent: the learner does not fit in memory: ")
+    assert not (tmp_path / "out").exists()  # the run made it, and wrote nothing into it
+
+
+def test_a_run_that_stops_before_writing_leaves_an_existing_output_directory(tmp_path):
+    (tmp_path / "out").mkdir()
+    proc = run_cli_in_2_gib(
+        tmp_path,
+        "scenario: cloud-only\ncontroller: drl\nseeds: [1]\nepisodes: 1\n"
+        "eval_episodes: 1\nmax_steps: 10\nagent: {buffer_capacity: 10000000000000}\n",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert (tmp_path / "out").is_dir()
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_served_states_are_never_changed_in_place(monkeypatch):
@@ -396,6 +411,31 @@ def test_served_states_are_never_changed_in_place(monkeypatch):
         assert all(dataclasses.astuple(state) == values for state, values in served)
         states = [state for state, _ in served]
         assert all(a is not b for a, b in zip(states, states[1:]))
+
+
+def test_each_step_is_passed_its_from_state_cost(monkeypatch, tmp_path):
+    # the episode carries each state's cost from the tick that made it to the
+    # step from it; it must have the bits of the cost recomputed from the state
+    passed = []  # (the cost passed, the from-state's cost from scratch), as bytes
+    step = boiler.step
+
+    def checked(cfg, state, cmd, state_cost, noise_c, inlet_disturbance_c):
+        passed.append((struct.pack("<d", state_cost), struct.pack("<d", oracles.state_cost(cfg, state))))
+        return step(cfg, state, cmd, state_cost, noise_c, inlet_disturbance_c)
+
+    monkeypatch.setattr(boiler, "step", checked)
+    trace = tmp_path / "inlet.csv"
+    rows = [f"{60 * k},t,{100.0 + 7.0 * (k % 3)},C" for k in range(4)]
+    trace.write_text("\n".join(["timestamp,sensor_id,value,unit", *rows]) + "\n")
+    with_trace = pid_config(max_steps=60, trace_file=str(trace), trace_disturbance_scale=3.0)
+    drl = {"controller": "drl", "episodes": 1, "eval_episodes": 1, "max_steps": 40, "seeds": [3],
+           "agent": {"hidden_layers": [8], "warmup": 4, "batch_size": 4}}
+    for cfg, disturbance in ((with_trace, load_disturbance(with_trace)), (config_from_dict(drl), [])):
+        passed.clear()
+        run_seed(cfg, 3, disturbance)
+        assert len(passed) > 60
+        assert all(got == want for got, want in passed)
+        assert len({got for got, _ in passed}) > 30  # the costs move from step to step
 
 
 # -- episode mechanics ----------------------------------------------------------------------
@@ -452,11 +492,12 @@ def test_report_ticks_keep_the_event_queue_bounded_and_outlast_the_plant(monkeyp
     # a few events at a report every step; the ticks still run to the
     # horizon after the plant fails at step 3
     peak = [0]
-    step = simcore.Kernel.step
+    handle = experiment._Episode.handle
 
-    def watched(self):
-        peak[0] = max(peak[0], len(self._queue))
-        return step(self)
+    def watched(self, node, body):
+        # the queue as it stood before this event was taken from it
+        peak[0] = max(peak[0], len(self.kernel._queue) + 1)
+        return handle(self, node, body)
 
     reports = []
     emit_report = experiment._SeedRun.emit_report
@@ -465,7 +506,7 @@ def test_report_ticks_keep_the_event_queue_bounded_and_outlast_the_plant(monkeyp
         reports.append(node)
         return emit_report(self, node)
 
-    monkeypatch.setattr(simcore.Kernel, "step", watched)
+    monkeypatch.setattr(experiment._Episode, "handle", watched)
     monkeypatch.setattr(experiment._SeedRun, "emit_report", counted)
     cfg = pid_config(
         scenario="edge-collab",
@@ -477,7 +518,7 @@ def test_report_ticks_keep_the_event_queue_bounded_and_outlast_the_plant(monkeyp
     (rec,) = run_seed(cfg, 1, []).records
     assert rec.uninterrupted_steps < 10
     assert len(reports) == 2 * 2000
-    assert peak[0] <= 8
+    assert 2 <= peak[0] <= 8
 
 
 # -- the controllers -------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from edgeloop.boiler import ActuatorCommand, BoilerConfig
 from edgeloop.config import PidConfig
 from edgeloop.pid import BoilerPid, PidGains, PidState, pid_step, pid_to_action
 
+import oracles
+
 
 TUNED = PidConfig()  # the default gains a run passes
 
@@ -137,7 +139,8 @@ def test_level_step_settles_within_two_percent_inside_100_steps():
     band = 0.02 * cfg.level_setpoint
     in_band_from = None
     for step in range(1, 101):
-        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)], 0.0, 0.0)
+        cmd = boiler.COMMANDS[ctl.act(state)]
+        state, _, failed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), 0.0, 0.0)
         assert not failed
         if abs(state.water_level - cfg.level_setpoint) <= band:
             if in_band_from is None:
@@ -154,7 +157,8 @@ def test_controller_regulates_the_drifting_plant_long_term():
     ctl = BoilerPid(cfg, TUNED.level, TUNED.pressure)
     state = boiler.nominal_state(cfg)
     for _ in range(2000):
-        state, _, failed = boiler.step(cfg, state, boiler.COMMANDS[ctl.act(state)], 0.0, 0.0)
+        cmd = boiler.COMMANDS[ctl.act(state)]
+        state, _, failed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), 0.0, 0.0)
         assert not failed
     assert abs(state.water_level - cfg.level_setpoint) <= 0.05
 

@@ -289,4 +289,5 @@ def test_reset_and_step_keep_the_state_in_bounds(drawn):
         assert _in_bounds(boiler.reset(plant, np.random.default_rng(0)))
     for cmd in boiler.COMMANDS:
         for noise in (0.0, 1e6, -1e6):
-            assert _in_bounds(boiler.step(cfg, state, cmd, noise, 0.0)[0]), (cmd, noise)
+            landed = boiler.step(cfg, state, cmd, oracles.state_cost(cfg, state), noise, 0.0)[0]
+            assert _in_bounds(landed), (cmd, noise)

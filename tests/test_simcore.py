@@ -152,19 +152,20 @@ def test_step_dispatches_one_event_at_a_time():
     assert seen == [10, 20, 30, 40]
 
 
-def test_event_conservation_under_random_traffic():
-    # every sent message is eventually delivered; scheduled ticks deliver too
+def random_traffic(drain, traffic_seed=99):
+    """Jittered random chatter over a star, drained by drain(kernel).
+
+    Returns the (clock, node, body) trace of every dispatch and the bodies
+    sent, in send order; ticks scheduled up front carry None.
+    """
     links, sensor = star_topology(n_edges=3, jitter=0.2)
-    traffic_rng = np.random.default_rng(99)
+    traffic_rng = np.random.default_rng(traffic_seed)
     nodes = [0, 1, 2, 3, sensor]
     sent = []
-    delivered = []
     dispatched = []
 
     def chatter(node, body):
-        dispatched.append((node, body))
-        if body is not None:
-            delivered.append(body)
+        dispatched.append((kernel.clock, node, body))
         if kernel.clock > 50_000:
             return
         for _ in range(int(traffic_rng.integers(0, 3))):
@@ -174,13 +175,34 @@ def test_event_conservation_under_random_traffic():
                 kernel.send(node, dst, sent[-1])
 
     kernel = Kernel(links, chatter, np.random.default_rng(123))
-    scheduled = 5
     for t in (0, 100, 200, 300, 400):
         kernel.schedule(t, sensor)
-    kernel.run()
+    drain(kernel)
+    return dispatched, sent
+
+
+def test_event_conservation_under_random_traffic():
+    # every sent message is eventually delivered; scheduled ticks deliver too
+    dispatched, sent = random_traffic(Kernel.run)
+    scheduled = 5
     assert len(dispatched) == len(sent) + scheduled
-    assert sorted(delivered) == sent
+    assert sorted(body for _, _, body in dispatched if body is not None) == sent
     assert len(sent) > 0
+
+
+def test_run_dispatches_what_repeated_steps_dispatch():
+    # run drains in its own loop; a twin stepped one event at a time sees the same
+    # trace, over the harness's traffic and twenty more traffic seeds
+    def step_until_empty(kernel):
+        while kernel._queue:
+            kernel.step()
+
+    sizes = []
+    for traffic_seed in (99, *range(20)):
+        stepped, sent = random_traffic(step_until_empty, traffic_seed)
+        assert random_traffic(Kernel.run, traffic_seed) == (stepped, sent), traffic_seed
+        sizes.append(len(sent))
+    assert sum(sizes) > 200  # each chatter dies out on its own; together they send 255 messages
 
 
 def test_identical_seeds_replay_identical_traces():
