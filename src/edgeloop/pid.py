@@ -1,15 +1,16 @@
 """Classical PID baseline for the boiler.
 
 Two independent loops: water-level error drives the pump, pressure error
-drives the valve. Each loop is a textbook PID with a clamped integral
-(anti-windup) and saturated output; the continuous outputs are then
-snapped onto the plant's discrete actuator grid, as an action index.
+drives the valve. Each loop is a `PidLoop`, a textbook PID with a clamped
+integral (anti-windup) and saturated output, whose memory (integral, last
+error, first-update flag) changes in place on each update, so a step builds
+no object. The continuous outputs are then snapped onto the plant's discrete
+actuator grid, as an action index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .boiler import BoilerConfig, BoilerState
 from .simcore import CONTROL_PERIOD_S
@@ -33,30 +34,34 @@ class PidGains:
             raise ValueError("integral_limit must be positive")
 
 
-class PidState(NamedTuple):
-    integral: float = 0.0
-    prev_error: float = 0.0
-    initialized: bool = False
+class PidLoop:
+    """One loop's gains and memory; `update` runs one control period's step in place.
 
-
-def pid_step(
-    gains: PidGains, state: PidState, setpoint: float, measurement: float
-) -> tuple[float, PidState]:
-    """One controller update over one control period; returns (output, new state).
-
-    The derivative term is zero on the first call, and the integral is
+    The derivative term is zero on the first update, and the integral is
     clamped so saturation cannot wind it up.
     """
-    error = setpoint - measurement
-    integral = state.integral + error * CONTROL_PERIOD_S
-    # comparisons, not min()/max(), here and below: the same bits, no builtin call
-    lim = gains.integral_limit
-    integral = -lim if integral < -lim else (lim if integral > lim else integral)
-    derivative = 0.0 if not state.initialized else (error - state.prev_error) / CONTROL_PERIOD_S
-    output = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    lo, hi = gains.out_lo, gains.out_hi
-    output = lo if output < lo else (hi if output > hi else output)
-    return output, PidState(integral, error, True)
+
+    __slots__ = ("kp", "ki", "kd", "out_lo", "out_hi", "integral_limit", "integral", "prev_error", "initialized")
+
+    def __init__(self, gains: PidGains):
+        self.kp, self.ki, self.kd = gains.kp, gains.ki, gains.kd
+        self.out_lo, self.out_hi, self.integral_limit = gains.out_lo, gains.out_hi, gains.integral_limit
+        self.integral = self.prev_error = 0.0
+        self.initialized = False
+
+    def update(self, setpoint: float, measurement: float) -> float:
+        """Advance the memory by one measurement; returns the saturated output."""
+        error = setpoint - measurement
+        integral = self.integral + error * CONTROL_PERIOD_S
+        # comparisons, not min()/max(), here and below: the same bits, no builtin call
+        lim = self.integral_limit
+        self.integral = integral = -lim if integral < -lim else (lim if integral > lim else integral)
+        derivative = 0.0 if not self.initialized else (error - self.prev_error) / CONTROL_PERIOD_S
+        self.prev_error = error
+        self.initialized = True
+        output = self.kp * error + self.ki * integral + self.kd * derivative
+        lo, hi = self.out_lo, self.out_hi
+        return lo if output < lo else (hi if output > hi else output)
 
 
 def _quantize(u: float) -> int:
@@ -85,10 +90,8 @@ class BoilerPid:
 
     def __init__(self, config: BoilerConfig, level_gains: PidGains, pressure_gains: PidGains):
         self.config = config
-        self.level_gains = level_gains
-        self.pressure_gains = pressure_gains
-        self.level_state = PidState()
-        self.pressure_state = PidState()
+        self.level = PidLoop(level_gains)
+        self.pressure = PidLoop(pressure_gains)
 
     def decide(self, reading) -> int | None:
         """The action for a served experiment.Reading, or None on the episode's done reading."""
@@ -96,15 +99,8 @@ class BoilerPid:
 
     def act(self, state: BoilerState) -> int:
         cfg = self.config
-        level_out, self.level_state = pid_step(
-            self.level_gains, self.level_state, cfg.level_setpoint, state.water_level
-        )
-        pressure_out, self.pressure_state = pid_step(
-            self.pressure_gains,
-            self.pressure_state,
-            1.0,
-            state.pressure / cfg.pressure_setpoint_kpa,
-        )
+        level_out = self.level.update(cfg.level_setpoint, state.water_level)
+        pressure_out = self.pressure.update(1.0, state.pressure / cfg.pressure_setpoint_kpa)
         # above-setpoint pressure yields a negative loop output, opening the valve; the
         # grid saturates, so the inputs need no clamp to [0, 1]
         return pid_to_action(0.5 + level_out, 0.5 - pressure_out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,6 +150,33 @@ def reward(cfg, state, cmd):
     """The module docstring's reward of cmd from state: minus its cost and the motion cost."""
     motion = (cmd.pump_level - state.pump_pos) ** 2 + (cmd.valve_level - state.valve_pos) ** 2
     return -(state_cost(cfg, state) + cfg.w_action * motion)
+
+
+# -- PID loop ------------------------------------------------------------------
+
+
+class PidState(NamedTuple):
+    integral: float = 0.0
+    prev_error: float = 0.0
+    initialized: bool = False
+
+
+def pid_step(gains, state, setpoint, measurement):
+    """One textbook PID update over one control period; returns (output, new state).
+
+    The derivative term is zero on the first call, the integral is clamped to
+    +-integral_limit and the output to [out_lo, out_hi], each by comparisons
+    (min()/max()'s bits).
+    """
+    error = setpoint - measurement
+    integral = state.integral + error * CONTROL_PERIOD_S
+    lim = gains.integral_limit
+    integral = -lim if integral < -lim else (lim if integral > lim else integral)
+    derivative = 0.0 if not state.initialized else (error - state.prev_error) / CONTROL_PERIOD_S
+    output = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    lo, hi = gains.out_lo, gains.out_hi
+    output = lo if output < lo else (hi if output > hi else output)
+    return output, PidState(integral, error, True)
 
 
 # -- generalized assignment ----------------------------------------------------

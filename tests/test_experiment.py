@@ -24,7 +24,7 @@ from edgeloop.experiment import (
     run_seed,
     write_metrics,
 )
-from edgeloop.pid import BoilerPid, PidState
+from edgeloop.pid import BoilerPid
 from edgeloop.reporting import read_metrics
 
 import oracles
@@ -558,19 +558,25 @@ def test_learner_records_each_closed_transition_and_acts_on_each_open_reading(mo
 def test_each_episode_starts_its_pid_from_zero_loop_state(monkeypatch):
     # the default gains are proportional only, so the loop state moves no
     # outcome; an integral gain makes it carry from one reading to the next
-    first_states = {}  # controller -> the loop states of its first act
+    first_states = {}  # controller -> the memory of its loops at its first act
     act = BoilerPid.act
 
+    def memory(loop):
+        return loop.integral, loop.prev_error, loop.initialized
+
     def recorded(self, state):
-        first_states.setdefault(self, (self.level_state, self.pressure_state))
+        first_states.setdefault(self, (memory(self.level), memory(self.pressure)))
         return act(self, state)
 
     monkeypatch.setattr(BoilerPid, "act", recorded)
     cfg = pid_config(eval_episodes=3, max_steps=20, pid={"level": {"kp": 70.0, "ki": 0.5}})
     run_seed(cfg, 1, [])
     assert len(first_states) == 3
-    assert all(states == (PidState(), PidState()) for states in first_states.values())
-    assert all(ctl.level_state.integral != 0.0 for ctl in first_states)
+    assert all(states == ((0.0, 0.0, False),) * 2 for states in first_states.values())
+    assert all(ctl.level.integral != 0.0 for ctl in first_states)
+    # no loop object is shared between episodes, or between an episode's two loops
+    loops = [loop for ctl in first_states for loop in (ctl.level, ctl.pressure)]
+    assert len({id(loop) for loop in loops}) == 6
 
 
 # -- disturbance wiring -----------------------------------------------------------------------

@@ -1,27 +1,61 @@
 import ast
 import collections
+import dataclasses
 import importlib
 import importlib.util
+import json
+import sys
 import tomllib
 from pathlib import Path
 
-from edgeloop import experiment
+import pytest
+
+from edgeloop import config, experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+BENCHMARK_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def load_benchmark_module(name, path):
+    """A module of the benchmark, executed from its file; the benchmark tree is only read."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up while it is built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these from outside the package, by name
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_benchmark_module("perfbench_tracing", TRACING)
     for _, module_name, owner, attr in tracing.TRACED:
         target = importlib.import_module(f"edgeloop.{module_name}")
         if owner is not None:
             target = getattr(target, owner)
         assert callable(getattr(target, attr)), (module_name, owner, attr)
     assert callable(experiment.load_disturbance)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_benchmark_workload_inputs_load_and_run(tmp_path, name):
+    # the benchmark's generated config and trace must stay valid inputs: load them
+    # as its runs do, then run the first seed for 20 steps an episode
+    workloads = load_benchmark_module("perfbench_workloads", WORKLOADS)
+    workload = workloads.build(name, 1, tmp_path)
+    cfg = config.load_config(workload.config_path)
+    assert cfg.seeds == workload.seeds
+    assert (cfg.episodes, cfg.eval_episodes) == (workload.train_episodes, workload.eval_episodes)
+    assert cfg.steps_per_episode == workload.steps_per_episode
+    disturbance = experiment.load_disturbance(cfg)
+    result = experiment.run_seed(dataclasses.replace(cfg, max_steps=20), cfg.seeds[0], disturbance)
+    assert not result.diverged
+    assert len(result.records) == cfg.episodes + cfg.eval_episodes
+    assert all(0 < r.uninterrupted_steps <= 20 for r in result.records)
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from edgeloop import boiler, pid
 from edgeloop.boiler import ActuatorCommand, BoilerConfig
 from edgeloop.config import PidConfig
-from edgeloop.pid import BoilerPid, PidGains, PidState, pid_step, pid_to_action
+from edgeloop.pid import BoilerPid, PidGains, PidLoop, pid_to_action
 
 import oracles
 
@@ -26,63 +26,57 @@ def wide(kp=1.0, ki=0.0, kd=0.0, integral_limit=1000.0):
 # -- the controller law ---------------------------------------------------------
 
 
+def memory(loop):
+    return oracles.PidState(loop.integral, loop.prev_error, loop.initialized)
+
+
 def test_zero_error_gives_zero_output():
-    out, state = pid_step(wide(kp=5.0, ki=0.0, kd=3.0), PidState(), 0.5, 0.5)
-    assert out == 0.0
-    out, _ = pid_step(wide(kp=5.0, kd=3.0), state, 0.5, 0.5)
-    assert out == 0.0
+    loop = PidLoop(wide(kp=5.0, ki=0.0, kd=3.0))
+    assert loop.update(0.5, 0.5) == 0.0
+    assert loop.update(0.5, 0.5) == 0.0
 
 
 def test_pure_proportional_example():
-    out, _ = pid_step(wide(kp=2.0), PidState(), 1.0, 0.7)
-    assert out == pytest.approx(0.6)
+    assert PidLoop(wide(kp=2.0)).update(1.0, 0.7) == pytest.approx(0.6)
 
 
 def test_zero_gains_always_output_zero():
-    gains = wide(kp=0.0, ki=0.0, kd=0.0)
-    state = PidState()
+    loop = PidLoop(wide(kp=0.0, ki=0.0, kd=0.0))
     for measurement in np.linspace(-5.0, 5.0, 21):
-        out, state = pid_step(gains, state, 0.0, float(measurement))
-        assert out == 0.0
+        assert loop.update(0.0, float(measurement)) == 0.0
 
 
 def test_integral_accumulates_and_clamps():
-    gains = wide(kp=0.0, ki=1.0, integral_limit=12.5)
-    state = PidState()
+    loop = PidLoop(wide(kp=0.0, ki=1.0, integral_limit=12.5))
     outputs = []
     for _ in range(10):
-        out, state = pid_step(gains, state, 1.0, 0.0)
-        outputs.append(out)
-        assert abs(state.integral) <= 12.5
+        outputs.append(loop.update(1.0, 0.0))
+        assert abs(loop.integral) <= 12.5
     # a unit error over the 5 s period ramps the integral 5, 10, then pins it at the clamp
     assert outputs[:4] == [5.0, 10.0, 12.5, 12.5]
 
 
 def test_derivative_is_zero_on_first_call():
-    gains = wide(kp=0.0, kd=100.0)
-    out, state = pid_step(gains, PidState(), 1.0, 0.0)
-    assert out == 0.0
-    out, _ = pid_step(gains, state, 1.0, 0.5)
-    assert out == pytest.approx(100.0 * (0.5 - 1.0) / 5.0)  # error change over the 5 s period
+    loop = PidLoop(wide(kp=0.0, kd=100.0))
+    assert memory(loop) == oracles.PidState()
+    assert loop.update(1.0, 0.0) == 0.0
+    assert memory(loop) == (5.0, 1.0, True)  # the integral runs at ki 0 too
+    assert loop.update(1.0, 0.5) == pytest.approx(100.0 * (0.5 - 1.0) / 5.0)  # change over the 5 s period
 
 
 def test_output_saturates_at_limits():
     gains = PidGains(kp=100.0, out_lo=-0.5, out_hi=0.5, integral_limit=1.0)
-    out, _ = pid_step(gains, PidState(), 1.0, 0.0)
-    assert out == 0.5
-    out, _ = pid_step(gains, PidState(), 0.0, 1.0)
-    assert out == -0.5
+    assert PidLoop(gains).update(1.0, 0.0) == 0.5
+    assert PidLoop(gains).update(0.0, 1.0) == -0.5
 
 
 def test_saturation_does_not_wind_up_the_integral():
-    gains = PidGains(kp=0.0, ki=10.0, out_lo=-0.5, out_hi=0.5, integral_limit=0.2)
-    state = PidState()
+    loop = PidLoop(PidGains(kp=0.0, ki=10.0, out_lo=-0.5, out_hi=0.5, integral_limit=0.2))
     for _ in range(50):
-        out, state = pid_step(gains, state, 1.0, 0.0)
-    assert state.integral == 0.2
+        loop.update(1.0, 0.0)
+    assert loop.integral == 0.2
     # reversing the error unwinds promptly instead of fighting stored windup
-    out, state = pid_step(gains, state, 0.0, 1.0)
-    assert out < 0.5
+    assert loop.update(0.0, 1.0) < 0.5
 
 
 def test_pid_step_is_deterministic():
@@ -90,12 +84,8 @@ def test_pid_step_is_deterministic():
     measurements = list(np.linspace(0.0, 1.0, 30))
 
     def run():
-        state = PidState()
-        outs = []
-        for m in measurements:
-            out, state = pid_step(gains, state, 0.5, m)
-            outs.append(out)
-        return outs
+        loop = PidLoop(gains)
+        return [loop.update(0.5, m) for m in measurements], memory(loop)
 
     assert run() == run()
 
@@ -215,12 +205,49 @@ def test_pid_step_clamps_give_min_max_bits(x, lo, hi, limit):
     # error -0.0 and a -0.0 derivative leave x unchanged on its way into each clamp
     if not lo < hi:
         lo, hi = -math.inf, math.inf
-    _, state = pid_step(PidGains(kp=0.0, ki=0.0, integral_limit=limit), PidState(x, 0.0, False), -0.0, 0.0)
-    assert same_bits(state.integral, min(max(x, -limit), limit))
-    gains = PidGains(kp=0.0, ki=1.0, out_lo=lo, out_hi=hi, integral_limit=math.inf)
-    out, state = pid_step(gains, PidState(x, 0.0, True), -0.0, 0.0)
-    assert same_bits(state.integral, x)
+    loop = PidLoop(PidGains(kp=0.0, ki=0.0, integral_limit=limit))
+    loop.integral = x
+    loop.update(-0.0, 0.0)
+    assert same_bits(loop.integral, min(max(x, -limit), limit))
+    loop = PidLoop(PidGains(kp=0.0, ki=1.0, out_lo=lo, out_hi=hi, integral_limit=math.inf))
+    loop.integral, loop.initialized = x, True
+    out = loop.update(-0.0, 0.0)
+    assert same_bits(loop.integral, x)
     assert same_bits(out, min(max(x, lo), hi))
+
+
+# magnitudes where the clamps bite: gains up to 50 on errors up to 4
+GAIN = st.floats(min_value=0.0, max_value=50.0)
+SIGNAL = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@st.composite
+def loops_and_inputs(draw):
+    """Gains, tight or loose limits, and a sequence of (setpoint, measurement) pairs."""
+    lo = draw(st.floats(min_value=-5.0, max_value=0.0))
+    gains = PidGains(
+        kp=draw(GAIN), ki=draw(GAIN), kd=draw(GAIN),
+        out_lo=lo, out_hi=lo + draw(st.floats(min_value=0.01, max_value=10.0)),
+        integral_limit=draw(st.floats(min_value=1e-3, max_value=20.0)),
+    )
+    return gains, draw(st.lists(st.tuples(SIGNAL, SIGNAL), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(loops_and_inputs())
+@example((PidGains(kp=0.0, ki=3.0, kd=7.0, out_lo=-0.1, out_hi=0.1, integral_limit=0.01),
+          [(1.0, -1.0), (-1.0, 1.0), (0.0, 0.0), (2.0, -2.0)]))
+@example((TUNED.level, [(0.5, 0.35), (0.5, 0.9), (0.5, 0.5)]))
+def test_pid_loop_updates_its_memory_as_the_reference_law_does(drawn):
+    # outputs and memory compared as the bytes of each float after every update
+    gains, inputs = drawn
+    loop, state = PidLoop(gains), oracles.PidState()
+    for setpoint, measurement in inputs:
+        expected, state = oracles.pid_step(gains, state, setpoint, measurement)
+        out = loop.update(setpoint, measurement)
+        assert same_bits(out, expected)
+        assert all(map(same_bits, memory(loop)[:2], state[:2])) and loop.initialized is state.initialized
+        assert type(out) is float
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -234,7 +261,7 @@ def test_boiler_pid_acts_on_the_clamped_loop_outputs(level_out, pressure_out):
     # act passes the unclamped pair to pid_to_action: its grid must already saturate
     outputs = iter([level_out, pressure_out])
     cfg = BoilerConfig()
-    with mock.patch.object(pid, "pid_step", lambda gains, state, *_: (next(outputs), state)):
+    with mock.patch.object(pid.PidLoop, "update", lambda loop, *_: next(outputs)):
         action = BoilerPid(cfg, TUNED.level, TUNED.pressure).act(boiler.nominal_state(cfg))
     pump_u = min(max(0.5 + level_out, 0.0), 1.0)
     valve_u = min(max(0.5 - pressure_out, 0.0), 1.0)
