@@ -25,6 +25,10 @@ Update equations (dt in seconds, applied once per control period):
 Process noise enters only through the inlet temperature so the water mass
 balance stays exact. The caller draws it (normal, inlet_noise_std_c) and
 passes each step's value in, so step() itself draws nothing.
+
+oracle_action is the reference action that action accuracy is scored
+against: a one-step lookahead through landed and cost, in step()'s float
+order, so its values have the bits plant steps give.
 """
 
 from __future__ import annotations
@@ -255,6 +259,43 @@ def step(
     if failed:
         r -= config.failure_penalty
     return BoilerState(inlet, outlet, level, pressure, pump, valve), r, failed
+
+
+def oracle_action(config: BoilerConfig, state: BoilerState, gamma: float) -> int:
+    """Reference action: best immediate reward plus discounted greedy value.
+
+    A one-step lookahead over the 9 commands under the noise-free plant. A
+    command's value is its reward plus gamma times the best reward from the
+    landed state, which holding the command earns (no motion, so it is minus
+    the landed state's cost), or minus the failure penalty if it fails. Ties
+    go to the lowest index. Each command is landed by landed() and each
+    state costed by cost(), as step() and the episode do, in step()'s float
+    order, so every value has the bits nine plant steps give. A command whose
+    reward is no more than the best value so far is not landed: with
+    gamma > 0 and costs >= 0, its value cannot exceed its reward.
+    """
+    envelope = config.envelope
+    level, pressure, outlet = state.water_level, state.pressure, state.outlet_temp
+    if envelope.violates(level, pressure, outlet):
+        return 0  # every command fails alike from a failed state, so all nine tie
+    state_cost = cost(config, *setpoint_deviations(config, level, pressure, outlet))
+    best_action = 0
+    best_value = -math.inf
+    for a, cmd in enumerate(COMMANDS):
+        pump, valve = cmd.pump_level, cmd.valve_level
+        r = -(state_cost + config.w_action * ((pump - state.pump_pos) ** 2 + (valve - state.valve_pos) ** 2))
+        if r <= best_value:
+            continue  # the value is r less a non-negative term, so it cannot beat the best
+        level, pressure, outlet = landed(config, state, pump, valve)
+        if envelope.violates(level, pressure, outlet):
+            value = (r - config.failure_penalty) + gamma * -config.failure_penalty
+        else:
+            landed_cost = cost(config, *setpoint_deviations(config, level, pressure, outlet))
+            value = r + gamma * -landed_cost
+        if value > best_value:
+            best_value = value
+            best_action = a
+    return best_action
 
 
 def state_features(config: BoilerConfig, state: BoilerState) -> tuple[float, ...]:

@@ -16,7 +16,7 @@ import sys
 
 from . import allocator, reporting
 from .config import CONTROLLERS, SCENARIOS, ConfigError, load_config
-from .experiment import mean, phase_records, run_experiment
+from .experiment import run_experiment
 from .traces import TraceError
 
 
@@ -74,10 +74,10 @@ def _cmd_run(args) -> int:
         res = result.results[seed]
         d = res.divergence
         note = f" DIVERGED in {d.phase} episode {d.episode} at step {d.step}: {d.message}" if d else ""
-        evals = phase_records(res.records, "eval")
+        evals = reporting.phase_records(res.records, "eval")
         tail = ""
         if evals:
-            tail = f" eval_reward={mean([r.cumulative_reward for r in evals]):.2f}"
+            tail = f" eval_reward={reporting.mean([r.cumulative_reward for r in evals]):.2f}"
         print(
             f"seed {seed}: {len(res.records)} episodes"
             f" -> {result.metrics_paths[seed]}{tail}{note}"
@@ -87,8 +87,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    a = phase_records(reporting.read_metrics(args.metrics_a), args.phase)
-    b = phase_records(reporting.read_metrics(args.metrics_b), args.phase)
+    a = reporting.phase_records(reporting.read_metrics(args.metrics_a), args.phase)
+    b = reporting.phase_records(reporting.read_metrics(args.metrics_b), args.phase)
     if not a or not b:
         print("no records matched", file=sys.stderr)
         return 1
@@ -113,7 +113,7 @@ def _cmd_alloc(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    records = phase_records(reporting.read_metrics(args.metrics), args.phase)
+    records = reporting.phase_records(reporting.read_metrics(args.metrics), args.phase)
     if not records:
         print("no records matched", file=sys.stderr)
         return 1

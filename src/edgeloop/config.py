@@ -238,7 +238,7 @@ def load_config(path) -> RunConfig:
     data = None
     if path is not None:
         try:
-            f = open(path)
+            f = open(path, "rb")  # yaml decodes it, and a bad byte is a YAMLError
         except OSError as exc:
             raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
         with f:

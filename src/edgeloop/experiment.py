@@ -26,10 +26,7 @@ seed order, so the files are the same bytes for any number of workers.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
-import json
-import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,9 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import allocator, boiler, dqn, traces
-from .boiler import COMMANDS, ActuatorCommand, BoilerState
+from .boiler import COMMANDS, ActuatorCommand, BoilerState, oracle_action
 from .config import ConfigError, RunConfig
 from .pid import BoilerPid
+from .reporting import MetricsRecord, percentile, write_metrics, write_summary
 from .simcore import CHUNK, CONTROL_PERIOD_MS, Kernel, delay_range
 
 CLOUD_NODE = 0
@@ -80,26 +78,6 @@ class Report(NamedTuple):
     load: float
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Per-episode aggregates, one JSONL row."""
-
-    seed: int
-    scenario: str
-    controller: str
-    phase: str
-    episode: int
-    uninterrupted_steps: int
-    failure_count: int
-    cumulative_reward: float
-    mean_latency_ms: float
-    p95_latency_ms: float
-    latency_samples: int
-    control_loss: float
-    action_accuracy: float
-    utilization: float
-
-
 class Divergence(NamedTuple):
     """Where a seed's learner diverged, and the DivergenceError's message."""
 
@@ -115,69 +93,12 @@ class SeedResult:
     records: list[MetricsRecord]
     divergence: Divergence | None = None  # None when the seed ran to the end
 
-    @property
-    def diverged(self) -> bool:
-        return self.divergence is not None
-
 
 @dataclass
 class RunResult:
     results: dict[int, SeedResult]
     metrics_paths: dict[int, str]
     summary_path: str
-
-
-def phase_records(records: list[MetricsRecord], phase: str | None) -> list[MetricsRecord]:
-    """The records of one phase, or all of them when phase is None."""
-    return [r for r in records if phase is None or r.phase == phase]
-
-
-def mean(values) -> float:
-    return sum(values) / len(values)
-
-
-def oracle_action(cfg: boiler.BoilerConfig, state: BoilerState, gamma: float) -> int:
-    """Reference action: best immediate reward plus discounted greedy value.
-
-    A one-step lookahead over the 9 commands under the noise-free plant. A
-    command's value is its reward plus gamma times the best reward from the
-    landed state, which holding the command earns (no motion, so it is minus
-    the landed state's cost), or minus the failure penalty if it fails. Ties
-    go to the lowest index. Each command is landed by boiler.landed and each
-    state costed by boiler.cost, as boiler.step and the episode do, in
-    boiler.step's float order, so every value has the bits nine plant steps
-    give. A command whose reward is no more than the best value so far is
-    not landed: with gamma > 0 and costs >= 0, its value cannot exceed its
-    reward.
-    """
-    envelope = cfg.envelope
-    level, pressure, outlet = state.water_level, state.pressure, state.outlet_temp
-    if envelope.violates(level, pressure, outlet):
-        return 0  # every command fails alike from a failed state, so all nine tie
-    cost = boiler.cost(cfg, *boiler.setpoint_deviations(cfg, level, pressure, outlet))
-    best_action = 0
-    best_value = -math.inf
-    for a, cmd in enumerate(COMMANDS):
-        pump, valve = cmd.pump_level, cmd.valve_level
-        r = -(cost + cfg.w_action * ((pump - state.pump_pos) ** 2 + (valve - state.valve_pos) ** 2))
-        if r <= best_value:
-            continue  # the value is r less a non-negative term, so it cannot beat the best
-        level, pressure, outlet = boiler.landed(cfg, state, pump, valve)
-        if envelope.violates(level, pressure, outlet):
-            value = (r - cfg.failure_penalty) + gamma * -cfg.failure_penalty
-        else:
-            landed_cost = boiler.cost(cfg, *boiler.setpoint_deviations(cfg, level, pressure, outlet))
-            value = r + gamma * -landed_cost
-        if value > best_value:
-            best_value = value
-            best_action = a
-    return best_action
-
-
-def _percentile(sorted_values: list[int], fraction: float) -> float:
-    # nearest-rank percentile on a pre-sorted list
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return float(sorted_values[rank - 1])
 
 
 def load_disturbance(config: RunConfig) -> list[float]:
@@ -371,7 +292,7 @@ class _Episode:
             failure_count=1 if self.failed else 0,
             cumulative_reward=self.cumulative_reward,
             mean_latency_ms=sum(ordered) / len(ordered) if ordered else 0.0,
-            p95_latency_ms=_percentile(ordered, 0.95) if ordered else 0.0,
+            p95_latency_ms=percentile(ordered, 0.95) if ordered else 0.0,
             latency_samples=len(ordered),
             control_loss=self.loss_sum / self.steps,
             action_accuracy=self.acc_hits / self.acc_n if self.acc_n else 0.0,
@@ -503,53 +424,6 @@ def run_seed(cfg: RunConfig, seed: int, disturbance: list[float]) -> SeedResult:
 
 def metrics_filename(cfg: RunConfig, seed: int) -> str:
     return f"metrics_{cfg.scenario}_{cfg.controller}_seed{seed}.jsonl"
-
-
-def write_metrics(records: list[MetricsRecord], path) -> None:
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(dataclasses.asdict(rec)) + "\n")
-
-
-def write_summary(results: dict[int, SeedResult], cfg: RunConfig, path) -> None:
-    """Run-level CSV: one row per seed."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            [
-                "seed",
-                "scenario",
-                "controller",
-                "diverged",
-                "train_episodes",
-                "eval_episodes",
-                "train_reward_mean",
-                "eval_reward_mean",
-                "total_failures",
-                "mean_latency_ms",
-            ]
-        )
-        for seed in sorted(results):
-            res = results[seed]
-            train = phase_records(res.records, "train")
-            evals = phase_records(res.records, "eval")
-            all_recs = res.records
-            writer.writerow(
-                [
-                    seed,
-                    cfg.scenario,
-                    cfg.controller,
-                    int(res.diverged),
-                    len(train),
-                    len(evals),
-                    repr(mean([r.cumulative_reward for r in train])) if train else "",
-                    repr(mean([r.cumulative_reward for r in evals])) if evals else "",
-                    sum(r.failure_count for r in all_recs),
-                    repr(mean([r.mean_latency_ms for r in all_recs])) if all_recs else "",
-                ]
-            )
 
 
 def _seed_worker(cfg: RunConfig, seed: int, disturbance: list[float], conn, parent: int) -> None:

@@ -1,12 +1,14 @@
-"""Metrics post-processing: JSONL loading, run comparison, plot series."""
+"""The metrics schema: the per-episode record, its JSONL writer and checked
+reader, the run's summary.csv, run comparison and plot series."""
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import asdict, dataclass, fields
 
-from .experiment import MetricsRecord, mean
+from .config import RunConfig
 
 # metric name and which direction counts as an improvement
 COMPARED_METRICS = [
@@ -24,6 +26,86 @@ MOVING_AVERAGE_WINDOW = 50
 
 # the values a MetricsRecord field's annotation admits; a bool is never one
 FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+@dataclass(frozen=True)
+class MetricsRecord:
+    """Per-episode aggregates, one JSONL row."""
+
+    seed: int
+    scenario: str
+    controller: str
+    phase: str
+    episode: int
+    uninterrupted_steps: int
+    failure_count: int
+    cumulative_reward: float
+    mean_latency_ms: float
+    p95_latency_ms: float
+    latency_samples: int
+    control_loss: float
+    action_accuracy: float
+    utilization: float
+
+
+def phase_records(records: list[MetricsRecord], phase: str | None) -> list[MetricsRecord]:
+    """The records of one phase, or all of them when phase is None."""
+    return [r for r in records if phase is None or r.phase == phase]
+
+
+def mean(values) -> float:
+    return sum(values) / len(values)
+
+
+def percentile(sorted_values: list[int], fraction: float) -> float:
+    # nearest-rank percentile on a pre-sorted list
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return float(sorted_values[rank - 1])
+
+
+def write_metrics(records: list[MetricsRecord], path) -> None:
+    with open(path, "w") as f:
+        for rec in records:
+            f.write(json.dumps(asdict(rec)) + "\n")
+
+
+def write_summary(results: dict, cfg: RunConfig, path) -> None:
+    """Run-level CSV: one row per seed, from each seed's result's .records and .divergence."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            [
+                "seed",
+                "scenario",
+                "controller",
+                "diverged",
+                "train_episodes",
+                "eval_episodes",
+                "train_reward_mean",
+                "eval_reward_mean",
+                "total_failures",
+                "mean_latency_ms",
+            ]
+        )
+        for seed in sorted(results):
+            res = results[seed]
+            train = phase_records(res.records, "train")
+            evals = phase_records(res.records, "eval")
+            all_recs = res.records
+            writer.writerow(
+                [
+                    seed,
+                    cfg.scenario,
+                    cfg.controller,
+                    int(res.divergence is not None),
+                    len(train),
+                    len(evals),
+                    repr(mean([r.cumulative_reward for r in train])) if train else "",
+                    repr(mean([r.cumulative_reward for r in evals])) if evals else "",
+                    sum(r.failure_count for r in all_recs),
+                    repr(mean([r.mean_latency_ms for r in all_recs])) if all_recs else "",
+                ]
+            )
 
 
 class MetricsError(ValueError):

@@ -11,6 +11,7 @@ one source period, inferred from its last timestamp gap.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Iterator
 from itertools import repeat
@@ -35,52 +36,48 @@ def ingest_trace(path) -> dict[str, Samples]:
     per-sensor timestamps that fail to strictly increase, naming the file line.
     """
     try:
-        f = open(path, newline="")
+        with open(path, encoding="utf-8", newline="") as f:
+            text = f.read()
     except OSError as exc:
         raise TraceError(f"{path}: {exc.strerror or exc}") from exc
-    with f:
-        reader = csv.reader(f)
+    except UnicodeDecodeError as exc:  # a ValueError: the file is readable, its bytes are not text
+        raise TraceError(f"{path}: not UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceError(f"{path}: missing header row") from None
+    if [h.strip() for h in header] != EXPECTED_HEADER:
+        raise TraceError(f"{path} line 1: expected header {','.join(EXPECTED_HEADER)}")
+    sensors: dict[str, Samples] = {}
+    for line_no, raw in enumerate(reader, start=2):
+        if not raw:
+            continue
+        if len(raw) != 4:
+            raise TraceError(f"{path} line {line_no}: expected 4 columns, got {len(raw)}")
+        ts_text, sensor_id, value_text, unit = (c.strip() for c in raw)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: missing header row") from None
-        if [h.strip() for h in header] != EXPECTED_HEADER:
+            timestamp = int(ts_text)
+        except ValueError:
+            raise TraceError(f"{path} line {line_no}: timestamp {ts_text!r} is not an integer") from None
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise TraceError(f"{path} line {line_no}: value {value_text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise TraceError(f"{path} line {line_no}: value {value_text!r} is not finite")
+        if unit not in KNOWN_UNITS:
             raise TraceError(
-                f"{path} line 1: expected header {','.join(EXPECTED_HEADER)}"
+                f"{path} line {line_no}: unknown unit {unit!r} "
+                f"(known: {', '.join(sorted(KNOWN_UNITS))})"
             )
-        sensors: dict[str, Samples] = {}
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != 4:
-                raise TraceError(f"{path} line {line_no}: expected 4 columns, got {len(raw)}")
-            ts_text, sensor_id, value_text, unit = (c.strip() for c in raw)
-            try:
-                timestamp = int(ts_text)
-            except ValueError:
-                raise TraceError(
-                    f"{path} line {line_no}: timestamp {ts_text!r} is not an integer"
-                ) from None
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise TraceError(
-                    f"{path} line {line_no}: value {value_text!r} is not a number"
-                ) from None
-            if not math.isfinite(value):
-                raise TraceError(f"{path} line {line_no}: value {value_text!r} is not finite")
-            if unit not in KNOWN_UNITS:
-                raise TraceError(
-                    f"{path} line {line_no}: unknown unit {unit!r} "
-                    f"(known: {', '.join(sorted(KNOWN_UNITS))})"
-                )
-            samples = sensors.setdefault(sensor_id, [])
-            if samples and timestamp <= samples[-1][0]:
-                raise TraceError(
-                    f"{path} line {line_no}: timestamp {timestamp} for sensor "
-                    f"{sensor_id!r} does not increase (previous {samples[-1][0]})"
-                )
-            samples.append((timestamp, value))
+        samples = sensors.setdefault(sensor_id, [])
+        if samples and timestamp <= samples[-1][0]:
+            raise TraceError(
+                f"{path} line {line_no}: timestamp {timestamp} for sensor "
+                f"{sensor_id!r} does not increase (previous {samples[-1][0]})"
+            )
+        samples.append((timestamp, value))
     return sensors
 
 

@@ -176,7 +176,7 @@ def test_criterion_4_training_improves_reward(training_suite):
     details = []
     for seed in sorted(training_suite["drl"]):
         result = training_suite["drl"][seed]
-        if result.diverged:
+        if result.divergence is not None:
             failures.append(f"seed {seed}: diverged")
             continue
         train = [r.cumulative_reward for r in result.records if r.phase == "train"]

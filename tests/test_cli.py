@@ -317,16 +317,18 @@ def test_unknown_command_is_rejected():
         ("plant: {outlet_setpoint_c: 700.0}\n", [], "plant: outlet_setpoint_c must be <= 600.0"),
         ("latency: {jitter: 0.9, cloud_uplink_ms: 3000000000}\n", [],
          "latency: cloud_uplink_ms must be >= 1 ms and < 2**31 ms"),
+        (b"# caf\xff\nseeds: [1]\n", [], "invalid YAML: unacceptable character #x00ff"),
     ],
     ids=["override-repeated-seed", "override-empty-seeds", "override-negative-episodes",
          "file-warmup-past-buffer", "file-repeated-seed", "file-bad-yaml",
-         "file-level-setpoint-past-1", "file-outlet-setpoint-past-600", "file-uplink-past-2-31-ms"],
+         "file-level-setpoint-past-1", "file-outlet-setpoint-past-600", "file-uplink-past-2-31-ms",
+         "not-utf-8"],
 )
 def test_config_errors_print_one_line_and_return_2(tmp_path, capsys, config_text, flags, names):
     argv = ["run", "--out", str(tmp_path / "out"), *flags]
     if config_text is not None:
         path = tmp_path / "run.yaml"
-        path.write_text(config_text)
+        path.write_bytes(config_text if isinstance(config_text, bytes) else config_text.encode())
         argv += ["--config", str(path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -357,19 +359,21 @@ def one_error_line(capsys):
         # a header-only trace has no rows for any sensor, named or not
         ("", "inlet", "config", "trace_file has no rows: "),
         ("", None, "config", "trace_file has no rows: "),
+        (b"0,inlet\xff,100.0,C\n", "inlet", "trace", "not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=["unknown-unit", "sensor-without-rows", "nan-value", "infinite-value",
-         "empty-trace-named-sensor", "empty-trace"],
+         "empty-trace-named-sensor", "empty-trace", "not-utf-8"],
 )
 def test_trace_errors_print_one_line_and_return_2(tmp_path, capsys, rows, sensor, kind, names):
     trace = tmp_path / "trace.csv"
-    trace.write_text("timestamp,sensor_id,value,unit\n" + rows)
+    trace.write_bytes(b"timestamp,sensor_id,value,unit\n" + (rows if isinstance(rows, bytes) else rows.encode()))
     path = tmp_path / "run.yaml"
     path.write_text(f"trace_file: {json.dumps(str(trace))}\ntrace_sensor: {json.dumps(sensor)}\n"
                     "trace_disturbance_scale: 1.0\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     line = one_error_line(capsys)
     assert line.startswith(f"edgeloop: {kind}: ") and names in line, line
+    assert kind == "config" or line.startswith(f"edgeloop: trace: {trace}"), line
     assert not (tmp_path / "out").exists()
 
 

@@ -13,19 +13,11 @@ import pytest
 
 import edgeloop
 from edgeloop import allocator, boiler, dqn, experiment, simcore
-from edgeloop.boiler import ActuatorCommand
+from edgeloop.boiler import ActuatorCommand, oracle_action
 from edgeloop.config import config_from_dict, load_config
-from edgeloop.experiment import (
-    _percentile,
-    load_disturbance,
-    metrics_filename,
-    oracle_action,
-    run_experiment,
-    run_seed,
-    write_metrics,
-)
+from edgeloop.experiment import load_disturbance, metrics_filename, run_experiment, run_seed
 from edgeloop.pid import BoilerPid
-from edgeloop.reporting import read_metrics
+from edgeloop.reporting import MetricsRecord, percentile, read_metrics, write_metrics
 
 import oracles
 
@@ -120,9 +112,9 @@ def test_oracle_action_avoids_certain_failure():
 
 def test_percentile_is_nearest_rank():
     values = list(range(1, 101))
-    assert _percentile(values, 0.95) == 95.0
-    assert _percentile([7], 0.95) == 7.0
-    assert _percentile([1, 2], 0.5) == 1.0
+    assert percentile(values, 0.95) == 95.0
+    assert percentile([7], 0.95) == 7.0
+    assert percentile([1, 2], 0.5) == 1.0
 
 
 # -- latency bookkeeping ----------------------------------------------------------------
@@ -258,7 +250,7 @@ def test_drl_run_is_reproducible_and_trains():
     a = run_seed(cfg, 2, [])
     b = run_seed(cfg, 2, [])
     assert a.records == b.records
-    assert not a.diverged
+    assert a.divergence is None
     assert [r.phase for r in a.records] == ["train", "train", "eval"]
 
 
@@ -655,7 +647,7 @@ def test_metrics_round_trip_and_filenames(tmp_path):
     write_metrics(result.records, path)
     loaded = read_metrics(path)
     assert loaded == result.records
-    assert experiment.MetricsRecord(**dataclasses.asdict(result.records[0])) == result.records[0]
+    assert MetricsRecord(**dataclasses.asdict(result.records[0])) == result.records[0]
 
 
 def test_run_experiment_writes_files_per_seed(tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from edgeloop import config, experiment
+from edgeloop import cli, config, experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -41,6 +41,40 @@ def test_benchmark_traced_names_resolve():
     assert callable(experiment.load_disturbance)
 
 
+def test_benchmark_traced_names_are_on_the_run_path(tmp_path, monkeypatch):
+    # a traced name the run stops calling (a call routed round the module the
+    # benchmark wraps) reads 0 in the benchmark without failing it; wrap each
+    # as tracing.install does and run every workload's first seed briefly
+    tracing = load_benchmark_module("perfbench_tracing", TRACING)
+    workloads = load_benchmark_module("perfbench_workloads", WORKLOADS)
+    called = set()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, module_name, owner, attr in tracing.TRACED:
+        target = importlib.import_module(f"edgeloop.{module_name}")
+        if owner is not None:
+            target = getattr(target, owner)
+        monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
+    for name in BENCHMARK_WORKLOADS:
+        work = tmp_path / name
+        work.mkdir()
+        path = workloads.build(name, 1, work).config_path
+        data = json.loads(path.read_text())
+        # training starts at the first full batch, so the learner's layers run in 20 steps
+        warmup = config.load_config(path).agent.batch_size
+        data.update(max_steps=20, seeds=data["seeds"][:1], agent={**data.get("agent", {}), "warmup": warmup})
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path), "--out", str(work / "out")]) == 0
+    # Kernel.run dispatches events itself and no longer calls Kernel.step
+    assert called == {name for name, *_ in tracing.TRACED} - {"simcore.Kernel.step"}
+
+
 @pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
 def test_benchmark_workload_inputs_load_and_run(tmp_path, name):
     # the benchmark's generated config and trace must stay valid inputs: load them
@@ -53,9 +87,24 @@ def test_benchmark_workload_inputs_load_and_run(tmp_path, name):
     assert cfg.steps_per_episode == workload.steps_per_episode
     disturbance = experiment.load_disturbance(cfg)
     result = experiment.run_seed(dataclasses.replace(cfg, max_steps=20), cfg.seeds[0], disturbance)
-    assert not result.diverged
+    assert result.divergence is None
     assert len(result.records) == cfg.episodes + cfg.eval_episodes
     assert all(0 < r.uninterrupted_steps <= 20 for r in result.records)
+
+
+def test_reporting_imports_nothing_from_experiment():
+    # the metrics schema sits below the run: experiment imports reporting, never the reverse
+    tree = ast.parse((ROOT / "src" / "edgeloop" / "reporting.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [ast.unparse(node) for path in paths if "experiment" in path.split(".")]
+    assert found == []
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

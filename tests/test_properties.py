@@ -20,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeloop import boiler, experiment
+from edgeloop.boiler import oracle_action
 from edgeloop.config import ConfigError, config_from_dict
-from edgeloop.experiment import oracle_action, run_experiment, run_seed
+from edgeloop.experiment import run_experiment, run_seed
 
 import oracles
 

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import oracles
-from edgeloop.experiment import MetricsRecord, write_metrics
 from edgeloop.reporting import (
     COMPARED_METRICS,
     MOVING_AVERAGE_WINDOW,
+    MetricsRecord,
     compare,
     emit_plot_data,
     plot_series,
     read_metrics,
     render_table,
+    write_metrics,
 )
 
 
