@@ -8,6 +8,16 @@ affordable; a greedy heuristic covers anything larger. The scores do not
 depend on load, so prepare builds them once per instance and the solvers
 take them with the current headrooms.
 
+A re-solve usually meets headrooms it has met before. The exact search reads
+a headroom h only through comparisons before + load <= h + CAPACITY_SLACK,
+where before + load is always one subset of the module loads summed in
+module order from 0.0. prepare sorts all 2^m - 1 such sums, duplicates kept,
+and solve keys each call by how many of them fit under each server's limit:
+two headroom lists with equal keys take every branch alike, so they get the
+same plan and the same objective bits, and solve_exact runs once per key.
+The table holds 2^m - 1 floats; the enumeration guard bounds m by 23 (one
+server), 64 MiB. Instances past the guard get no table and go to greedy.
+
 A plan is the choice vector both solvers build, one resource index (or -1)
 per module, so no module can be placed twice; the binary placement matrix
 that the JSON output shows is derived from it. Instances are checked where
@@ -19,7 +29,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 EXACT_SEARCH_LIMIT = 10**7
 CAPACITY_SLACK = 1e-9  # float-tolerant feasibility comparisons
@@ -157,7 +169,9 @@ class ScoredInstance:
     score[i][j] is the affinity of module j on resource i; ranked[j] lists
     the resources by descending score[i][j], lower index first on equal
     scores, and best[j] is the first of those scores. greedy_order is the
-    heaviest-first module order, load ties by module id.
+    heaviest-first module order, load ties by module id. sums is the exact
+    solver's sorted subset-sum table, None past the enumeration guard, and
+    plans holds the plan solve has found for each key (see solve).
     """
 
     resource_ids: tuple[str, ...]
@@ -167,6 +181,23 @@ class ScoredInstance:
     ranked: tuple[tuple[int, ...], ...]
     best: tuple[float, ...]
     greedy_order: tuple[int, ...]
+    sums: np.ndarray | None = field(compare=False, repr=False)
+    plans: dict[bytes, AssignmentPlan] = field(compare=False, repr=False)
+
+
+def _subset_sums(loads: tuple[float, ...]) -> np.ndarray:
+    """Every nonempty subset's loads summed in module order from 0.0, as solve_exact
+    sums them, sorted with duplicates kept."""
+    sums = np.empty(2 ** len(loads) - 1)
+    size = 0
+    for load in loads:
+        load = 0.0 + load  # an int load as the search adds it, a float one unchanged
+        # the subsets that end at this module: each earlier one plus it, then it alone
+        np.add(sums[:size], load, out=sums[size:2 * size])
+        sums[2 * size] = load
+        size = 2 * size + 1
+    sums.sort()
+    return sums
 
 
 def prepare(
@@ -175,6 +206,8 @@ def prepare(
     weights: AffinityWeights,
 ) -> ScoredInstance:
     """Score an instance once; between re-solves only the headrooms change."""
+    exact = (len(resources) + 1) ** len(modules) <= EXACT_SEARCH_LIMIT
+    loads = tuple(m.load for m in modules)
     max_bw = max(r.bandwidth_mbps for r in resources)
     score = tuple(tuple(affinity(m, r, weights, max_bw) for m in modules) for r in resources)
     ranked = tuple(
@@ -184,11 +217,13 @@ def prepare(
     return ScoredInstance(
         resource_ids=tuple(r.id for r in resources),
         module_ids=tuple(m.id for m in modules),
-        loads=tuple(m.load for m in modules),
+        loads=loads,
         score=score,
         ranked=ranked,
         best=tuple(score[order[0]][j] for j, order in enumerate(ranked)),
         greedy_order=tuple(sorted(range(len(modules)), key=lambda j: (-modules[j].load, modules[j].id))),
+        sums=_subset_sums(loads) if exact else None,
+        plans={},
     )
 
 
@@ -271,10 +306,21 @@ def solve_greedy(scored: ScoredInstance, headroom: list[float]) -> AssignmentPla
 
 
 def solve(scored: ScoredInstance, headroom: list[float]) -> AssignmentPlan:
-    """Exact when the enumeration guard allows it, greedy otherwise."""
-    if (len(scored.resource_ids) + 1) ** len(scored.module_ids) > EXACT_SEARCH_LIMIT:
+    """Exact when the enumeration guard allows it, greedy otherwise.
+
+    An exact call is keyed by the number of subset sums in scored.sums that
+    fit under each server's limit, and a key met before returns the plan it
+    got then. The key is exact: solve_exact compares a sum s with a limit
+    only by s <= limit, and with the sums sorted, equal counts mean the same
+    sums pass, so equal keys give equal plans, objective bits included.
+    """
+    if scored.sums is None:
         return solve_greedy(scored, headroom)
-    return solve_exact(scored, headroom)
+    key = np.searchsorted(scored.sums, [h + CAPACITY_SLACK for h in headroom], side="right").tobytes()
+    plan = scored.plans.get(key)
+    if plan is None:
+        plan = scored.plans[key] = solve_exact(scored, headroom)
+    return plan
 
 
 def instance_from_dict(data: dict) -> tuple[list[ControlModule], list[EdgeResource], AffinityWeights]:

@@ -16,7 +16,9 @@ states and process noise of a learning arm's evaluation episodes, and two
 runs of the same config produce byte-identical metrics files. An episode
 draws its plant stream in order: the reset up front, then the inlet noise
 CHUNK steps at a time as the steps reach it, so an episode's memory does
-not grow with its step limit.
+not grow with its step limit. A seed's load drift is drawn the same way,
+CHUNK reports at a time; a vector draw gives the bits of as many scalar
+draws, so either stream is the one a draw per step or report would give.
 
 Seeds share nothing, so a sweep runs each seed in its own forked process,
 as many at once as the process may use CPUs; the results are collected in
@@ -118,6 +120,12 @@ def load_disturbance(config: RunConfig) -> list[float]:
     return [config.trace_disturbance_scale * (v - base) for v in held]
 
 
+def _normals(rng: np.random.Generator, scale: float) -> list[float]:
+    """The generator's next CHUNK normal(0, scale) draws, last first, so pop() takes
+    them in drawn order; chunked draws give one long draw's bits."""
+    return rng.normal(0.0, scale, CHUNK).tolist()[::-1]
+
+
 class _Learner:
     """The seed's DQN agent over one episode, with the episode's last served (obs, action)."""
 
@@ -164,7 +172,7 @@ class _Episode:
             self.plant_cfg,
             *boiler.setpoint_deviations(self.plant_cfg, state.water_level, state.pressure, state.outlet_temp),
         )
-        self.inlet_noise: list[float] = []  # drawn inlet noise, the next step's last
+        self.inlet_noise: list[float] = []  # drawn inlet noise, in pop order
         self.pending_cmd = ActuatorCommand(state.pump_pos, state.valve_pos)
         self.cmd_step = -1  # step of the newest command the plant has taken
         self.ctl_last_step = -1  # step of the newest reading served
@@ -211,12 +219,14 @@ class _Episode:
         reward = None
         if step > 0:
             cfg = self.plant_cfg
+            if not self.inlet_noise:
+                self.inlet_noise = _normals(self.plant_rng, cfg.inlet_noise_std_c)
             state, reward, self.failed = boiler.step(
                 cfg,
                 self.state,
                 self.pending_cmd,
                 self.cost,
-                (self.inlet_noise or self._draw_noise()).pop(),
+                self.inlet_noise.pop(),
                 self.run.disturbance_at(step - 1),
             )
             self.state = state
@@ -233,12 +243,6 @@ class _Episode:
         if not self.done:
             self.kernel.schedule(clock + CONTROL_PERIOD_MS, run.sensor_node, step + 1)
         self.kernel.send(run.sensor_node, run.entry_node, reading)
-
-    def _draw_noise(self) -> list[float]:
-        """The next CHUNK steps' inlet noise; chunked draws give one long draw's bits."""
-        noise = self.plant_rng.normal(0.0, self.plant_cfg.inlet_noise_std_c, CHUNK).tolist()
-        self.inlet_noise = noise[::-1]  # pop() takes them in drawn order
-        return self.inlet_noise
 
     def _serve(self, node: int, reading: Reading):
         step = reading.step
@@ -331,6 +335,7 @@ class _SeedRun:
                 raise ConfigError(f"agent: the learner does not fit in memory: {exc}") from None
 
         self.drift_rng = np.random.default_rng([seed, _STREAM_DRIFT])
+        self.drift: list[float] = []  # drawn load drift, in pop order
         # the control module comes first, so a plan's choice[0] places it
         modules = [cfg.allocator.control_module(), *cfg.allocator.background_modules]
         self.scored = allocator.prepare(modules, cfg.allocator.edges, cfg.allocator.weights)
@@ -365,7 +370,9 @@ class _SeedRun:
         """Drift this edge's background load; returns the report for the cloud."""
         settings = self.cfg.allocator
         resource = settings.edges[edge_node - 1]
-        drifted = self.edge_loads[resource.id] + self.drift_rng.normal(0.0, settings.load_drift)
+        if not self.drift:
+            self.drift = _normals(self.drift_rng, settings.load_drift)
+        drifted = self.edge_loads[resource.id] + self.drift.pop()
         load = 0.0 if drifted < 0.0 else (settings.load_max if drifted > settings.load_max else drifted)
         self.edge_loads[resource.id] = load
         return Report(resource.id, load)

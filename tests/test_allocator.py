@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeloop.allocator import (
+    CAPACITY_SLACK,
     AffinityWeights,
     AllocationError,
     AssignmentPlan,
@@ -215,6 +218,51 @@ def test_exact_matches_brute_force_at_the_churn_shape_with_tight_headroom():
         assert plan.choice == tuple(choice), f"case {case}"
         assert plan.objective.hex() == objective.hex(), f"case {case}"
         assert validate(plan, modules, resources) == []
+
+
+def module_order_sums(loads):
+    """Each nonempty subset's loads summed in module order from 0.0, as the exact search sums them."""
+    sums = []
+    for mask in range(1, 2 ** len(loads)):
+        total = 0.0
+        for j, load in enumerate(loads):
+            if mask >> j & 1:
+                total += load
+        sums.append(total)
+    return sums
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_solve_answers_each_headroom_key_as_a_fresh_solve_exact(seed):
+    # the churn shape with tight headrooms, re-solved on a sequence of headroom
+    # lists. Each server's headroom comes from a pool of three: a tight one,
+    # or one that puts a subset sum on its limit or a few ulps either side,
+    # so keys repeat (answered from the memo) and each limit's edge is met
+    rng = np.random.default_rng(seed)
+    modules = []
+    while len(modules) < 3:
+        modules, resources, weights = random_instance(rng, max_resources=4, max_modules=5)
+    sums = module_order_sums([mod.load for mod in modules])
+    pools = []
+    for res in resources:
+        pool = [res.capacity * float(rng.uniform(0.2, 0.8))]
+        for _ in range(2):
+            h, ulps = float(rng.choice(sums)) - CAPACITY_SLACK, int(rng.integers(-3, 4))
+            for _ in range(abs(ulps)):
+                h = float(np.nextafter(h, np.copysign(np.inf, ulps)))
+            pool.append(h)
+        pools.append(pool)
+    scored = prepare(modules, resources, weights)
+    by_key = {}
+    for _ in range(12):
+        headroom = [pool[int(rng.integers(0, 3))] for pool in pools]
+        plan, want = solve(scored, headroom), solve_exact(scored, headroom)
+        assert (plan.choice, plan.objective.hex()) == (want.choice, want.objective.hex()), headroom
+        # how many sums fit under each server's limit; equal keys, identical plans
+        key = tuple(sum(s <= h + CAPACITY_SLACK for s in sums) for h in headroom)
+        assert by_key.setdefault(key, want) == want, (key, headroom)
+    assert len(scored.plans) == len(by_key)  # one exact search per key
 
 
 def test_exact_leaves_unplaceable_modules_unassigned():

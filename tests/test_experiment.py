@@ -324,6 +324,37 @@ def test_inlet_noise_drawn_in_chunks_equals_one_long_draw(monkeypatch):
     assert applied == twin.normal(0.0, cfg.plant.inlet_noise_std_c, steps).tolist()
 
 
+@pytest.mark.parametrize("load_drift", [0.8, 0.0])
+def test_load_drift_drawn_in_chunks_equals_one_scalar_draw_per_report(monkeypatch, load_drift):
+    # the seed draws CHUNK reports of drift at a time; two episodes of two edges
+    # reporting every step cross a refill and an episode boundary, and each
+    # report must carry the load a scalar draw per report gives it
+    reports = []
+    emit_report = experiment._SeedRun.emit_report
+
+    def recorded(self, node):
+        report = emit_report(self, node)
+        reports.append((node, report))
+        return report
+
+    monkeypatch.setattr(experiment._SeedRun, "emit_report", recorded)
+    cfg = pid_config(
+        scenario="edge-collab",
+        max_steps=150,
+        allocator={"rebalance_interval_steps": 1, "load_drift": load_drift, "load_max": 3.0},
+    )
+    run_seed(cfg, 5, [])
+    assert len(reports) == 2 * 2 * 150 > simcore.CHUNK
+    twin = np.random.default_rng([5, experiment._STREAM_DRIFT])
+    loads = {e.id: e.current_load for e in cfg.allocator.edges}
+    for node, report in reports:
+        edge = cfg.allocator.edges[node - 1].id
+        drifted = loads[edge] + twin.normal(0.0, load_drift)
+        loads[edge] = min(max(drifted, 0.0), cfg.allocator.load_max)
+        assert report == (edge, loads[edge])
+    assert (loads == {e.id: e.current_load for e in cfg.allocator.edges}) == (load_drift == 0.0)
+
+
 def run_cli_in_2_gib(tmp_path, config_text):
     """`edgeloop run` on config_text in a child process limited to a 2 GiB address space."""
     resource = pytest.importorskip("resource")

@@ -6,10 +6,14 @@ utilization within [0, 1], and the same bytes when it is run again. A
 valid config's run keeps the invariants _CheckedEpisode lists. The
 reference action must equal the full two-step enumeration for any valid
 plant and any state, inside, at or past the safety envelope, and reset and
-step must keep every state inside the plant's bounds.
+step must keep every state inside the plant's bounds. Two fixed runs at
+the edge of the range must finish within a 2 GiB address space: a plant
+that fails at once while two edges report every step to a far horizon,
+and the widest instance the exact allocator takes.
 """
 
 import dataclasses
+import json
 import math
 from pathlib import Path
 from unittest import mock
@@ -19,12 +23,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeloop import boiler, experiment
+from edgeloop import allocator, boiler, experiment
 from edgeloop.boiler import oracle_action
 from edgeloop.config import ConfigError, config_from_dict
 from edgeloop.experiment import run_experiment, run_seed
+from edgeloop.reporting import read_metrics
 
 import oracles
+from test_experiment import run_cli_in_2_gib
 
 TIGHT_EDGE = {"id": "tight", "capacity": 1.0, "current_load": 0.9,
               "bandwidth_mbps": 10.0, "compute_rating": 0.1}
@@ -111,6 +117,52 @@ def test_edge_of_range_configs_fail_by_key_or_run_cleanly(tmp_path_factory, draw
             for name, value in vars(rec).items():
                 if isinstance(value, float):
                     assert math.isfinite(value), (name, value)
+
+
+def test_a_plant_that_fails_at_once_reports_to_the_horizon_in_2_gib(tmp_path):
+    # the plant fails at step 3, and both edges' report ticks run on to step
+    # 100,000: about 200,000 reports, each drawing its edge's drift
+    proc = run_cli_in_2_gib(
+        tmp_path,
+        "scenario: edge-collab\ncontroller: pid\nseeds: [1]\nepisodes: 0\neval_episodes: 1\n"
+        "max_steps: 100000\nplant: {pump_gain: 1.0}\nallocator: {rebalance_interval_steps: 1}\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = read_metrics(tmp_path / "out" / "metrics_edge-collab_pid_seed1.jsonl")
+    assert (rec.failure_count, rec.uninterrupted_steps) == (1, 3)
+
+
+def _one_edge_config(background):
+    return {
+        "scenario": "edge-collab", "controller": "pid", "seeds": [1], "episodes": 0,
+        "eval_episodes": 1, "max_steps": 40,
+        "allocator": {
+            "rebalance_interval_steps": 1,
+            "edges": [{"id": "edge-0", "capacity": 6.0, "current_load": 0.5}],
+            # distinct loads, 6.2 with the control module's: just past what the edge takes
+            "background_modules": [{"id": f"bg-{k}", "load": round(0.1 + 0.013 * k, 3)}
+                                   for k in range(background)],
+        },
+    }
+
+
+def test_the_widest_exact_instance_runs_with_its_full_table_in_2_gib(tmp_path):
+    # one edge and 23 modules: 2^23 placements, the most the exact search
+    # takes, and a subset-sum table of 2^23 - 1 floats (64 MiB)
+    data = _one_edge_config(22)
+    proc = run_cli_in_2_gib(tmp_path, json.dumps(data))
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = read_metrics(tmp_path / "out" / "metrics_edge-collab_pid_seed1.jsonl")
+    assert rec.uninterrupted_steps == 40
+
+    def table(cfg):
+        pool = cfg.allocator
+        modules = [pool.control_module(), *pool.background_modules]
+        return allocator.prepare(modules, pool.edges, pool.weights).sums
+
+    assert table(config_from_dict(data)).shape == (2**23 - 1,)
+    # one module more is past the guard: greedy, and no table
+    assert table(config_from_dict(_one_edge_config(23))) is None
 
 
 MESSAGES = (experiment.Reading, experiment.Command, experiment.Report)
