@@ -33,6 +33,7 @@ order, so its values have the bits plant steps give.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -261,6 +262,17 @@ def step(
     return BoilerState(inlet, outlet, level, pressure, pump, valve), r, failed
 
 
+@functools.lru_cache(maxsize=16)  # runs hold the nine grid positions; drawn states cannot grow it
+def _by_motion(pump_pos: float, valve_pos: float) -> tuple[tuple[float, int, float, float], ...]:
+    """Each command's (motion, index, pump, valve), sorted: motion is the squared actuator
+    travel from (pump_pos, valve_pos), formed as step() forms it."""
+    moves = []
+    for a, cmd in enumerate(COMMANDS):
+        pump, valve = cmd.pump_level, cmd.valve_level
+        moves.append(((pump - pump_pos) ** 2 + (valve - valve_pos) ** 2, a, pump, valve))
+    return tuple(sorted(moves))
+
+
 def oracle_action(config: BoilerConfig, state: BoilerState, gamma: float) -> int:
     """Reference action: best immediate reward plus discounted greedy value.
 
@@ -270,9 +282,12 @@ def oracle_action(config: BoilerConfig, state: BoilerState, gamma: float) -> int
     the landed state's cost), or minus the failure penalty if it fails. Ties
     go to the lowest index. Each command is landed by landed() and each
     state costed by cost(), as step() and the episode do, in step()'s float
-    order, so every value has the bits nine plant steps give. A command whose
-    reward is no more than the best value so far is not landed: with
-    gamma > 0 and costs >= 0, its value cannot exceed its reward.
+    order, so every value has the bits nine plant steps give. With gamma >= 0
+    and costs >= 0 a value is never above its reward, and a reward falls as
+    the motion grows, so the commands are visited in order of motion (then
+    index): the search stops at the first reward below the best value, and a
+    command whose reward only equals it is landed only if its index is lower
+    than the best action's.
     """
     envelope = config.envelope
     level, pressure, outlet = state.water_level, state.pressure, state.outlet_temp
@@ -281,18 +296,19 @@ def oracle_action(config: BoilerConfig, state: BoilerState, gamma: float) -> int
     state_cost = cost(config, *setpoint_deviations(config, level, pressure, outlet))
     best_action = 0
     best_value = -math.inf
-    for a, cmd in enumerate(COMMANDS):
-        pump, valve = cmd.pump_level, cmd.valve_level
-        r = -(state_cost + config.w_action * ((pump - state.pump_pos) ** 2 + (valve - state.valve_pos) ** 2))
-        if r <= best_value:
-            continue  # the value is r less a non-negative term, so it cannot beat the best
+    for motion, a, pump, valve in _by_motion(state.pump_pos, state.valve_pos):
+        r = -(state_cost + config.w_action * motion)
+        if r < best_value:
+            break  # no later command's value can reach the best
+        if r == best_value and a > best_action:
+            continue  # at most a tie, which the lower index wins
         level, pressure, outlet = landed(config, state, pump, valve)
         if envelope.violates(level, pressure, outlet):
             value = (r - config.failure_penalty) + gamma * -config.failure_penalty
         else:
             landed_cost = cost(config, *setpoint_deviations(config, level, pressure, outlet))
             value = r + gamma * -landed_cost
-        if value > best_value:
+        if value > best_value or (value == best_value and a < best_action):
             best_value = value
             best_action = a
     return best_action

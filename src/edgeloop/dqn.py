@@ -3,8 +3,12 @@
 A fully connected Q-network (ReLU hidden layers, linear output) trained by
 plain stochastic gradient descent on the mean squared TD error, with a
 bounded FIFO experience replay and a periodically synced target network.
-Everything is numpy; there is no framework dependency. Every matrix product
-is an np.dot call: `@`'s BLAS call and bits, with less dispatch per call.
+Everything is numpy; there is no framework dependency. The per-step path
+takes numpy's cheapest call for each operation, with the same bits: every
+matrix product is an ndarray.dot call (`@`'s BLAS call, without np.dot's
+__array_function__ dispatch), and every constant or hyperparameter operand
+of an array ufunc is a 0-d float64 array, which numpy 2 (NEP 50) reads
+without the conversion a Python float costs on every call.
 """
 
 from __future__ import annotations
@@ -15,6 +19,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array."""
+    array = np.array(value, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+_ZERO, _ONE, _TWO = map(_constant, (0.0, 1.0, 2.0))
 
 
 class DivergenceError(RuntimeError):
@@ -115,10 +129,12 @@ class MlpPolicy:
         """Input and every layer's output, for one float64 observation or a batch of rows."""
         out = [x]
         for w, b in self.hidden:
-            x = np.maximum(np.dot(x, w) + b, 0.0)
+            x = x.dot(w)
+            x += b  # in place, as is the ReLU: with the 0-d zero, cheaper than allocating
+            np.maximum(x, _ZERO, out=x)
             out.append(x)
         w, b = self.output
-        out.append(np.dot(x, w) + b)
+        out.append(x.dot(w) + b)
         return out
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
@@ -145,14 +161,14 @@ class Batch(NamedTuple):
 
 
 class ReplayBuffer:
-    """Bounded FIFO transition store with uniform seeded sampling; obs and next_obs share one array."""
+    """Bounded FIFO transition store with uniform seeded sampling; obs and next_obs
+    share one array, and so do rewards and dones."""
 
     def __init__(self, capacity: int, width: int):
         self.capacity = capacity
         self._obs_pairs = np.empty((2, capacity, width))  # [0] obs, [1] next_obs
         self._actions = np.empty(capacity, np.intp)
-        self._rewards = np.empty(capacity)
-        self._dones = np.empty(capacity)
+        self._rewards_dones = np.empty((2, capacity))  # [0] reward, [1] done
         self.inserted = 0
 
     def __len__(self) -> int:
@@ -163,15 +179,14 @@ class ReplayBuffer:
         self._obs_pairs[0, i] = obs
         self._obs_pairs[1, i] = next_obs
         self._actions[i] = action
-        self._rewards[i] = reward
-        self._dones[i] = done
+        self._rewards_dones[0, i] = reward
+        self._rewards_dones[1, i] = done
         self.inserted += 1
 
     def _rows(self, idx: np.ndarray) -> Batch:
-        pairs = self._obs_pairs.take(idx, axis=1)  # indexing it costs less than unpacking it
-        return Batch(
-            pairs[0], self._actions.take(idx), self._rewards.take(idx), pairs[1], self._dones.take(idx)
-        )
+        # indexing the gathers costs less than unpacking them
+        pairs, rewards_dones = self._obs_pairs.take(idx, axis=1), self._rewards_dones.take(idx, axis=1)
+        return Batch(pairs[0], self._actions.take(idx), rewards_dones[0], pairs[1], rewards_dones[1])
 
     def items(self) -> list[Transition]:
         """Stored transitions in insertion order, oldest first."""
@@ -183,11 +198,15 @@ class ReplayBuffer:
 
 
 @functools.cache
-def _rows(n: int) -> np.ndarray:
-    """np.arange(n), built once per batch size and read-only, as every train_step shares it."""
-    rows = np.arange(n)
+def _operands(gamma: float, learning_rate: float, batch_size: int, td_error_clip: float | None) -> tuple:
+    """train_step's operands for one set of values, built once and read-only, as every
+    train_step shares them: np.arange(batch_size), then gamma, learning_rate, batch_size
+    and the clip bounds (-td_error_clip, td_error_clip), or None without a clip, as 0-d
+    float64 arrays. Hyperparams holds a list, so it cannot be the cache key."""
+    rows = np.arange(batch_size)
     rows.flags.writeable = False
-    return rows
+    clip = None if td_error_clip is None else (_constant(-td_error_clip), _constant(td_error_clip))
+    return rows, _constant(gamma), _constant(learning_rate), _constant(batch_size), clip
 
 
 def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperparams) -> None:
@@ -199,33 +218,33 @@ def train_step(policy: MlpPolicy, target: MlpPolicy, batch: Batch, hp: Hyperpara
     (the loss checked is still computed from the raw errors), which keeps
     rare large-penalty targets from destabilizing the update.
     """
+    rows, gamma, rate, n, clip = _operands(hp.gamma, hp.learning_rate, hp.batch_size, hp.td_error_clip)
     next_q = target.forward(batch.next_obs)
     # bare ufunc reductions: the bits of .max() and .sum(), less overhead
-    targets = batch.rewards + hp.gamma * np.maximum.reduce(next_q, axis=1) * (1.0 - batch.dones)
+    targets = batch.rewards + gamma * np.maximum.reduce(next_q, axis=1) * (_ONE - batch.dones)
 
     activations = policy.activations(batch.obs)  # kept for backprop
     q = activations[-1]
-    batch_idx = _rows(hp.batch_size)
-    err = q[batch_idx, batch.actions] - targets
+    err = q[rows, batch.actions] - targets
     loss = float(np.add.reduce(err * err) / hp.batch_size)  # np.mean's arithmetic
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss: {loss}")
 
-    if hp.td_error_clip is not None:
+    if clip is not None:
         # two bare ufuncs cost less than a clip call and give its bits on finite errors
-        err = np.minimum(np.maximum(err, -hp.td_error_clip), hp.td_error_clip)
+        err = np.minimum(np.maximum(err, clip[0]), clip[1])
     # d(loss)/d(q) is nonzero only at the taken actions
     delta = np.zeros(q.shape)
-    delta[batch_idx, batch.actions] = 2.0 * err / hp.batch_size
+    delta[rows, batch.actions] = _TWO * err / n
 
     for i in range(len(policy.weights) - 1, -1, -1):
-        np.dot(activations[i].T, delta, out=policy.grad_weights[i])
+        activations[i].T.dot(delta, out=policy.grad_weights[i])
         np.add.reduce(delta, axis=0, out=policy.grad_biases[i])
         if i > 0:
-            delta = np.dot(delta, policy.weights[i].T)
-            delta = delta * (activations[i] > 0.0)
+            delta = delta.dot(policy.weights[i].T)
+            delta = delta * (activations[i] > _ZERO)
 
-    policy.grad *= hp.learning_rate
+    policy.grad *= rate
     policy.params -= policy.grad
 
 

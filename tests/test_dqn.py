@@ -562,6 +562,36 @@ def test_flat_parameter_updates_match_the_per_layer_reference(hidden, batch_size
     assert policy_bytes(policy) == policy_bytes(ref_policy)
 
 
+def test_interleaved_learners_each_update_with_their_own_hyperparameters():
+    # train_step builds its operands once per hyperparameter set: two learners
+    # trained turn about in one process must each keep the bytes of their own
+    # history replayed through the reference update
+    layer_sizes = [76, 64, 64, 9]
+    settings = [Hyperparams(), Hyperparams(gamma=0.5, learning_rate=0.003, batch_size=7, td_error_clip=None)]
+    learners = []
+    for k, hp in enumerate(settings):
+        agent = DqnAgent(layer_sizes, hp, epsilon_decay_steps=45000, init_rng=np.random.default_rng(k),
+                         explore_rng=np.random.default_rng(10 + k), replay_rng=np.random.default_rng(20 + k))
+        reference = (agent.policy.copy(), agent.target.copy(), oracles.FifoReplay(hp.buffer_capacity),
+                     np.random.default_rng(20 + k))
+        learners.append((hp, agent, reference, np.random.default_rng(30 + k)))
+    while any(agent.train_steps < 50 for _, agent, _, _ in learners):
+        for hp, agent, (ref_policy, ref_target, ref_replay, ref_rng), feed in learners:
+            # rewards this large push some of the clipped learner's errors past its clip
+            t = Transition(feed.normal(size=76), int(feed.integers(0, 9)), 20.0 * float(feed.normal()),
+                           feed.normal(size=76), bool(feed.random() < 0.1))
+            agent.record(*t)
+            agent.train()
+            ref_replay.add(t)
+            if len(ref_replay.slots) >= hp.warmup:
+                batch = as_batch(ref_replay.sample(hp.batch_size, ref_rng))
+                oracles.train_step(ref_policy, ref_target, batch, hp)
+    for hp, agent, (ref_policy, ref_target, _, _), _ in learners:
+        assert agent.train_steps == 50 < hp.target_update_freq  # no sync: the targets stay at the start
+        assert policy_bytes(agent.target) == policy_bytes(ref_target)
+        assert policy_bytes(agent.policy) == policy_bytes(ref_policy) != policy_bytes(ref_target)
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_products_keep_the_reference_bytes_under_a_forced_blas_core(core):
     # numpy's OpenBLAS picks its kernels by CPU when it loads, and

@@ -292,6 +292,40 @@ def test_drl_pin_has_the_same_bytes_under_a_forced_blas_core(tmp_path):
         assert (forced / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
 
+# the stock 76-64-64-9 learner, updating from its 16th transition on, so the
+# acting and training products run on the network and batch size runs use
+TRAINING_RUN = {
+    "seeds": [11],
+    "episodes": 2,
+    "eval_episodes": 1,
+    "max_steps": 40,
+    "agent": {"warmup": 16},
+    "latency": {"jitter": 0.1},
+}
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_a_training_run_has_the_same_bytes_under_a_forced_blas_core(core, tmp_path):
+    # the learner's products may round differently under another kernel, but
+    # the metrics of a run that acts and trains the stock network may not
+    script = (
+        "import json, sys\n"
+        "from edgeloop.config import config_from_dict\n"
+        "from edgeloop.experiment import run_experiment\n"
+        "run_experiment(config_from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", script, json.dumps(TRAINING_RUN), str(tmp_path / "forced")]
+    subprocess.run(argv, env=env, check=True, timeout=300)
+    result = run_experiment(config_from_dict(TRAINING_RUN), str(tmp_path / "here"))
+    assert result.results[11].records[-1].phase == "eval"  # no divergence cut the run short
+    names = sorted(p.name for p in (tmp_path / "here").iterdir())
+    assert names == ["metrics_edge-collab_drl_seed11.jsonl", "summary.csv"]
+    for name in names:
+        assert (tmp_path / "forced" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
+
+
 def test_drl_rebalance_config_moves_the_plan_between_cloud_and_both_edges(monkeypatch, tmp_path):
     solve = allocator.solve
     served = []

@@ -5,8 +5,9 @@ names the offending key, or runs; a run must give finite metrics, a
 utilization within [0, 1], and the same bytes when it is run again. A
 valid config's run keeps the invariants _CheckedEpisode lists. The
 reference action must equal the full two-step enumeration for any valid
-plant and any state, inside, at or past the safety envelope, and reset and
-step must keep every state inside the plant's bounds. Two fixed runs at
+plant and any state, inside, at or past the safety envelope, with the
+actuators on or off their grid, and reset and step must keep every state
+inside the plant's bounds. Two fixed runs at
 the edge of the range must finish within a 2 GiB address space: a plant
 that fails at once while two edges report every step to a far horizon,
 and the widest instance the exact allocator takes.
@@ -318,6 +319,23 @@ _UNWEIGHTED = boiler.BoilerConfig(w_level=0.0, w_pressure=0.0, w_temp=0.0, w_act
 # no weights: all nine commands tie at 0.0 and the lowest index must win
 @example((_UNWEIGHTED, boiler.nominal_state(_UNWEIGHTED), 0.95))
 def test_oracle_action_equals_two_step_enumeration_on_any_plant(drawn):
+    cfg, state, gamma = drawn
+    assert oracle_action(cfg, state, gamma) == oracles.brute_force_oracle_action(cfg, state, gamma)
+
+
+@st.composite
+def plants_and_off_grid_states(draw):
+    """plants_and_states' plants, states and discounts, with both actuators anywhere in [0, 1]."""
+    cfg, state, gamma = draw(plants_and_states())
+    pump, valve = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 1.0, size=2)
+    return cfg, dataclasses.replace(state, pump_pos=float(pump), valve_pos=float(valve)), gamma
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(plants_and_off_grid_states())
+def test_oracle_action_equals_two_step_enumeration_off_the_actuator_grid(drawn):
+    # runs only hold the nine grid positions; off them every motion differs,
+    # so the search's visit order and its stop differ from state to state
     cfg, state, gamma = drawn
     assert oracle_action(cfg, state, gamma) == oracles.brute_force_oracle_action(cfg, state, gamma)
 
